@@ -32,6 +32,7 @@ from pamq import (
     sep_quadrature,
     simulate,
 )
+from pamq.table import write_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / "figures" / "out"
@@ -51,11 +52,7 @@ def _cons(text):
 def _write(name, header, rows):
     OUT.mkdir(parents=True, exist_ok=True)
     path = OUT / f"{name}.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else f"{v:.12e}" for v in row) + "\n")
+    write_table(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -17,16 +17,10 @@ import numpy as np
 from . import __version__
 from .asymptotics import dvo_experiment
 from .montecarlo import SimSpec, simulate, write_csv
-from .optimizer import DesignProblem, optimize
-from .sep import (
-    default_alpha,
-    floor_bounds,
-    sep_aqnm,
-    sep_closed_form,
-    sep_noiseless,
-    sep_quadrature,
-)
+from .optimizer import DesignProblem, optimize, result_to_json
+from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
 from .system import ChannelModel, Constellation, GeometricConstellation, Quantizer, UniformQuantizer
+from .table import write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -46,9 +40,6 @@ def _parse_grid(text):
     """SNR grid in dB: 'start:step:stop', a comma list, or one number."""
     if ":" in text:
         parts = text.split(":")
-        if len(parts) == 2:  # window shorthand lo:hi
-            lo, hi = float(parts[0]), float(parts[1])
-            return list(np.arange(lo, hi + 1e-9, 2.5))
         if len(parts) != 3:
             raise ValidationError(f"bad grid {text!r}, want start:step:stop")
         start, step, stop = (float(p) for p in parts)
@@ -62,29 +53,19 @@ def _parse_floats(text):
     return tuple(float(p) for p in str(text).split(","))
 
 
-_COMMON_KEYS = {
-    "m", "omega", "bits", "mod", "constellation", "geometric", "q",
-    "uniform_step", "snr_db", "out", "seed", "trials", "antennas",
-    "alpha", "threads", "format", "noiseless", "joint", "uniform",
-    "window", "starts", "a_exp", "command", "config",
-}
-
-
-def _load_config(path, args):
+def _load_config(path, sub):
+    """Make the config file's values the defaults of subcommand parser sub,
+    so that explicit flags still win when the command line is parsed again."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}")
-    unknown = set(cfg) - _COMMON_KEYS
+    # accepted keys: the subcommand's flag destinations (snake_case names)
+    unknown = set(cfg) - set(vars(sub.parse_args([])))
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {sorted(unknown)}")
-    for key, val in cfg.items():
-        if key in ("command", "config"):
-            continue
-        if getattr(args, key, None) in (None, False):
-            setattr(args, key, val)
-    return cfg
+    sub.set_defaults(**cfg)
 
 
 def _build_system(args, need_quantizer=True):
@@ -112,20 +93,6 @@ def _build_system(args, need_quantizer=True):
     return cons, quant, ch
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else f"{v:.12e}" for v in row
-        ))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write_json(path, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
@@ -140,13 +107,9 @@ def _cmd_sep(args):
     grid = _parse_grid(args.snr_db or "0:2:40")
     rows = []
     for sdb in grid:
-        snr = 10.0 ** (sdb / 10.0)
-        if ch.integer_m:
-            res = sep_closed_form(cons, quant, ch, snr)
-        else:
-            res = sep_quadrature(cons, quant, ch, snr)
+        res = sep_exact(cons, quant, ch, 10.0 ** (sdb / 10.0))
         rows.append((sdb, res.value, res.method))
-    _write_rows(args.out, ["snr_db", "sep", "method"], rows)
+    write_table(args.out, ["snr_db", "sep", "method"], rows)
     return EXIT_OK
 
 
@@ -170,14 +133,7 @@ def _cmd_optimize(args):
         n_starts=int(args.starts or 16), seed=args.seed,
     )
     result = optimize(problem)
-    _write_json(args.out, {
-        "boundaries": list(result.quantizer.positive_boundaries),
-        "bits": result.quantizer.bits,
-        "amplitudes": list(result.constellation.amplitudes),
-        "sep": result.sep,
-        "starts_used": result.starts_used,
-        "converged": result.converged,
-    })
+    _write_json(args.out, json.loads(result_to_json(result)))
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
@@ -224,13 +180,7 @@ def _cmd_simulate(args):
         trials=int(args.trials or 10**5),
         n_r=int(args.antennas or 1), seed=args.seed,
     )
-    estimates = simulate(spec, workers=int(args.threads or 1))
-    if args.out:
-        write_csv(estimates, args.out)
-    else:
-        _write_rows(None, ["snr_db", "trials", "errors", "sep_hat", "stderr", "method"],
-                    [(e.snr_db, str(e.trials), str(e.errors), e.sep_hat, e.stderr, e.method)
-                     for e in estimates])
+    write_csv(simulate(spec, workers=int(args.threads or 1)), args.out)
     return EXIT_OK
 
 
@@ -241,12 +191,8 @@ def _cmd_compare_aqnm(args):
     rows = []
     for sdb in grid:
         snr = 10.0 ** (sdb / 10.0)
-        if ch.integer_m:
-            exact = sep_closed_form(cons, quant, ch, snr).value
-        else:
-            exact = sep_quadrature(cons, quant, ch, snr).value
-        rows.append((sdb, exact, sep_aqnm(cons, snr, alpha).value))
-    _write_rows(args.out, ["snr_db", "sep_exact", "sep_aqnm"], rows)
+        rows.append((sdb, sep_exact(cons, quant, ch, snr).value, sep_aqnm(cons, snr, alpha).value))
+    write_table(args.out, ["snr_db", "sep_exact", "sep_aqnm"], rows)
     return EXIT_OK
 
 
@@ -288,19 +234,21 @@ def _add_common(sub):
 
 
 def build_parser():
+    """The pamq parser, and its subcommand parsers by name."""
     parser = _Parser(prog="pamq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         _add_common(subs.add_parser(name))
-    return parser
+    return parser, subs.choices
 
 
 def run(argv):
-    parser = build_parser()
+    parser, subs = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        _load_config(args.config, args)
+        _load_config(args.config, subs[args.command])
+        args = parser.parse_args(argv)
     env_seed = os.environ.get("PAMQ_SEED")
     if env_seed is not None:
         args.seed = int(env_seed)

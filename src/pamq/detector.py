@@ -3,13 +3,17 @@
 Detected symbols are reported as signed indices s*(i+1), where i is the
 index into the positive half-constellation and s is the sign of the
 symbol; this keeps single-antenna and SIMO detectors comparable.
+
+Each rule has one vectorized kernel (``quantize_batch``,
+``midpoint_batch``, ``simo_batch``) over arrays of observations; the
+Monte Carlo engine runs these kernels, and the scalar functions are
+one-row calls into them.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import q_func
+from scipy.special import ndtr
 
 __all__ = [
     "DecisionRegion",
@@ -41,6 +45,58 @@ class DecisionRegion:
         return self.lower >= self.upper
 
 
+def quantize_batch(bounds, r):
+    """Signed output indices of the inputs r (any shape) for the sorted
+    positive boundaries; a boundary belongs to the upper region."""
+    mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
+    return np.where(r >= 0.0, mag, -mag)
+
+
+def midpoint_batch(amps, bounds, h, y):
+    """Midpoint rule over equal-shape arrays of gains h and outputs y."""
+    k = len(bounds)
+    ay = np.abs(y)
+    rho_mids = 0.5 * (amps[:-1] + amps[1:])
+    edges = np.concatenate([[0.0], bounds])
+    mids = 0.5 * (edges[np.minimum(ay, k) - 1] + edges[np.minimum(ay, k)])
+    # ties between two amplitudes go to the lower index
+    idx = np.searchsorted(rho_mids, mids / h, side="left")
+    idx = np.where(ay == k + 1, len(amps) - 1, idx)
+    return np.sign(y) * (idx + 1)
+
+
+def simo_batch(amps, bounds, h, y, sigma2):
+    """Product-likelihood rule; h and y have shape (n, n_r)."""
+    s = math.sqrt(sigma2 / 2.0)
+    symbols = np.concatenate([-amps[::-1], amps])  # ascending
+    ids = np.concatenate(
+        [-np.arange(len(amps), 0, -1), np.arange(1, len(amps) + 1)]
+    )
+    edges = np.concatenate([[0.0], bounds, [np.inf]])
+    ay = np.abs(y)
+    lo = np.where(y > 0, edges[ay - 1], -edges[ay])
+    hi = np.where(y > 0, edges[ay], -edges[ay - 1])
+    ll = np.empty((h.shape[0], len(symbols)))
+    for j, sym in enumerate(symbols):
+        mean = h * sym
+        a, b = (lo - mean) / s, (hi - mean) / s
+        # mirror bins whose center is right of the mean: Phi(b) - Phi(a)
+        # cancels when both are near 1, so keep the lower endpoint <= 0
+        flip = a + b > 0.0
+        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+        p = ndtr(b) - ndtr(a)
+        lp = np.where(p > 0.0, np.log(np.maximum(p, 5e-324)), LOG_FLOOR)
+        ll[:, j] = np.maximum(lp, LOG_FLOOR).sum(axis=1)
+    # argmax keeps the first maximum: ties go to the lowest symbol
+    return ids[np.argmax(ll, axis=1)]
+
+
+def _check_outputs(q, y):
+    ay = np.abs(y)
+    if np.any((ay < 1) | (ay > q.K + 1)):
+        raise ValueError("output index out of range")
+
+
 def quantize(q, r):
     """Signed ADC output index for real input r.
 
@@ -48,19 +104,7 @@ def quantize(q, r):
     upper region), y = K+1 for r >= q_K. Inputs in [-q_1, 0) map to y = -1
     and r = 0 maps to y = +1.
     """
-    bounds = np.asarray(q.positive_boundaries)
-    r = float(r)
-    if r >= 0.0:
-        return int(np.searchsorted(bounds, r, side="right")) + 1
-    # mirror with half-open intervals preserved: -q_y maps to -(y+1)
-    return -(int(np.searchsorted(bounds, -r, side="right")) + 1)
-
-
-def _nearest_amplitude(c, target):
-    """Index of the amplitude closest to target; ties go to the lower index."""
-    amps = np.asarray(c.amplitudes)
-    mids = 0.5 * (amps[:-1] + amps[1:])
-    return int(np.searchsorted(mids, target, side="left"))
+    return int(quantize_batch(np.asarray(q.positive_boundaries), float(r)))
 
 
 def ml_detect_midpoint(c, q, h_mag, y):
@@ -72,14 +116,11 @@ def ml_detect_midpoint(c, q, h_mag, y):
     """
     if h_mag <= 0:
         raise ValueError("h_mag must be positive")
-    ay = abs(int(y))
-    if not 1 <= ay <= q.K + 1:
-        raise ValueError("output index out of range")
-    sign = 1 if y > 0 else -1
-    if ay == q.K + 1:
-        return sign * c.half_size
-    mid = 0.5 * (q.boundary(ay - 1) + q.boundary(ay))
-    return sign * (_nearest_amplitude(c, mid / h_mag) + 1)
+    _check_outputs(q, int(y))
+    return int(midpoint_batch(
+        np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
+        np.array([float(h_mag)]), np.array([int(y)]),
+    )[0])
 
 
 def decision_region(c, q, y, i):
@@ -131,15 +172,6 @@ def noiseless_region(c, q, y, i):
     return DecisionRegion(lower, upper, y, i)
 
 
-def _signed_bin(q, y):
-    """(lo, hi) amplitude interval of signed output y."""
-    ay = abs(int(y))
-    lo, hi = q.boundary(ay - 1), q.boundary(ay)
-    if y > 0:
-        return lo, hi
-    return -hi, -lo
-
-
 def ml_detect_simo(c, q, h, y, sigma2):
     """Product-likelihood ML detection from N_r quantized observations.
 
@@ -152,24 +184,8 @@ def ml_detect_simo(c, q, h, y, sigma2):
         raise ValueError("h and y must have equal length")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    s = math.sqrt(sigma2 / 2.0)
-    half = c.half_size
-    amps = np.asarray(c.amplitudes)
-    symbols = np.concatenate([-amps[::-1], amps])  # ascending
-    ids = np.concatenate([-np.arange(half, 0, -1), np.arange(1, half + 1)])
-
-    best_id, best_ll = None, -math.inf
-    for sym, sid in zip(symbols, ids):
-        ll = 0.0
-        for hn, yn in zip(h, y):
-            lo, hi = _signed_bin(q, yn)
-            a, b = (lo - hn * sym) / s, (hi - hn * sym) / s
-            # mirror bins left of the mean so both tails stay small
-            # (Q(a) - Q(b) cancels catastrophically when both are near 1)
-            if b <= 0.0:
-                a, b = -b, -a
-            p = float(q_func(a) - q_func(b))
-            ll += max(math.log(p), LOG_FLOOR) if p > 0.0 else LOG_FLOOR
-        if ll > best_ll:
-            best_id, best_ll = int(sid), ll
-    return best_id
+    _check_outputs(q, y)
+    return int(simo_batch(
+        np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
+        h[None, :], y[None, :], sigma2,
+    )[0])

@@ -5,14 +5,15 @@ Philox seeded by SeedSequence(master_seed, spawn_key=(p, j)). Batch
 results are summed by index, so for a fixed spec (including batch_size)
 the estimate is identical at any worker count.
 """
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .detector import midpoint_batch, quantize_batch, simo_batch
 from .system import sigma2_from_snr
+from .table import write_table
 
 __all__ = ["SimSpec", "SimEstimate", "simulate", "simulate_noiseless", "write_csv"]
 
@@ -53,52 +54,6 @@ class SimEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _quantize_batch(bounds, r):
-    """Vectorized signed quantization, boundaries to the upper region."""
-    mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
-    return np.where(r >= 0.0, mag, -mag)
-
-
-def _detect_midpoint_batch(amps, bounds, h, y):
-    """Vectorized midpoint ML rule; returns signed ids s*(i+1)."""
-    k = len(bounds)
-    ay = np.abs(y)
-    rho_mids = 0.5 * (amps[:-1] + amps[1:])
-    edges = np.concatenate([[0.0], bounds])
-    mids = 0.5 * (edges[np.minimum(ay, k) - 1] + edges[np.minimum(ay, k)])
-    idx = np.searchsorted(rho_mids, mids / h, side="left")
-    idx = np.where(ay == k + 1, len(amps) - 1, idx)
-    return np.sign(y) * (idx + 1)
-
-
-def _detect_simo_batch(amps, bounds, h, y, sigma2):
-    """Vectorized product-likelihood ML; h, y have shape (n, n_r)."""
-    from scipy.special import ndtr
-
-    s = math.sqrt(sigma2 / 2.0)
-    symbols = np.concatenate([-amps[::-1], amps])
-    ids = np.concatenate(
-        [-np.arange(len(amps), 0, -1), np.arange(1, len(amps) + 1)]
-    )
-    edges = np.concatenate([[0.0], bounds, [np.inf]])
-    ay = np.abs(y)
-    lo = np.where(y > 0, edges[ay - 1], -edges[ay])
-    hi = np.where(y > 0, edges[ay], -edges[ay - 1])
-    log_floor = -745.0
-    ll = np.empty((h.shape[0], len(symbols)))
-    for j, sym in enumerate(symbols):
-        mean = h * sym
-        a, b = (lo - mean) / s, (hi - mean) / s
-        # mirror bins whose center is right of the mean: Phi(b) - Phi(a)
-        # cancels when both are near 1, so keep the lower endpoint <= 0
-        flip = a + b > 0.0
-        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
-        p = ndtr(b) - ndtr(a)
-        lp = np.where(p > 0.0, np.log(np.maximum(p, 5e-324)), log_floor)
-        ll[:, j] = np.maximum(lp, log_floor).sum(axis=1)
-    return ids[np.argmax(ll, axis=1)]
-
-
 def _run_batch(args):
     (amps, bounds, m, omega, sigma2, n, n_r, seed, point, batch, use_simo) = args
     ss = np.random.SeedSequence(seed, spawn_key=(point, batch))
@@ -110,28 +65,36 @@ def _run_batch(args):
     r = h * x[:, None]
     if sigma2 > 0.0:
         r = r + rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
-    yq = _quantize_batch(bounds, r)
+    yq = quantize_batch(bounds, r)
     if use_simo:
-        decided = _detect_simo_batch(amps, bounds, h, yq, sigma2)
+        decided = simo_batch(amps, bounds, h, yq, sigma2)
     else:
-        decided = _detect_midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])
+        decided = midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])
     return int(np.count_nonzero(decided != sym_id))
 
 
-def _batch_args(spec, sigma2, point, use_simo):
+def _count_errors(spec, sigma2s, use_simo, workers):
+    """Error count at each noise variance in sigma2s.
+
+    The batches of every point go through one process pool (or plain map
+    for one worker); counts are summed by point.
+    """
     amps = np.asarray(spec.constellation.amplitudes)
     bounds = np.asarray(spec.quantizer.positive_boundaries)
     ch = spec.channel
-    remaining = spec.trials
-    batch = 0
-    while remaining > 0:
-        n = min(spec.batch_size, remaining)
-        yield (
-            amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r,
-            spec.seed, point, batch, use_simo,
-        )
-        remaining -= n
-        batch += 1
+    sizes = [min(spec.batch_size, spec.trials - done)
+             for done in range(0, spec.trials, spec.batch_size)]
+    args = [
+        (amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch, use_simo)
+        for point, sigma2 in enumerate(sigma2s)
+        for batch, n in enumerate(sizes)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(_run_batch, args))
+    else:
+        counts = list(map(_run_batch, args))
+    return [sum(counts[i:i + len(sizes)]) for i in range(0, len(counts), len(sizes))]
 
 
 def simulate(spec, workers=1, detector="auto"):
@@ -141,50 +104,29 @@ def simulate(spec, workers=1, detector="auto"):
     likelihood otherwise; "midpoint"/"simo" force one path (simo requires
     sigma2 > 0).
     """
-    out = []
-    for point, snr_db in enumerate(spec.snr_db):
-        sigma2 = sigma2_from_snr(spec.constellation, 10.0 ** (snr_db / 10.0))
-        use_simo = spec.n_r > 1 if detector == "auto" else detector == "simo"
-        args = list(_batch_args(spec, sigma2, point, use_simo))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                errs = sum(pool.map(_run_batch, args))
-        else:
-            errs = sum(map(_run_batch, args))
-        out.append(SimEstimate(snr_db, spec.trials, errs))
-    return out
+    if detector not in ("auto", "midpoint", "simo"):
+        raise ValueError(f"unknown detector {detector!r}")
+    use_simo = spec.n_r > 1 if detector == "auto" else detector == "simo"
+    sigma2s = [sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0)) for s in spec.snr_db]
+    errs = _count_errors(spec, sigma2s, use_simo, workers)
+    return [SimEstimate(s, spec.trials, e) for s, e in zip(spec.snr_db, errs)]
 
 
 def simulate_noiseless(spec, workers=1):
     """Noiseless (sigma2 = 0) variant: detector input is |h| x exactly.
 
-    Returns a single estimate; the spec's snr grid is ignored.
+    Returns a single estimate from one antenna; the spec's snr grid and
+    n_r are ignored.
     """
-    amps = np.asarray(spec.constellation.amplitudes)
-    bounds = np.asarray(spec.quantizer.positive_boundaries)
-    ch = spec.channel
-    args = [
-        (amps, bounds, ch.m, ch.omega, 0.0, n, 1, spec.seed, 0, b, False)
-        for (_, _, _, _, _, n, _, _, _, b, _) in _batch_args(spec, 0.0, 0, False)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            errs = sum(pool.map(_run_batch, args))
-    else:
-        errs = sum(map(_run_batch, args))
+    (errs,) = _count_errors(replace(spec, n_r=1), [0.0], False, workers)
     return SimEstimate(math.inf, spec.trials, errs)
 
 
 def write_csv(estimates, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["snr_db", "trials", "errors", "sep_hat", "stderr", "method"])
-        for est in estimates:
-            w.writerow([
-                "inf" if math.isinf(est.snr_db) else f"{est.snr_db:.12e}",
-                est.trials,
-                est.errors,
-                f"{est.sep_hat:.12e}",
-                f"{est.stderr:.12e}",
-                est.method,
-            ])
+    """Write estimates as a CSV table to path, or to stdout when path is None."""
+    write_table(
+        path,
+        ["snr_db", "trials", "errors", "sep_hat", "stderr", "method"],
+        [(e.snr_db, str(e.trials), str(e.errors), e.sep_hat, e.stderr, e.method)
+         for e in estimates],
+    )

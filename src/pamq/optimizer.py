@@ -13,7 +13,7 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.stats import qmc
 
-from .sep import sep_closed_form, sep_noiseless, sep_quadrature
+from .sep import sep_exact, sep_noiseless
 from .system import (
     Constellation,
     GeometricConstellation,
@@ -140,9 +140,7 @@ def _encode(p, quant, cons):
 def _evaluate(p, quant, cons):
     if p.snr is None:
         return sep_noiseless(cons, quant, p.channel).value
-    if p.channel.integer_m:
-        return sep_closed_form(cons, quant, p.channel, p.snr).value
-    return sep_quadrature(cons, quant, p.channel, p.snr).value
+    return sep_exact(cons, quant, p.channel, p.snr).value
 
 
 def _objective(p):

@@ -153,8 +153,7 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi, tol=1e-12):
         return 0.0, 0.0
     pdf = _log_gamma_pdf(m, omega)
     if math.isinf(c):
-        val = _gamma_survival_real(m, omega, z_lo) - _gamma_survival_real(m, omega, z_hi)
-        return val, 0.0
+        return _gamma_survival(m, omega, z_lo) - _gamma_survival(m, omega, z_hi), 0.0
 
     def integrand(z):
         return float(q_func(-c + math.sqrt(b * z))) * pdf(z)
@@ -178,12 +177,6 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi, tol=1e-12):
     return total, err
 
 
-def _gamma_survival_real(m, omega, z):
-    if math.isinf(z):
-        return 0.0
-    return float(special.gammaincc(m, m * z / omega))
-
-
 def _iter_regions(c, q, region_fn):
     for y in range(1, q.K + 2):
         for i in range(c.half_size):
@@ -192,42 +185,49 @@ def _iter_regions(c, q, region_fn):
                 yield reg
 
 
+def _p_correct(c, q, snr, h):
+    """Probability of correct detection and its error estimate: the sum
+    over decision regions of the Q-integral between the two boundaries of
+    the region's output, where h(b, c, z_lo, z_hi) returns (value, error)."""
+    sigma2 = sigma2_from_snr(c, snr)
+    sigma = math.sqrt(sigma2)
+    terms, errs = [], []
+    for reg in _iter_regions(c, q, decision_region):
+        b_i = 2.0 * c.amplitudes[reg.i] ** 2 / sigma2
+        c_hi = math.sqrt(2.0) * q.boundary(reg.y) / sigma
+        c_lo = math.sqrt(2.0) * q.boundary(reg.y - 1) / sigma
+        v_hi, e_hi = h(b_i, c_hi, reg.lower, reg.upper)
+        v_lo, e_lo = h(b_i, c_lo, reg.lower, reg.upper)
+        terms.append(v_hi - v_lo)
+        errs.append(e_hi + e_lo)
+    return 2.0 / c.M * math.fsum(terms), 2.0 / c.M * math.fsum(errs)
+
+
 def sep_closed_form(c, q, ch, snr):
     """Average SEP by the exact finite series; requires integer m."""
     if not ch.integer_m:
         raise ValueError("closed form requires integer m; use sep_quadrature")
-    sigma2 = sigma2_from_snr(c, snr)
-    sigma = math.sqrt(sigma2)
-    amps = c.amplitudes
-    terms = []
-    for reg in _iter_regions(c, q, decision_region):
-        b_i = 2.0 * amps[reg.i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(reg.y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(reg.y - 1) / sigma
-        hi = h_function(int(ch.m), ch.omega, b_i, c_hi, reg.lower, reg.upper)
-        lo = h_function(int(ch.m), ch.omega, b_i, c_lo, reg.lower, reg.upper)
-        terms.append(hi - lo)
-    p_correct = 2.0 / c.M * math.fsum(terms)
+    m = int(ch.m)
+    p_correct, _ = _p_correct(
+        c, q, snr, lambda b, cc, lo, hi: (h_function(m, ch.omega, b, cc, lo, hi), 0.0)
+    )
     return SepResult(_clamp_probability(1.0 - p_correct), "closed_form")
 
 
 def sep_quadrature(c, q, ch, snr, tol=1e-12):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
-    sigma2 = sigma2_from_snr(c, snr)
-    sigma = math.sqrt(sigma2)
-    amps = c.amplitudes
-    total, err = 0.0, 0.0
-    for reg in _iter_regions(c, q, decision_region):
-        b_i = 2.0 * amps[reg.i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(reg.y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(reg.y - 1) / sigma
-        v_hi, e_hi = h_function_quad(ch.m, ch.omega, b_i, c_hi, reg.lower, reg.upper, tol)
-        v_lo, e_lo = h_function_quad(ch.m, ch.omega, b_i, c_lo, reg.lower, reg.upper, tol)
-        total += v_hi - v_lo
-        err += e_hi + e_lo
-    p_e = _clamp_probability(1.0 - 2.0 / c.M * total)
-    return SepResult(p_e, "quadrature", abs_error_est=2.0 / c.M * err)
+    p_correct, err = _p_correct(
+        c, q, snr, lambda b, cc, lo, hi: h_function_quad(ch.m, ch.omega, b, cc, lo, hi, tol)
+    )
+    return SepResult(_clamp_probability(1.0 - p_correct), "quadrature", abs_error_est=err)
+
+
+def sep_exact(c, q, ch, snr):
+    """Average SEP by the closed form for integer m, by quadrature otherwise."""
+    if ch.integer_m:
+        return sep_closed_form(c, q, ch, snr)
+    return sep_quadrature(c, q, ch, snr)
 
 
 def sep_noiseless(c, q, ch):

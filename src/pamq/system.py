@@ -52,8 +52,6 @@ class Constellation:
             raise ValueError("M = 2 * len(amplitudes) must be a power of 2")
         if amps[0] <= 0:
             raise ValueError("amplitudes must be positive")
-        if any(a >= b for a, b in zip(amps, amps[1:])) is True:
-            raise ValueError("amplitudes must be strictly increasing")
         for a, b in zip(amps, amps[1:]):
             if a >= b:
                 raise ValueError("amplitudes must be strictly increasing")

@@ -100,6 +100,17 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        args = [
+            "simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "10,20", "--trials", "20000",
+        ]
+        out = tmp_path / "mc.csv"
+        _, stdout, _ = run_cli(args, capsys)
+        code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_bytes() == stdout.encode()
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         args = [
             "simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
@@ -148,6 +159,42 @@ class TestConfigAndErrors:
         )
         assert code == 0
         assert len(stdout.splitlines()) == 2
+
+    def test_config_omega_applies(self, tmp_path, capsys):
+        base = ["sep", "--m", "1", "--bits", "2", "--constellation", "1,3",
+                "--q", "1.5", "--snr-db", "20"]
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"omega": 2}))
+        _, from_flag, _ = run_cli(base + ["--omega", "2"], capsys)
+        _, from_config, _ = run_cli(base + ["--config", str(cfg)], capsys)
+        _, default, _ = run_cli(base, capsys)
+        assert from_config == from_flag != default
+
+    def test_explicit_default_flag_overrides_config(self, tmp_path, capsys):
+        base = ["simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
+                "--q", "1.5", "--snr-db", "10", "--trials", "20000"]
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        _, seed0, _ = run_cli(base + ["--seed", "0"], capsys)
+        _, seed5, _ = run_cli(base + ["--seed", "5"], capsys)
+        _, got, _ = run_cli(base + ["--config", str(cfg), "--seed", "0"], capsys)
+        assert got == seed0 != seed5
+
+    def test_config_key_without_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": 1, "format": "csv"}))
+        code, _, err = run_cli(["sep", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "format" in err
+
+    def test_two_part_grid_rejected(self, capsys):
+        code, stdout, err = run_cli([
+            "sep", "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "20:30",
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "want start:step:stop" in err
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -45,6 +45,18 @@ class TestDeterminism:
         b = simulate(spec, workers=4)
         assert [e.errors for e in a] == [e.errors for e in b]
 
+    def test_worker_count_invariance_simo(self):
+        spec = make_spec(snr_db=(5.0, 15.0), trials=100_000, batch_size=30_000, n_r=2)
+        a = simulate(spec, workers=1)
+        b = simulate(spec, workers=2)
+        assert [e.errors for e in a] == [e.errors for e in b]
+
+    def test_worker_count_invariance_noiseless(self):
+        spec = make_spec(trials=300_000, batch_size=50_000)
+        a = simulate_noiseless(spec, workers=1)
+        b = simulate_noiseless(spec, workers=2)
+        assert a.errors == b.errors
+
     def test_rerun_reproduces(self):
         spec = make_spec(trials=200_000, batch_size=30_000)
         a = simulate(spec)
@@ -96,6 +108,11 @@ class TestSimo:
         mid = simulate(spec, detector="midpoint")[0]
         simo = simulate(spec, detector="simo")[0]
         assert mid.errors == simo.errors
+
+    def test_unknown_detector_rejected(self):
+        # an unchecked name would fall back to the one-antenna midpoint rule
+        with pytest.raises(ValueError, match="detector"):
+            simulate(make_spec(n_r=2), detector="product")
 
 
 class TestNoiseless:
