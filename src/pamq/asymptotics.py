@@ -54,7 +54,7 @@ def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
             raise ValueError("uniform decay exponent derived for M = 4, b >= 2")
         if n_r != 1:
             raise ValueError("uniform decay exponent is single-antenna only")
-        return Fraction(m, 2)
+        return Fraction(m) / 2
     raise ValueError(f"unknown quantizer kind {quantizer_kind!r}")
 
 

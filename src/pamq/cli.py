@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: sep, optimize, floor, dvo, simulate, compare-aqnm. Every
-subcommand accepts --config FILE (JSON, same keys as the long flags;
-explicit flags win). Numbers are always written with '.' decimals at
-%.12e so outputs are reproducible byte-for-byte.
+Subcommands: sep, optimize, floor, dvo, simulate, compare-aqnm. Each
+accepts only the flags it reads (see _COMMANDS), plus --config FILE
+(JSON keyed by that subcommand's long flags; explicit flags win) and
+--out FILE. Numbers are always written with '.' decimals at %.12e so
+outputs are reproducible byte-for-byte.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -65,32 +66,43 @@ def _load_config(path, sub):
     unknown = set(cfg) - set(vars(sub.parse_args([])))
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {sorted(unknown)}")
-    sub.set_defaults(**cfg)
+    # a typed flag's value goes through its type as on the command line
+    sub.set_defaults(**{k: v if v is None or "type" not in _FLAGS.get(k, {}) else str(v)
+                        for k, v in cfg.items()})
 
 
-def _build_system(args, need_quantizer=True):
-    if args.m is None:
-        raise ValidationError("--m is required")
-    ch = ChannelModel(float(args.m), float(args.omega))
+def _require(args, *dests):
+    """Raise a ValidationError naming the first of the flags dests left unset."""
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise ValidationError(f"--{dest.replace('_', '-')} is required")
+
+
+def _channel(args):
+    _require(args, "m")
+    return ChannelModel(args.m, args.omega)
+
+
+def _constellation(args):
     if args.geometric is not None:
-        M = int(args.mod or 4)
-        cons = GeometricConstellation(float(args.geometric), M).materialize()
+        M = 4 if args.mod is None else args.mod
+        cons = GeometricConstellation(args.geometric, M).materialize()
     elif args.constellation is not None:
         cons = Constellation(_parse_floats(args.constellation))
     else:
         raise ValidationError("give --constellation or --geometric")
-    if args.mod is not None and int(args.mod) != cons.M:
+    if args.mod is not None and args.mod != cons.M:
         raise ValidationError(f"--mod {args.mod} disagrees with constellation size {cons.M}")
-    quant = None
-    if need_quantizer:
-        bits = int(args.bits or 0)
-        if args.uniform_step is not None:
-            quant = UniformQuantizer(float(args.uniform_step), bits).materialize()
-        elif args.q is not None:
-            quant = Quantizer(_parse_floats(args.q), bits)
-        else:
-            raise ValidationError("give --q or --uniform-step")
-    return cons, quant, ch
+    return cons
+
+
+def _quantizer(args):
+    _require(args, "bits")
+    if args.uniform_step is not None:
+        return UniformQuantizer(args.uniform_step, args.bits).materialize()
+    if args.q is not None:
+        return Quantizer(_parse_floats(args.q), args.bits)
+    raise ValidationError("give --q or --uniform-step")
 
 
 def _write_json(path, payload):
@@ -103,10 +115,9 @@ def _write_json(path, payload):
 
 
 def _cmd_sep(args):
-    cons, quant, ch = _build_system(args)
-    grid = _parse_grid(args.snr_db or "0:2:40")
+    ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
     rows = []
-    for sdb in grid:
+    for sdb in _parse_grid(args.snr_db):
         res = sep_exact(cons, quant, ch, 10.0 ** (sdb / 10.0))
         rows.append((sdb, res.value, res.method))
     write_table(args.out, ["snr_db", "sep", "method"], rows)
@@ -114,23 +125,25 @@ def _cmd_sep(args):
 
 
 def _cmd_optimize(args):
+    ch = _channel(args)
+    _require(args, "bits")
     if args.joint:
         kind = "joint_uniform" if args.uniform else "joint_nonuniform"
         cons = None
+        M = 4 if args.mod is None else args.mod
     else:
         kind = "uniform_step_only" if args.uniform else "quantizer_only"
-        cons, _, _ = _build_system(args, need_quantizer=False)
-    ch = ChannelModel(float(args.m), float(args.omega))
+        cons = _constellation(args)
+        M = cons.M
     snr = None
     if not args.noiseless:
-        grid = _parse_grid(args.snr_db or "")
+        grid = [] if args.snr_db is None else _parse_grid(args.snr_db)
         if len(grid) != 1:
             raise ValidationError("optimize wants a single --snr-db point or --noiseless")
         snr = 10.0 ** (grid[0] / 10.0)
     problem = DesignProblem(
-        channel=ch, M=int(args.mod or (cons.M if cons else 4)), bits=int(args.bits),
-        variables=kind, snr=snr, constellation=cons,
-        n_starts=int(args.starts or 16), seed=args.seed,
+        channel=ch, M=M, bits=args.bits, variables=kind, snr=snr,
+        constellation=cons, n_starts=args.starts, seed=args.seed,
     )
     result = optimize(problem)
     _write_json(args.out, json.loads(result_to_json(result)))
@@ -138,7 +151,7 @@ def _cmd_optimize(args):
 
 
 def _cmd_floor(args):
-    cons, quant, ch = _build_system(args)
+    ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
     res = sep_noiseless(cons, quant, ch)
     f_l, f_u = floor_bounds(cons, quant, ch)
     _write_json(args.out, {
@@ -152,15 +165,14 @@ def _cmd_floor(args):
 def _cmd_dvo(args):
     if not args.joint:
         raise ValidationError("dvo requires --joint (jointly optimized designs)")
+    _require(args, "m", "bits")
     kind = "uniform" if args.uniform else "nonuniform"
-    window = args.window or "20:50"
-    lo, hi = (float(p) for p in window.split(":"))
-    n_r = int(args.antennas or 1)
-    step = 2.5 if n_r == 1 else 5.0
+    lo, hi = (float(p) for p in args.window.split(":"))
+    step = 2.5 if args.antennas == 1 else 5.0
     grid = list(np.arange(lo, hi + 1e-9, step))
     est, theory = dvo_experiment(
-        int(args.m), int(args.bits), int(args.mod or 4), kind, n_r, grid,
-        budget=int(args.trials or 10**6), seed=args.seed,
+        args.m, args.bits, args.mod, kind, args.antennas, grid,
+        budget=args.trials, seed=args.seed,
     )
     _write_json(args.out, {
         "slope": est.slope,
@@ -173,64 +185,63 @@ def _cmd_dvo(args):
 
 
 def _cmd_simulate(args):
-    cons, quant, ch = _build_system(args)
+    ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
     spec = SimSpec(
         constellation=cons, quantizer=quant, channel=ch,
-        snr_db=tuple(_parse_grid(args.snr_db or "0:5:30")),
-        trials=int(args.trials or 10**5),
-        n_r=int(args.antennas or 1), seed=args.seed,
+        snr_db=tuple(_parse_grid(args.snr_db)), trials=args.trials,
+        n_r=args.antennas, seed=args.seed,
     )
-    write_csv(simulate(spec, workers=int(args.threads or 1)), args.out)
+    write_csv(simulate(spec, workers=args.threads), args.out)
     return EXIT_OK
 
 
 def _cmd_compare_aqnm(args):
-    cons, quant, ch = _build_system(args)
-    alpha = float(args.alpha) if args.alpha is not None else default_alpha(int(args.bits))
-    grid = _parse_grid(args.snr_db or "0:2:40")
+    ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
+    alpha = args.alpha if args.alpha is not None else default_alpha(args.bits)
     rows = []
-    for sdb in grid:
+    for sdb in _parse_grid(args.snr_db):
         snr = 10.0 ** (sdb / 10.0)
         rows.append((sdb, sep_exact(cons, quant, ch, snr).value, sep_aqnm(cons, snr, alpha).value))
     write_table(args.out, ["snr_db", "sep_exact", "sep_aqnm"], rows)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "sep": _cmd_sep,
-    "optimize": _cmd_optimize,
-    "floor": _cmd_floor,
-    "dvo": _cmd_dvo,
-    "simulate": _cmd_simulate,
-    "compare-aqnm": _cmd_compare_aqnm,
+# every flag some subcommand reads: destination -> add_argument keywords
+_FLAGS = {
+    "m": dict(type=float, help="Nakagami fading shape; non-integer uses quadrature"),
+    "omega": dict(type=float, default=1.0, help="fading mean power"),
+    "bits": dict(type=int),
+    "mod": dict(type=int, help="constellation size M"),
+    "constellation": dict(help="comma list of positive amplitudes, e.g. 1,3"),
+    "geometric": dict(type=float, help="geometric-constellation ratio rho in (0,1)"),
+    "q": dict(help="comma list of positive boundaries"),
+    "uniform_step": dict(type=float),
+    "snr_db": dict(help="start:step:stop (dB), comma list, or one value"),
+    "trials": dict(type=int),
+    "antennas": dict(type=int, default=1),
+    "alpha": dict(type=float),
+    "threads": dict(type=int, default=1),
+    "seed": dict(type=int, default=0),
+    "starts": dict(type=int, default=16),
+    "noiseless": dict(action="store_true"),
+    "joint": dict(action="store_true"),
+    "uniform": dict(action="store_true"),
+    "window": dict(default="20:50", help="fit window lo:hi in dB"),
 }
+_SYSTEM = ("m", "omega", "bits", "mod", "constellation", "geometric", "q", "uniform_step")
 
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config supplying defaults for any flag")
-    sub.add_argument("--m", type=float, default=None)
-    sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--bits", type=int, default=None)
-    sub.add_argument("--mod", type=int, default=None)
-    sub.add_argument("--constellation", default=None,
-                     help="comma list of positive amplitudes, e.g. 1,3")
-    sub.add_argument("--geometric", type=float, default=None,
-                     help="geometric-constellation ratio rho in (0,1)")
-    sub.add_argument("--q", default=None, help="comma list of positive boundaries")
-    sub.add_argument("--uniform-step", dest="uniform_step", type=float, default=None)
-    sub.add_argument("--snr-db", dest="snr_db", default=None,
-                     help="start:step:stop (dB), comma list, or one value")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--antennas", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--starts", type=int, default=None)
-    sub.add_argument("--noiseless", action="store_true")
-    sub.add_argument("--joint", action="store_true")
-    sub.add_argument("--uniform", action="store_true")
-    sub.add_argument("--window", default=None, help="fit window lo:hi in dB")
-    sub.add_argument("--out", default=None)
+# subcommand -> (handler, the flags it reads, its own defaults)
+_COMMANDS = {
+    "sep": (_cmd_sep, _SYSTEM + ("snr_db",), {"snr_db": "0:2:40"}),
+    "optimize": (_cmd_optimize, ("m", "omega", "bits", "mod", "constellation", "geometric",
+                                 "snr_db", "noiseless", "joint", "uniform", "starts", "seed"), {}),
+    "floor": (_cmd_floor, _SYSTEM, {}),
+    "dvo": (_cmd_dvo, ("m", "bits", "mod", "joint", "uniform", "window", "antennas",
+                       "trials", "seed"), {"mod": 4, "trials": 10**6}),
+    "simulate": (_cmd_simulate, _SYSTEM + ("snr_db", "trials", "antennas", "threads", "seed"),
+                 {"snr_db": "0:5:30", "trials": 10**5}),
+    "compare-aqnm": (_cmd_compare_aqnm, _SYSTEM + ("snr_db", "alpha"), {"snr_db": "0:2:40"}),
+}
 
 
 def build_parser():
@@ -238,8 +249,14 @@ def build_parser():
     parser = _Parser(prog="pamq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(subs.add_parser(name))
+    for name, (_, flags, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config supplying defaults for any flag of "
+                                          "this subcommand")
+        for dest in flags:
+            sub.add_argument("--" + dest.replace("_", "-"), dest=dest, **_FLAGS[dest])
+        sub.add_argument("--out")
+        sub.set_defaults(**defaults)
     return parser, subs.choices
 
 
@@ -252,7 +269,7 @@ def run(argv):
     env_seed = os.environ.get("PAMQ_SEED")
     if env_seed is not None:
         args.seed = int(env_seed)
-    return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command][0](args)
 
 
 def main(argv=None):

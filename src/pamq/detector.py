@@ -144,32 +144,11 @@ def decision_region(c, q, y, i):
 def noiseless_region(c, q, y, i):
     """Intersection D_(y,i) with the noiseless reachability region A_(y,i)
     = (q_(y-1)^2 / rho_i^2, q_y^2 / rho_i^2); may be empty."""
-    half = c.half_size
-    if not 1 <= y <= q.K + 1:
-        raise ValueError("y out of range")
-    if not 0 <= i < half:
-        raise IndexError("symbol index out of range")
-    amps = c.amplitudes
-    q_lo = q.boundary(y - 1)
-    q_hi = q.boundary(y)
-    if y == q.K + 1 and i < half - 1:
-        return DecisionRegion(0.0, 0.0, y, i)
-    qsum = q_lo + q_hi
-    if i == half - 1:
-        lower = (q_lo / amps[i]) ** 2
-        if math.isinf(q_hi):
-            upper = math.inf
-        else:
-            upper = min(qsum / (amps[i] + amps[i - 1]), q_hi / amps[i]) ** 2
-    elif i == 0:
-        lower = max(qsum / (amps[0] + amps[1]), q_lo / amps[0]) ** 2
-        upper = (q_hi / amps[0]) ** 2
-    else:
-        lower = max(qsum / (amps[i] + amps[i + 1]), q_lo / amps[i]) ** 2
-        upper = min(qsum / (amps[i] + amps[i - 1]), q_hi / amps[i]) ** 2
-    if lower >= upper:
-        return DecisionRegion(lower, lower, y, i)
-    return DecisionRegion(lower, upper, y, i)
+    d = decision_region(c, q, y, i)
+    rho = c.amplitudes[i]
+    lower = max(d.lower, (q.boundary(y - 1) / rho) ** 2)
+    upper = min(d.upper, (q.boundary(y) / rho) ** 2)
+    return DecisionRegion(lower, max(lower, upper), y, i)
 
 
 def ml_detect_simo(c, q, h, y, sigma2):

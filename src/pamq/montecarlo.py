@@ -79,6 +79,8 @@ def _count_errors(spec, sigma2s, use_simo, workers):
     The batches of every point go through one process pool (or plain map
     for one worker); counts are summed by point.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     amps = np.asarray(spec.constellation.amplitudes)
     bounds = np.asarray(spec.quantizer.positive_boundaries)
     ch = spec.channel

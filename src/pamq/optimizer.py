@@ -2,8 +2,9 @@
 
 Multi-start Nelder-Mead over an unconstrained parameterization: ordered
 boundaries (and amplitudes) are cumulative sums of softplus increments, and
-unit-energy constellations are renormalized inside the objective, so every
-candidate the simplex visits is feasible.
+joint designs renormalize the constellation to unit energy inside the
+objective, so every candidate the simplex visits is feasible. Each start
+runs at most 2000*dim iterations and 4000*dim SEP evaluations.
 """
 import json
 import math
@@ -49,10 +50,8 @@ class DesignProblem:
     variables: str
     snr: float = None  # linear; None means noiseless design
     constellation: Constellation = None  # fixed constellation for *_only kinds
-    unit_energy: bool = True
     n_starts: int = 16
     seed: int = 0
-    max_iter: int = 2000
     init_quantizer: Quantizer = None
     init_constellation: Constellation = None
 
@@ -64,6 +63,12 @@ class DesignProblem:
                 raise ValueError("fixed constellation required for this kind")
         if self.snr is not None and self.snr <= 0:
             raise ValueError("snr must be positive (or None for noiseless)")
+        if self.M < 4 or self.M & (self.M - 1):
+            raise ValueError("M must be a power of two >= 4")
+        if self.bits < 2:
+            raise ValueError("bits must be >= 2")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
 
     @property
     def K(self):
@@ -115,9 +120,7 @@ def _decode(p, theta):
         amps = np.cumsum(inc)
         if amps[0] <= 0.0 or not np.all(np.isfinite(amps)):
             raise ValueError("degenerate amplitude vector")
-        if p.unit_energy:
-            amps = amps / math.sqrt(float(np.sum(amps**2)))
-        cons = Constellation(tuple(amps))
+        cons = Constellation(tuple(amps / math.sqrt(float(np.sum(amps**2)))))
     else:
         cons = p.constellation
     return quant, cons
@@ -163,7 +166,7 @@ def _start_points(p):
     if p.constellation is not None:
         es = symbol_energy(p.constellation)
     else:
-        es = 2.0 / p.M if p.unit_energy else 1.0
+        es = 2.0 / p.M
     scale = math.sqrt(p.channel.omega * es)
     sampler = qmc.LatinHypercube(d=p.dim, seed=p.seed)
     unit = sampler.random(_SCHEDULE_SIZE)
@@ -179,9 +182,7 @@ def _start_points(p):
         if p.n_amp_vars:
             avals = np.sort(0.1 + row[nb:] * 2.9)
             avals = _force_increasing(avals)
-            if p.unit_energy:
-                avals = avals / math.sqrt(float(np.sum(avals**2)))
-            cons = Constellation(tuple(avals))
+            cons = Constellation(tuple(avals / math.sqrt(float(np.sum(avals**2)))))
         else:
             cons = p.constellation
         starts.append(_encode(p, quant, cons))
@@ -216,8 +217,8 @@ def optimize(p):
             options={
                 "xatol": 1e-10,
                 "fatol": 1e-14,
-                "maxiter": p.max_iter * max(1, p.dim),
-                "maxfev": p.max_iter * max(1, p.dim) * 2,
+                "maxiter": 2000 * p.dim,
+                "maxfev": 4000 * p.dim,
             },
         )
         any_converged = any_converged or bool(res.success)
@@ -275,7 +276,6 @@ def problem_to_json(p):
         "variables": p.variables,
         "snr": p.snr,
         "amplitudes": list(p.constellation.amplitudes) if p.constellation else None,
-        "unit_energy": p.unit_energy,
         "n_starts": p.n_starts,
         "seed": p.seed,
     }
@@ -294,7 +294,6 @@ def problem_from_json(text):
         variables=d["variables"],
         snr=d["snr"],
         constellation=cons,
-        unit_energy=d["unit_energy"],
         n_starts=d["n_starts"],
         seed=d["seed"],
     )

@@ -26,6 +26,7 @@ class TestDvoTheory:
         assert dvo_theory(1, 3, 4) == Fraction(3, 4)
         assert dvo_theory(2, 2, 4, "nonuniform", n_r=3) == Fraction(3)
         assert dvo_theory(1, 3, 4, "uniform") == Fraction(1, 2)
+        assert dvo_theory(1.5, 3, 4, "uniform") == Fraction(3, 4)  # float shape, as the CLI passes
 
     def test_regime_errors(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Command-line front end: flag parsing, config files, output schemas,
 exit codes, and byte-level determinism."""
 import json
+from fractions import Fraction
 
 import pytest
 
+from pamq import cli
+from pamq.asymptotics import DvoEstimate
 from pamq.cli import main
 
 Q1_STAR = 1.5722206109523074
@@ -226,3 +229,73 @@ class TestConfigAndErrors:
         ], capsys)
         assert code == 1
         assert "disagrees" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sep", "--trials", "5"],
+        ["floor", "--snr-db", "20"],
+        ["compare-aqnm", "--threads", "2"],
+        ["simulate", "--alpha", "0.5"],
+        ["optimize", "--q", "1.5"],
+        ["dvo", "--omega", "2"],
+    ])
+    def test_flag_not_read_rejected(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("sep", "trials"), ("floor", "snr_db"), ("dvo", "omega"),
+    ])
+    def test_config_key_not_read_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"m": 1, key: "5"}))
+        code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert key in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "0"],
+        ["simulate", "--trials", "100", "--antennas", "0"],
+        ["simulate", "--trials", "100", "--threads", "0"],
+        ["optimize", "--noiseless", "--starts", "0"],
+    ])
+    def test_explicit_zero_rejected(self, argv, capsys):
+        system = ["--m", "1", "--bits", "2", "--constellation", "1,3", "--snr-db", "10"]
+        if argv[0] == "simulate":
+            system += ["--q", "1.5"]
+        code, stdout, _ = run_cli(argv + system, capsys)
+        assert code == 1
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--joint", "--bits", "2", "--snr-db", "20"],
+        ["dvo", "--joint", "--bits", "2"],
+    ])
+    def test_missing_shape_names_flag(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "--m" in err and "Traceback" not in err
+
+    def test_dvo_passes_fractional_shape(self, capsys, monkeypatch):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+            return DvoEstimate(0.75, (20.0, 30.0), 1.0, 5), Fraction(3, 4)
+
+        monkeypatch.setattr(cli, "dvo_experiment", fake)
+        code, stdout, _ = run_cli(
+            ["dvo", "--joint", "--m", "1.5", "--bits", "2", "--window", "20:30"], capsys
+        )
+        assert code == 0
+        assert calls[0][0] == 1.5
+        assert json.loads(stdout)["theory"] == 0.75
+
+    def test_config_value_parsed_as_flag(self, tmp_path, capsys):
+        base = ["simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
+                "--q", "1.5", "--snr-db", "10"]
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"trials": 1e5}))
+        code, stdout, err = run_cli(base + ["--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert "--trials" in err

@@ -100,6 +100,11 @@ class TestStructure:
         assert qk == pytest.approx(q1 * math.sqrt(k), rel=1e-5)
         assert rk.sep == pytest.approx(r1.sep, abs=1e-8)
 
+    @pytest.mark.parametrize("bad", [dict(n_starts=0), dict(bits=1), dict(M=6), dict(M=2)])
+    def test_size_validation(self, bad):
+        with pytest.raises(ValueError):
+            quantizer_problem(**bad)
+
     def test_variable_kind_validation(self):
         with pytest.raises(ValueError):
             quantizer_problem(variables="nope")
