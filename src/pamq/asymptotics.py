@@ -45,6 +45,8 @@ def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
     nonuniform: m * n_r * (2^b - M + 2) / 2^b, valid for 2^b > M - 2.
     uniform: m / 2, derived for M = 4 single-antenna receivers only.
     """
+    if n_r < 1:
+        raise ValueError("n_r must be >= 1")
     if quantizer_kind == "nonuniform":
         if 2**b <= M - 2:
             raise ValueError("requires 2^b > M - 2")

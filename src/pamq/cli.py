@@ -50,6 +50,17 @@ def _parse_grid(text):
     return [float(p) for p in text.split(",")]
 
 
+def _parse_window(text):
+    """Fit window 'lo:hi' in dB with lo < hi."""
+    try:
+        lo, hi = (float(p) for p in text.split(":"))
+        if lo < hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ValidationError(f"bad --window {text!r}, want lo:hi in dB with lo < hi")
+
+
 def _parse_floats(text):
     return tuple(float(p) for p in str(text).split(","))
 
@@ -124,10 +135,19 @@ def _cmd_sep(args):
     return EXIT_OK
 
 
+def _reject(args, dests, mode):
+    """Raise a ValidationError naming the first of the flags dests that is
+    set, since mode does not read it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValidationError(f"--{dest.replace('_', '-')} is not read with {mode}")
+
+
 def _cmd_optimize(args):
     ch = _channel(args)
     _require(args, "bits")
     if args.joint:
+        _reject(args, ("constellation", "geometric"), "--joint")
         kind = "joint_uniform" if args.uniform else "joint_nonuniform"
         cons = None
         M = 4 if args.mod is None else args.mod
@@ -136,7 +156,9 @@ def _cmd_optimize(args):
         cons = _constellation(args)
         M = cons.M
     snr = None
-    if not args.noiseless:
+    if args.noiseless:
+        _reject(args, ("snr_db",), "--noiseless")
+    else:
         grid = [] if args.snr_db is None else _parse_grid(args.snr_db)
         if len(grid) != 1:
             raise ValidationError("optimize wants a single --snr-db point or --noiseless")
@@ -167,7 +189,7 @@ def _cmd_dvo(args):
         raise ValidationError("dvo requires --joint (jointly optimized designs)")
     _require(args, "m", "bits")
     kind = "uniform" if args.uniform else "nonuniform"
-    lo, hi = (float(p) for p in args.window.split(":"))
+    lo, hi = _parse_window(args.window)
     step = 2.5 if args.antennas == 1 else 5.0
     grid = list(np.arange(lo, hi + 1e-9, step))
     est, theory = dvo_experiment(

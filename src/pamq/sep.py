@@ -9,6 +9,7 @@ Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
 and b = 2 rho_i^2 / sigma^2, where sigma^2 = E_s / SNR.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .detector import decision_region, noiseless_region
-from .specfun import SQRT_2PI, f_integral, lower_gamma_reg, q_func, upper_gamma_reg
+from .specfun import SQRT_2PI, lower_gamma_reg, moment_primitive, q_func, upper_gamma_reg
 from .system import sigma2_from_snr, symbol_energy
 
 __all__ = [
@@ -57,15 +58,15 @@ def _clamp_probability(p):
 
 
 def _gamma_survival(m, omega, z):
-    """P(Z > z) for Z ~ Gamma(m, omega/m); z may be +inf."""
+    """P(Z > z) for Z ~ Gamma(m, omega/m); z >= 0 may be +inf. Unchecked."""
     if math.isinf(z):
         return 0.0
-    return float(upper_gamma_reg(m, m * z / omega))
+    return float(special.gammaincc(m, m * z / omega))
 
 
 def h_function(m, omega, b, c, z_lo, z_hi):
     """Exact finite-series value of the integral of Q(-c + sqrt(b z)) f_Z(z)
-    over (z_lo, z_hi), for integer m >= 1.
+    over (z_lo, z_hi), for integer m >= 1, omega > 0 and 0 <= z_lo <= z_hi.
 
     c = +inf reduces to the plain Gamma measure of the interval; b = 0
     reduces to Q(-c) times that measure.
@@ -75,12 +76,16 @@ def h_function(m, omega, b, c, z_lo, z_hi):
         raise ValueError("closed form requires integer m >= 1")
     if b < 0 or c < 0:
         raise ValueError("b and c must be nonnegative")
-    if z_lo > z_hi:
-        raise ValueError("z_lo must not exceed z_hi")
+    if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
+        raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
     if z_lo == z_hi:
         return 0.0
-    g_lo = _gamma_survival(m, omega, z_lo)
-    g_hi = _gamma_survival(m, omega, z_hi)
+    return _h_series(m, omega, b, c, z_lo, z_hi,
+                     _gamma_survival(m, omega, z_lo), _gamma_survival(m, omega, z_hi))
+
+
+def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
+    """h_function's series for checked z_lo < z_hi, given the survivals g_lo, g_hi."""
     if math.isinf(c):
         return g_lo - g_hi
     if b == 0.0:
@@ -99,6 +104,8 @@ def h_function(m, omega, b, c, z_lo, z_hi):
         return (-c + s * math.sqrt(b * z)) / math.sqrt(s)
 
     u_hi, u_lo = u_of(z_hi), u_of(z_lo)
+    # f[l]: integral of u^l exp(-u^2/2) over (u_lo, u_hi)
+    f = [moment_primitive(u_hi, l) - moment_primitive(u_lo, l) for l in range(2 * m - 1)]
     terms = []
     if c > 0.0:
         expo = math.exp(-0.5 * c * c * alpha / s)
@@ -110,7 +117,7 @@ def h_function(m, omega, b, c, z_lo, z_hi):
                     * math.comb(2 * r, l)
                     * expo
                     * c ** (2 * r - l)
-                    * f_integral(u_hi, u_lo, l)
+                    * f[l]
                     / s ** (2 * r - 0.5 * (l - 1))
                 )
     else:
@@ -119,11 +126,10 @@ def h_function(m, omega, b, c, z_lo, z_hi):
             terms.append(
                 (m / (omega * b + 2.0 * m)) ** r
                 * scale
-                * f_integral(u_hi, u_lo, 2 * r)
+                * f[2 * r]
                 / math.factorial(r)
             )
-    # largest-magnitude first, then compensated summation
-    terms.sort(key=abs, reverse=True)
+    # fsum is correctly rounded, so the order of the terms does not matter
     return boundary - math.fsum(terms)
 
 
@@ -147,8 +153,8 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi, tol=1e-12):
     """
     if m < 0.5:
         raise ValueError("m must be >= 1/2")
-    if z_lo > z_hi:
-        raise ValueError("z_lo must not exceed z_hi")
+    if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
+        raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
     if z_lo == z_hi:
         return 0.0, 0.0
     pdf = _log_gamma_pdf(m, omega)
@@ -207,9 +213,12 @@ def sep_closed_form(c, q, ch, snr):
     """Average SEP by the exact finite series; requires integer m."""
     if not ch.integer_m:
         raise ValueError("closed form requires integer m; use sep_quadrature")
-    m = int(ch.m)
+    m, omega = int(ch.m), ch.omega
+    # an endpoint serves both sides of its region and its neighbours: one survival each
+    survival = functools.cache(functools.partial(_gamma_survival, m, omega))
     p_correct, _ = _p_correct(
-        c, q, snr, lambda b, cc, lo, hi: (h_function(m, ch.omega, b, cc, lo, hi), 0.0)
+        c, q, snr,
+        lambda b, cc, lo, hi: (_h_series(m, omega, b, cc, lo, hi, survival(lo), survival(hi)), 0.0),
     )
     return SepResult(_clamp_probability(1.0 - p_correct), "closed_form")
 
@@ -235,8 +244,8 @@ def sep_noiseless(c, q, ch):
     m, omega = ch.m, ch.omega
     total = 0.0
     for reg in _iter_regions(c, q, noiseless_region):
-        hi = 1.0 if math.isinf(reg.upper) else float(lower_gamma_reg(m, m * reg.upper / omega))
-        lo = float(lower_gamma_reg(m, m * reg.lower / omega))
+        hi = 1.0 if math.isinf(reg.upper) else float(special.gammainc(m, m * reg.upper / omega))
+        lo = float(special.gammainc(m, m * reg.lower / omega))
         total += hi - lo
     return SepResult(_clamp_probability(1.0 - 2.0 / c.M * total), "noiseless")
 

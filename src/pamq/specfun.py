@@ -1,8 +1,9 @@
 """Scalar special functions used by the error-probability engines.
 
-Everything here is a pure function of real scalars (a few accept ndarrays
-and broadcast). Incomplete gamma functions follow the standard integrand
-t^(m-1) e^(-t); all values of the regularized pair sum to 1.
+Pure functions of real scalars (q_func and the incomplete gamma pair also
+broadcast over ndarrays); the SEP engines' inner loops skip their checks and
+call scipy.special and moment_primitive directly. Incomplete gamma functions
+follow the integrand t^(m-1) e^(-t); the regularized pair sums to 1.
 """
 import math
 
@@ -25,9 +26,9 @@ def q_func(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x).
 
     Computed through erfc so both tails keep full relative accuracy.
-    Accepts scalars or arrays.
+    Takes a real scalar or an ndarray (not a list); returns float64.
     """
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT2)
+    return 0.5 * special.erfc(x / SQRT2)
 
 
 def upper_gamma_reg(m, x):
@@ -63,8 +64,8 @@ def double_factorial(n):
     return out
 
 
-def _moment_primitive(u, l):
-    """Integral of t^l exp(-t^2/2) from 0 to u (u may be +-inf)."""
+def moment_primitive(u, l):
+    """Integral of t^l exp(-t^2/2) from 0 to float u (may be +-inf); unchecked."""
     if u == 0.0:
         return 0.0
     s = 0.5 * (l + 1)
@@ -89,4 +90,4 @@ def f_integral(a, b, l):
     l = int(l)
     if l < 0:
         raise ValueError("moment order l must be >= 0")
-    return _moment_primitive(float(a), l) - _moment_primitive(float(b), l)
+    return moment_primitive(float(a), l) - moment_primitive(float(b), l)

@@ -35,6 +35,9 @@ class TestDvoTheory:
             dvo_theory(1, 3, 8, "uniform")  # uniform derived for M = 4
         with pytest.raises(ValueError):
             dvo_theory(1, 3, 4, "uniform", n_r=2)  # uniform is SISO-only
+        for n_r in (0, -1):
+            with pytest.raises(ValueError):
+                dvo_theory(1, 2, 4, "nonuniform", n_r)
 
     def test_strictly_below_full_diversity(self):
         for m in (1, 2, 3):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pamq import cli
+from pamq import asymptotics, cli
 from pamq.asymptotics import DvoEstimate
 from pamq.cli import main
 
@@ -290,6 +290,36 @@ class TestConfigAndErrors:
         assert code == 0
         assert calls[0][0] == 1.5
         assert json.loads(stdout)["theory"] == 0.75
+
+    def test_dvo_rejects_antennas_before_designing(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(asymptotics, "optimize", lambda *a, **k: calls.append(a))
+        code, stdout, err = run_cli(
+            ["dvo", "--joint", "--m", "1", "--bits", "2", "--antennas", "0"], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert "n_r" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("window", ["20", "a:b", "50:20"])
+    def test_dvo_bad_window_names_flag(self, window, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))
+        code, stdout, err = run_cli(
+            ["dvo", "--joint", "--m", "1", "--bits", "2", "--window", window], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert "--window" in err and "lo:hi" in err
+
+    @pytest.mark.parametrize("extra,flag", [
+        (["--joint", "--constellation", "1,3", "--snr-db", "20"], "--constellation"),
+        (["--joint", "--geometric", "0.3", "--snr-db", "20"], "--geometric"),
+        (["--noiseless", "--constellation", "1,3", "--snr-db", "20"], "--snr-db"),
+    ])
+    def test_optimize_rejects_flag_its_mode_ignores(self, extra, flag, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: pytest.fail("ran optimize"))
+        code, stdout, err = run_cli(["optimize", "--m", "1", "--bits", "2", *extra], capsys)
+        assert code == 1 and stdout == ""
+        assert flag in err
 
     def test_config_value_parsed_as_flag(self, tmp_path, capsys):
         base = ["simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",

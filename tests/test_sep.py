@@ -96,6 +96,61 @@ class TestHFunction:
             h_function(0, 1.0, 1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             h_function(1, 1.0, 1.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            h_function(1, 1.0, 1.0, 1.0, -0.5, 1.0)  # z_lo < 0
+        for omega in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                h_function(1, omega, 1.0, 1.0, 0.0, 1.0)
+
+
+def _odd_pam(M, bits):
+    """Amplitudes 1, 3, ..., M-1 and boundaries y * M / 2^(bits-1)."""
+    step = M / 2 ** (bits - 1)
+    return (
+        Constellation(tuple(2.0 * i + 1.0 for i in range(M // 2))),
+        Quantizer(tuple(step * y for y in range(1, 2 ** (bits - 1))), bits=bits),
+    )
+
+
+class TestBitIdentity:
+    """float.hex of SEPs, pinned so that a speed-up of the engines cannot
+    move a bit (and with it the optimizer's path or any CLI output byte)."""
+
+    CLOSED_FORM_DB = (0, 20, 40, 60)
+    CLOSED_FORM = {
+        (4, 2, 1): ("0x1.daae007ce3b9cp-2", "0x1.873c000c88e40p-3",
+                    "0x1.823c4ed1d6018p-3", "0x1.822fde6434558p-3"),
+        (4, 3, 1): ("0x1.cb63222f77dd4p-2", "0x1.d9fe94e094d40p-5",
+                    "0x1.af61c222888f0p-5", "0x1.af3eba192d0e0p-5"),
+        (8, 3, 2): ("0x1.5e38a64cbf86dp-1", "0x1.c94ed8c21e6e8p-3",
+                    "0x1.9bdbf4efcc550p-3", "0x1.9bd0a8874b500p-3"),
+        (8, 4, 4): ("0x1.57cf71c9f3ff4p-1", "0x1.a715474f4f730p-5",
+                    "0x1.bdeb4cfa37e00p-7", "0x1.bd50fbc244a00p-7"),
+    }
+    QUADRATURE_DB = (0, 15, 30)
+    QUADRATURE = {
+        (4, 2, 0.5): ("0x1.032727b592ce6p-1", "0x1.296d8fa579634p-2", "0x1.17915aa6a5456p-2"),
+        (4, 3, 1.5): ("0x1.bb39fe790c850p-2", "0x1.b1065ab0198b0p-5", "0x1.7e12dd56efe00p-6"),
+        (8, 4, 2.5): ("0x1.5a5e43c1abf6fp-1", "0x1.6784280b4f390p-3", "0x1.01e0f0e5e5190p-5"),
+    }
+
+    @pytest.mark.parametrize("M,bits,m", sorted(CLOSED_FORM))
+    def test_closed_form(self, M, bits, m):
+        c, q = _odd_pam(M, bits)
+        got = tuple(
+            sep_closed_form(c, q, ChannelModel(m), 10.0 ** (db / 10.0)).value.hex()
+            for db in self.CLOSED_FORM_DB
+        )
+        assert got == self.CLOSED_FORM[M, bits, m]
+
+    @pytest.mark.parametrize("M,bits,m", sorted(QUADRATURE))
+    def test_quadrature(self, M, bits, m):
+        c, q = _odd_pam(M, bits)
+        got = tuple(
+            sep_quadrature(c, q, ChannelModel(m), 10.0 ** (db / 10.0)).value.hex()
+            for db in self.QUADRATURE_DB
+        )
+        assert got == self.QUADRATURE[M, bits, m]
 
 
 class TestSepEngines:
