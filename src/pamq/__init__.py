@@ -1,103 +1,18 @@
 """Symbol error probability of PAM receivers with low-resolution ADCs
 over Nakagami-m fading: exact analysis, Monte Carlo validation, design
-optimization, and decay-exponent asymptotics.
+optimization, and decay-exponent asymptotics. Each module's ``__all__``
+is its public API, and the package re-exports all of them.
 """
 __version__ = "1.0.0"
 
-from .asymptotics import (
-    DvoEstimate,
-    dq_metric,
-    dq_successive_slopes,
-    dvo_experiment,
-    dvo_fit,
-    dvo_fit_mc,
-    dvo_theory,
-    floor_schedule,
-    optimal_floor_log2,
-)
-from .detector import (
-    DecisionRegion,
-    decision_region,
-    ml_detect_midpoint,
-    ml_detect_simo,
-    noiseless_region,
-    quantize,
-)
-from .montecarlo import SimEstimate, SimSpec, simulate, simulate_noiseless, write_csv
-from .optimizer import (
-    DesignProblem,
-    DesignResult,
-    check_prop2,
-    lemma7_rho_star,
-    optimize,
-    problem_from_json,
-    problem_to_json,
-    result_from_json,
-    result_to_json,
-    xg_design,
-)
-from .sep import (
-    SepResult,
-    default_alpha,
-    floor_bounds,
-    floor_geometric,
-    h_function,
-    h_function_quad,
-    lloyd_max_gaussian,
-    sep_aqnm,
-    sep_closed_form,
-    sep_noiseless,
-    sep_quadrature,
-)
-from .specfun import (
-    double_factorial,
-    f_integral,
-    lower_gamma_reg,
-    q_func,
-    upper_gamma_reg,
-)
-from .system import (
-    ChannelModel,
-    Constellation,
-    GeometricConstellation,
-    Quantizer,
-    UniformQuantizer,
-    equidistant_constellation,
-    from_json,
-    per_symbol_snr,
-    sample_fading,
-    sigma2_from_snr,
-    snr_db_of,
-    snr_of,
-    symbol_energy,
-    to_json,
-)
+from . import asymptotics, detector, montecarlo, optimizer, sep, specfun, system
+from .asymptotics import *  # noqa: F401,F403
+from .detector import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .optimizer import *  # noqa: F401,F403
+from .sep import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .system import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # system
-    "ChannelModel", "Constellation", "GeometricConstellation", "Quantizer",
-    "UniformQuantizer", "equidistant_constellation", "symbol_energy",
-    "snr_of", "snr_db_of", "sigma2_from_snr", "per_symbol_snr",
-    "sample_fading", "to_json", "from_json",
-    # specfun
-    "q_func", "upper_gamma_reg", "lower_gamma_reg", "double_factorial",
-    "f_integral",
-    # detector
-    "DecisionRegion", "quantize", "ml_detect_midpoint", "ml_detect_simo",
-    "decision_region", "noiseless_region",
-    # sep
-    "SepResult", "h_function", "h_function_quad", "sep_closed_form",
-    "sep_quadrature", "sep_noiseless", "floor_bounds", "floor_geometric",
-    "sep_aqnm", "lloyd_max_gaussian", "default_alpha",
-    # montecarlo
-    "SimSpec", "SimEstimate", "simulate", "simulate_noiseless", "write_csv",
-    # optimizer
-    "DesignProblem", "DesignResult", "optimize", "check_prop2",
-    "lemma7_rho_star", "xg_design", "problem_to_json", "problem_from_json",
-    "result_to_json", "result_from_json",
-    # asymptotics
-    "DvoEstimate", "dvo_theory", "dvo_fit", "dvo_fit_mc", "dvo_experiment",
-    "dq_metric", "dq_successive_slopes", "optimal_floor_log2",
-    "floor_schedule",
-]
+__all__ = ["__version__", *system.__all__, *specfun.__all__, *detector.__all__, *sep.__all__,
+           *montecarlo.__all__, *optimizer.__all__, *asymptotics.__all__]

@@ -13,13 +13,12 @@ from scipy import optimize as sciopt
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize, xg_design
 from .sep import floor_geometric
-from .system import ChannelModel, GeometricConstellation
+from .system import ChannelModel, GeometricConstellation, UniformQuantizer
 
 __all__ = [
     "DvoEstimate",
     "dvo_theory",
     "dvo_fit",
-    "dvo_fit_mc",
     "dvo_experiment",
     "dq_metric",
     "dq_successive_slopes",
@@ -29,6 +28,7 @@ __all__ = [
 
 SEP_NUMERICAL_FLOOR = 1e-12
 MIN_MC_ERRORS = 100
+MIN_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
     raise ValueError(f"unknown quantizer kind {quantizer_kind!r}")
 
 
-def dvo_fit(curve, window, min_sep=SEP_NUMERICAL_FLOOR):
+def dvo_fit(curve, window):
     """Least-squares slope of -log10(sep) against log10(linear snr).
 
     curve: iterable of (snr_db, sep); only points inside the dB window and
@@ -69,10 +69,10 @@ def dvo_fit(curve, window, min_sep=SEP_NUMERICAL_FLOOR):
     pts = [
         (sdb, sep)
         for sdb, sep in curve
-        if window[0] <= sdb <= window[1] and sep >= min_sep
+        if window[0] <= sdb <= window[1] and sep >= SEP_NUMERICAL_FLOOR
     ]
-    if len(pts) < 4:
-        raise ValueError("need at least 4 usable points in the window")
+    if len(pts) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
     x = np.array([sdb / 10.0 for sdb, _ in pts])  # log10 of linear snr
     y = np.array([-math.log10(sep) for _, sep in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -80,14 +80,6 @@ def dvo_fit(curve, window, min_sep=SEP_NUMERICAL_FLOOR):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return DvoEstimate(float(slope), tuple(window), r2, len(pts))
-
-
-def dvo_fit_mc(estimates, window):
-    """Slope fit over Monte Carlo estimates; drops points with < 100 errors."""
-    curve = [
-        (e.snr_db, e.sep_hat) for e in estimates if e.errors >= MIN_MC_ERRORS
-    ]
-    return dvo_fit(curve, window)
 
 
 def _warm_start(m, bits, M, snr, uniform):
@@ -107,14 +99,11 @@ def _warm_start(m, bits, M, snr, uniform):
     q1 = math.sqrt(cg.C**2 * rho**a_exp)
     cons, quant = xg_design(rho, q1, M, bits)
     if uniform:
-        from .system import UniformQuantizer
-
         quant = UniformQuantizer(q1, bits).materialize()
     return cons, quant
 
 
-def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6,
-                   n_starts=6, seed=0):
+def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed=0):
     """Empirical decay exponent of jointly-optimized designs.
 
     Per SNR point the constellation and quantizer are re-optimized with a
@@ -127,6 +116,9 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6,
     kind = "joint_uniform" if uniform else "joint_nonuniform"
     ch = ChannelModel(m, 1.0)
     snr_db_grid = list(snr_db_grid)
+    # the fit can only drop points, so a short grid fails before any design
+    if len(snr_db_grid) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
     init_c, init_q = _warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform)
 
     designs = []
@@ -134,7 +126,7 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6,
         snr = 10.0 ** (sdb / 10.0)
         p = DesignProblem(
             channel=ch, M=M, bits=b, variables=kind, snr=snr,
-            n_starts=n_starts, seed=seed,
+            n_starts=6, seed=seed,
             init_quantizer=init_q, init_constellation=init_c,
         )
         r = optimize(p)
@@ -153,7 +145,8 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6,
             snr_db=(sdb,), trials=budget, n_r=n_r, seed=seed + point,
         )
         estimates.extend(simulate(spec))
-    return dvo_fit_mc(estimates, window), theory
+    curve = [(e.snr_db, e.sep_hat) for e in estimates if e.errors >= MIN_MC_ERRORS]
+    return dvo_fit(curve, window), theory
 
 
 def dq_metric(floor_fn, b_range):

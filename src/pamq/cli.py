@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import dvo_experiment
 from .montecarlo import SimSpec, simulate, write_csv
-from .optimizer import DesignProblem, optimize, result_to_json
+from .optimizer import DesignProblem, optimize
 from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
 from .system import ChannelModel, Constellation, GeometricConstellation, Quantizer, UniformQuantizer
 from .table import write_table
@@ -168,7 +168,14 @@ def _cmd_optimize(args):
         constellation=cons, n_starts=args.starts, seed=args.seed,
     )
     result = optimize(problem)
-    _write_json(args.out, json.loads(result_to_json(result)))
+    _write_json(args.out, {
+        "boundaries": list(result.quantizer.positive_boundaries),
+        "bits": result.quantizer.bits,
+        "amplitudes": list(result.constellation.amplitudes),
+        "sep": result.sep,
+        "starts_used": result.starts_used,
+        "converged": result.converged,
+    })
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 

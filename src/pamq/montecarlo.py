@@ -99,18 +99,11 @@ def _count_errors(spec, sigma2s, use_simo, workers):
     return [sum(counts[i:i + len(sizes)]) for i in range(0, len(counts), len(sizes))]
 
 
-def simulate(spec, workers=1, detector="auto"):
-    """Simulate the SEP at every SNR point of the spec.
-
-    detector: "auto" uses the midpoint rule for n_r = 1 and the product
-    likelihood otherwise; "midpoint"/"simo" force one path (simo requires
-    sigma2 > 0).
-    """
-    if detector not in ("auto", "midpoint", "simo"):
-        raise ValueError(f"unknown detector {detector!r}")
-    use_simo = spec.n_r > 1 if detector == "auto" else detector == "simo"
+def simulate(spec, workers=1):
+    """Simulate the SEP at every SNR point of the spec, with the midpoint
+    rule for n_r = 1 and the product-likelihood rule otherwise."""
     sigma2s = [sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0)) for s in spec.snr_db]
-    errs = _count_errors(spec, sigma2s, use_simo, workers)
+    errs = _count_errors(spec, sigma2s, spec.n_r > 1, workers)
     return [SimEstimate(s, spec.trials, e) for s, e in zip(spec.snr_db, errs)]
 
 

@@ -6,7 +6,6 @@ joint designs renormalize the constellation to unit energy inside the
 objective, so every candidate the simplex visits is feasible. Each start
 runs at most 2000*dim iterations and 4000*dim SEP evaluations.
 """
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,10 +29,6 @@ __all__ = [
     "check_prop2",
     "lemma7_rho_star",
     "xg_design",
-    "problem_to_json",
-    "problem_from_json",
-    "result_to_json",
-    "result_from_json",
 ]
 
 VARIABLE_KINDS = ("quantizer_only", "uniform_step_only", "joint_nonuniform", "joint_uniform")
@@ -75,8 +70,13 @@ class DesignProblem:
         return 2 ** (self.bits - 1) - 1
 
     @property
+    def uniform(self):
+        """True for the kinds whose quantizer is one uniform step."""
+        return self.variables in ("uniform_step_only", "joint_uniform")
+
+    @property
     def n_boundary_vars(self):
-        return 1 if self.variables in ("uniform_step_only", "joint_uniform") else self.K
+        return 1 if self.uniform else self.K
 
     @property
     def n_amp_vars(self):
@@ -109,7 +109,7 @@ def _softplus_inv(d):
 def _decode(p, theta):
     """Unconstrained vector -> (Quantizer, Constellation)."""
     nb = p.n_boundary_vars
-    if p.variables in ("uniform_step_only", "joint_uniform"):
+    if p.uniform:
         step = float(_softplus(theta[0]))
         quant = UniformQuantizer(step, p.bits).materialize()
     else:
@@ -129,7 +129,7 @@ def _decode(p, theta):
 def _encode(p, quant, cons):
     """(Quantizer, Constellation) -> unconstrained vector."""
     parts = []
-    if p.variables in ("uniform_step_only", "joint_uniform"):
+    if p.uniform:
         parts.append(_softplus_inv([quant.positive_boundaries[0]]))
     else:
         q = np.asarray(quant.positive_boundaries)
@@ -174,7 +174,7 @@ def _start_points(p):
     nb = p.n_boundary_vars
     for row in unit:
         qvals = np.sort(0.1 * scale + row[:nb] * (3.0 - 0.1) * scale)
-        if p.variables in ("uniform_step_only", "joint_uniform"):
+        if p.uniform:
             quant = UniformQuantizer(float(qvals[0]), p.bits).materialize()
         else:
             qvals = _force_increasing(qvals)
@@ -264,60 +264,3 @@ def xg_design(rho, q1, M, bits):
     bounds = tuple(q1 / rho ** (y - 1) for y in range(1, k + 1))
     return cg.materialize(), Quantizer(bounds, bits)
 
-
-# -- JSON round trip --
-
-def problem_to_json(p):
-    d = {
-        "m": p.channel.m,
-        "omega": p.channel.omega,
-        "M": p.M,
-        "bits": p.bits,
-        "variables": p.variables,
-        "snr": p.snr,
-        "amplitudes": list(p.constellation.amplitudes) if p.constellation else None,
-        "n_starts": p.n_starts,
-        "seed": p.seed,
-    }
-    return json.dumps(d)
-
-
-def problem_from_json(text):
-    from .system import ChannelModel
-
-    d = json.loads(text)
-    cons = Constellation(tuple(d["amplitudes"])) if d.get("amplitudes") else None
-    return DesignProblem(
-        channel=ChannelModel(d["m"], d["omega"]),
-        M=d["M"],
-        bits=d["bits"],
-        variables=d["variables"],
-        snr=d["snr"],
-        constellation=cons,
-        n_starts=d["n_starts"],
-        seed=d["seed"],
-    )
-
-
-def result_to_json(r):
-    return json.dumps(
-        {
-            "boundaries": list(r.quantizer.positive_boundaries),
-            "bits": r.quantizer.bits,
-            "amplitudes": list(r.constellation.amplitudes),
-            "sep": r.sep,
-            "starts_used": r.starts_used,
-            "converged": r.converged,
-        }
-    )
-
-
-def result_from_json(text):
-    d = json.loads(text)
-    return DesignResult(
-        quantizer=Quantizer(tuple(d["boundaries"]), d["bits"]),
-        constellation=Constellation(tuple(d["amplitudes"])),
-        sep=d["sep"],
-        starts_used=d["starts_used"],
-        converged=d["converged"],
-    )

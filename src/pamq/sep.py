@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 CLAMP_SLACK = 1e-12
+QUAD_TOL = 1e-12  # absolute and relative, on each quadrature subinterval
+LLOYD_MAX_ITERS = 500
+LLOYD_MAX_TOL = 1e-14  # stop once no level moves by this much
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def _log_gamma_pdf(m, omega):
     return pdf
 
 
-def h_function_quad(m, omega, b, c, z_lo, z_hi, tol=1e-12):
+def h_function_quad(m, omega, b, c, z_lo, z_hi):
     """Adaptive-quadrature value of the same integral, any m >= 1/2.
 
     Returns (value, abs_error_estimate). The integration interval is split
@@ -177,7 +180,7 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi, tol=1e-12):
 
     total, err = 0.0, 0.0
     for a, bnd in zip(cuts, cuts[1:]):
-        v, e = integrate.quad(integrand, a, bnd, epsabs=tol, epsrel=tol, limit=200)
+        v, e = integrate.quad(integrand, a, bnd, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         total += v
         err += e
     return total, err
@@ -223,12 +226,10 @@ def sep_closed_form(c, q, ch, snr):
     return SepResult(_clamp_probability(1.0 - p_correct), "closed_form")
 
 
-def sep_quadrature(c, q, ch, snr, tol=1e-12):
+def sep_quadrature(c, q, ch, snr):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
-    p_correct, err = _p_correct(
-        c, q, snr, lambda b, cc, lo, hi: h_function_quad(ch.m, ch.omega, b, cc, lo, hi, tol)
-    )
+    p_correct, err = _p_correct(c, q, snr, functools.partial(h_function_quad, ch.m, ch.omega))
     return SepResult(_clamp_probability(1.0 - p_correct), "quadrature", abs_error_est=err)
 
 
@@ -320,7 +321,7 @@ def sep_aqnm(c, snr, alpha):
     return SepResult(_clamp_probability(val), "aqnm")
 
 
-def lloyd_max_gaussian(bits, iters=500, tol=1e-14):
+def lloyd_max_gaussian(bits):
     """Minimum-distortion scalar quantizer of a unit Gaussian.
 
     Returns (boundaries, levels, distortion) with 2^bits symmetric levels.
@@ -330,7 +331,7 @@ def lloyd_max_gaussian(bits, iters=500, tol=1e-14):
     n = 2**bits
     levels = np.linspace(-2.0, 2.0, n) + 1e-3
     prev = None
-    for _ in range(iters):
+    for _ in range(LLOYD_MAX_ITERS):
         bounds = 0.5 * (levels[:-1] + levels[1:])
         edges = np.concatenate([[-np.inf], bounds, [np.inf]])
         phi = np.exp(-0.5 * edges**2) / SQRT_2PI
@@ -338,7 +339,7 @@ def lloyd_max_gaussian(bits, iters=500, tol=1e-14):
         cdf = special.ndtr(edges)
         mass = np.diff(cdf)
         levels = (phi[:-1] - phi[1:]) / mass
-        if prev is not None and np.max(np.abs(levels - prev)) < tol:
+        if prev is not None and np.max(np.abs(levels - prev)) < LLOYD_MAX_TOL:
             break
         prev = levels.copy()
     bounds = 0.5 * (levels[:-1] + levels[1:])

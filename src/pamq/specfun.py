@@ -14,7 +14,6 @@ __all__ = [
     "q_func",
     "upper_gamma_reg",
     "lower_gamma_reg",
-    "double_factorial",
     "f_integral",
 ]
 
@@ -50,18 +49,6 @@ def lower_gamma_reg(m, x):
     if np.any(np.asarray(x) < 0):
         raise ValueError("x must be nonnegative")
     return special.gammainc(m, x)
-
-
-def double_factorial(n):
-    """n!! for integer n >= -1, with (-1)!! = 0!! = 1."""
-    n = int(n)
-    if n < -1:
-        raise ValueError("double factorial requires n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def moment_primitive(u, l):

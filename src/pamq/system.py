@@ -4,7 +4,6 @@ All amplitudes and boundaries are dimensionless and stored raw; unit-energy
 normalization is always an explicit step, never implicit. Types are frozen
 dataclasses and safe to share between workers.
 """
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,13 +17,7 @@ __all__ = [
     "ChannelModel",
     "equidistant_constellation",
     "symbol_energy",
-    "snr_of",
-    "snr_db_of",
     "sigma2_from_snr",
-    "per_symbol_snr",
-    "sample_fading",
-    "to_json",
-    "from_json",
 ]
 
 
@@ -64,22 +57,17 @@ class Constellation:
     def half_size(self):
         return len(self.amplitudes)
 
-    def signed_symbols(self):
-        """Full signed constellation, ascending."""
-        pos = np.asarray(self.amplitudes)
-        return np.concatenate([-pos[::-1], pos])
-
     def normalized(self):
         """Rescaled copy with unit total energy (sum of rho_i^2 = 1)."""
         amps = np.asarray(self.amplitudes)
         return Constellation(tuple(amps / math.sqrt(float(np.sum(amps**2)))))
 
 
-def equidistant_constellation(M, scale=1.0):
-    """Standard equidistant M-PAM: amplitudes {(2i+1) * scale}."""
+def equidistant_constellation(M):
+    """Standard equidistant M-PAM: amplitudes {2i+1}."""
     if M < 4 or M & (M - 1):
         raise ValueError("M must be a power of 2, M >= 4")
-    return Constellation(tuple(scale * (2 * i + 1) for i in range(M // 2)))
+    return Constellation(tuple(2 * i + 1 for i in range(M // 2)))
 
 
 @dataclass(frozen=True)
@@ -167,21 +155,17 @@ class UniformQuantizer:
 @dataclass(frozen=True)
 class ChannelModel:
     """Nakagami-m amplitude fading: |h| ~ Nakagami(m, omega), so
-    Z = |h|^2 ~ Gamma(m, omega/m). sigma2 is the complex-noise variance;
-    the in-phase branch seen by the ADC has variance sigma2 / 2.
+    Z = |h|^2 ~ Gamma(m, omega/m).
     """
 
     m: float
     omega: float = 1.0
-    sigma2: float = None
 
     def __post_init__(self):
         if self.m < 0.5:
             raise ValueError("Nakagami shape m must be >= 1/2")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if self.sigma2 is not None and self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
 
     @property
     def integer_m(self):
@@ -194,64 +178,12 @@ def symbol_energy(c):
     return 2.0 * float(np.sum(amps**2)) / c.M
 
 
-def snr_of(c, ch):
-    """Linear SNR = E_s / sigma^2."""
-    if ch.sigma2 is None or ch.sigma2 <= 0:
-        raise ValueError("channel must carry a positive sigma2")
-    return symbol_energy(c) / ch.sigma2
-
-
-def snr_db_of(c, ch):
-    return 10.0 * math.log10(snr_of(c, ch))
-
-
 def sigma2_from_snr(c, snr_linear):
-    """Noise variance realizing a given linear SNR: sigma^2 = E_s / SNR."""
+    """Noise variance realizing a given linear SNR: sigma^2 = E_s / SNR.
+
+    sigma^2 is the complex-noise variance; the in-phase branch seen by the
+    ADC has variance sigma^2 / 2.
+    """
     if snr_linear <= 0:
         raise ValueError("SNR must be positive")
     return symbol_energy(c) / snr_linear
-
-
-def per_symbol_snr(c, i, snr_linear):
-    """Per-symbol SNR_i = 2 rho_i^2 SNR / E_s^2."""
-    if not 0 <= i < c.half_size:
-        raise IndexError("symbol index out of range")
-    es = symbol_energy(c)
-    return 2.0 * c.amplitudes[i] ** 2 * snr_linear / es**2
-
-
-def sample_fading(ch, rng, size=None):
-    """Draw |h| samples: sqrt of Gamma(m, omega/m) variates.
-
-    ``rng`` is a numpy Generator (its standard_gamma implements the
-    Marsaglia-Tsang method, valid for any m >= 1/2).
-    """
-    z = rng.standard_gamma(ch.m, size=size) * (ch.omega / ch.m)
-    return np.sqrt(z)
-
-
-# -- JSON serialization (field names fixed: amplitudes, boundaries, bits,
-#    m, omega, sigma2) --
-
-def to_json(obj):
-    if isinstance(obj, Constellation):
-        d = {"amplitudes": list(obj.amplitudes)}
-    elif isinstance(obj, Quantizer):
-        d = {"boundaries": list(obj.positive_boundaries), "bits": obj.bits}
-    elif isinstance(obj, ChannelModel):
-        d = {"m": obj.m, "omega": obj.omega, "sigma2": obj.sigma2}
-    else:
-        raise TypeError(f"unsupported type {type(obj).__name__}")
-    return json.dumps(d)
-
-
-def from_json(text):
-    d = json.loads(text) if isinstance(text, str) else dict(text)
-    keys = set(d)
-    if keys == {"amplitudes"}:
-        return Constellation(tuple(d["amplitudes"]))
-    if keys == {"boundaries", "bits"}:
-        return Quantizer(tuple(d["boundaries"]), int(d["bits"]))
-    if keys == {"m", "omega", "sigma2"}:
-        return ChannelModel(d["m"], d["omega"], d["sigma2"])
-    raise ValueError(f"unrecognized object fields: {sorted(keys)}")

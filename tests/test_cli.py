@@ -301,6 +301,17 @@ class TestConfigAndErrors:
         assert "n_r" in err
         assert calls == []
 
+    def test_dvo_rejects_short_window_before_designing(self, capsys, monkeypatch):
+        # 20:25 in 2.5 dB steps is 3 points; the fit needs 4
+        calls = []
+        monkeypatch.setattr(asymptotics, "optimize", lambda *a, **k: calls.append(a))
+        code, stdout, err = run_cli(
+            ["dvo", "--joint", "--m", "1", "--bits", "2", "--window", "20:25"], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert "need at least 4 usable points in the window" in err
+        assert calls == []
+
     @pytest.mark.parametrize("window", ["20", "a:b", "50:20"])
     def test_dvo_bad_window_names_flag(self, window, capsys, monkeypatch):
         monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))

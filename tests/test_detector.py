@@ -19,6 +19,7 @@ from pamq import (
     q_func,
     quantize,
 )
+from pamq.detector import midpoint_batch, quantize_batch, simo_batch
 
 C13 = Constellation((1.0, 3.0))
 Q2 = Quantizer((2.0,), bits=2)
@@ -157,6 +158,19 @@ class TestSimoRule:
             for y in (1, 2, -1):
                 single = ml_detect_simo(C13, Q2, [h], [y], 1.0)
                 assert single == brute_force_detect(C13, Q2, h, y, 1.0)
+
+    def test_matches_midpoint_rule_at_one_antenna(self):
+        # at n_r = 1 the product likelihood is the single-antenna ML rule,
+        # which the midpoint rule implements
+        rng = np.random.default_rng(11)
+        amps = np.asarray(C13.amplitudes)
+        bounds = np.asarray(Q2.positive_boundaries)
+        sigma2 = 0.5
+        x = rng.choice(np.concatenate([-amps, amps]), size=(20_000, 1))
+        h = np.sqrt(rng.standard_gamma(1.0, size=x.shape))
+        y = quantize_batch(bounds, h * x + rng.normal(0.0, math.sqrt(sigma2 / 2.0), x.shape))
+        mid = midpoint_batch(amps, bounds, h[:, 0], y[:, 0])
+        assert np.array_equal(mid, simo_batch(amps, bounds, h, y, sigma2))
 
     def test_repeated_observation_agrees(self):
         for h in (0.5, 1.1):

@@ -103,17 +103,6 @@ class TestSimo:
         e2 = simulate(spec2)[0]
         assert e2.sep_hat + 3 * e2.stderr < e1.sep_hat - 3 * e1.stderr
 
-    def test_forced_simo_matches_midpoint_siso(self):
-        spec = make_spec(trials=100_000)
-        mid = simulate(spec, detector="midpoint")[0]
-        simo = simulate(spec, detector="simo")[0]
-        assert mid.errors == simo.errors
-
-    def test_unknown_detector_rejected(self):
-        # an unchecked name would fall back to the one-antenna midpoint rule
-        with pytest.raises(ValueError, match="detector"):
-            simulate(make_spec(n_r=2), detector="product")
-
 
 class TestNoiseless:
     def test_matches_analytic_floor(self):

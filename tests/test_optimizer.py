@@ -16,10 +16,6 @@ from pamq import (
     check_prop2,
     lemma7_rho_star,
     optimize,
-    problem_from_json,
-    problem_to_json,
-    result_from_json,
-    result_to_json,
     sep_closed_form,
     sep_noiseless,
     xg_design,
@@ -178,18 +174,3 @@ class TestScheduleMinimizer:
             assert lo / hi == pytest.approx(0.3, rel=1e-12)
         assert cons.M == 4
 
-
-class TestJsonRoundTrip:
-    def test_problem(self):
-        p = quantizer_problem(snr=10.0, seed=3)
-        q = problem_from_json(problem_to_json(p))
-        assert q.M == p.M and q.bits == p.bits and q.snr == p.snr
-        assert q.constellation == p.constellation
-        assert q.channel.m == p.channel.m
-
-    def test_result(self):
-        r = optimize(quantizer_problem())
-        s = result_from_json(result_to_json(r))
-        assert s.quantizer == r.quantizer
-        assert s.constellation == r.constellation
-        assert s.sep == r.sep

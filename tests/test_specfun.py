@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pamq import (
-    double_factorial,
     f_integral,
     lower_gamma_reg,
     q_func,
@@ -78,22 +77,6 @@ class TestIncompleteGamma:
         assert upper_gamma_reg(m, x) + lower_gamma_reg(m, x) == pytest.approx(
             1.0, abs=1e-14
         )
-
-
-class TestDoubleFactorial:
-    def test_small_values(self):
-        assert double_factorial(-1) == 1
-        assert double_factorial(0) == 1
-        assert double_factorial(5) == 15
-        assert double_factorial(8) == 384
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            double_factorial(-2)
-
-    def test_recurrence(self):
-        for n in range(1, 15):
-            assert double_factorial(n) == n * double_factorial(n - 2)
 
 
 class TestFIntegral:
