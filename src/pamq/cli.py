@@ -195,13 +195,15 @@ def _cmd_dvo(args):
     if not args.joint:
         raise ValidationError("dvo requires --joint (jointly optimized designs)")
     _require(args, "m", "bits")
+    if args.antennas == 1:
+        _reject(args, ("trials",), "--antennas 1")
     kind = "uniform" if args.uniform else "nonuniform"
     lo, hi = _parse_window(args.window)
     step = 2.5 if args.antennas == 1 else 5.0
     grid = list(np.arange(lo, hi + 1e-9, step))
     est, theory = dvo_experiment(
         args.m, args.bits, args.mod, kind, args.antennas, grid,
-        budget=args.trials, seed=args.seed,
+        budget=10**6 if args.trials is None else args.trials, seed=args.seed,
     )
     _write_json(args.out, {
         "slope": est.slope,
@@ -266,7 +268,7 @@ _COMMANDS = {
                                  "snr_db", "noiseless", "joint", "uniform", "starts", "seed"), {}),
     "floor": (_cmd_floor, _SYSTEM, {}),
     "dvo": (_cmd_dvo, ("m", "bits", "mod", "joint", "uniform", "window", "antennas",
-                       "trials", "seed"), {"mod": 4, "trials": 10**6}),
+                       "trials", "seed"), {"mod": 4}),
     "simulate": (_cmd_simulate, _SYSTEM + ("snr_db", "trials", "antennas", "threads", "seed"),
                  {"snr_db": "0:5:30", "trials": 10**5}),
     "compare-aqnm": (_cmd_compare_aqnm, _SYSTEM + ("snr_db", "alpha"), {"snr_db": "0:2:40"}),

@@ -30,19 +30,13 @@ LOG_FLOOR = -745.0
 
 @dataclass(frozen=True)
 class DecisionRegion:
-    """Interval on the z = |h|^2 axis where output y decodes to symbol i.
-
-    Empty regions are encoded as lower == upper.
-    """
+    """Interval on the z = |h|^2 axis where output y decodes to symbol i;
+    empty when lower >= upper."""
 
     lower: float
     upper: float
     y: int
     i: int
-
-    @property
-    def empty(self):
-        return self.lower >= self.upper
 
 
 def quantize_batch(bounds, r):
@@ -123,32 +117,39 @@ def ml_detect_midpoint(c, q, h_mag, y):
     )[0])
 
 
-def decision_region(c, q, y, i):
-    """Region D_(y,i) on the z axis for positive output y in [1 .. K+1]."""
-    half = c.half_size
+def _region_bounds(amps, q, y, i, reach=False):
+    """Unchecked (lower, upper) of D_(y,i), or of its intersection with A_(y,i)
+    when reach (see noiseless_region)."""
+    last = i == len(amps) - 1
+    if y == q.K + 1:
+        lower, upper = 0.0, math.inf if last else 0.0
+    else:
+        qsum = q.boundary(y - 1) + q.boundary(y)
+        lower = 0.0 if last else (qsum / (amps[i] + amps[i + 1])) ** 2
+        upper = math.inf if i == 0 else (qsum / (amps[i] + amps[i - 1])) ** 2
+    if reach:
+        lower = max(lower, (q.boundary(y - 1) / amps[i]) ** 2)
+        upper = max(lower, min(upper, (q.boundary(y) / amps[i]) ** 2))
+    return lower, upper
+
+
+def _checked_region(c, q, y, i, reach):
     if not 1 <= y <= q.K + 1:
         raise ValueError("y out of range")
-    if not 0 <= i < half:
+    if not 0 <= i < c.half_size:
         raise IndexError("symbol index out of range")
-    amps = c.amplitudes
-    if y == q.K + 1:
-        if i == half - 1:
-            return DecisionRegion(0.0, math.inf, y, i)
-        return DecisionRegion(0.0, 0.0, y, i)
-    qsum = q.boundary(y - 1) + q.boundary(y)
-    lower = 0.0 if i == half - 1 else (qsum / (amps[i] + amps[i + 1])) ** 2
-    upper = math.inf if i == 0 else (qsum / (amps[i] + amps[i - 1])) ** 2
-    return DecisionRegion(lower, upper, y, i)
+    return DecisionRegion(*_region_bounds(c.amplitudes, q, y, i, reach), y, i)
+
+
+def decision_region(c, q, y, i):
+    """Region D_(y,i) on the z axis for positive output y in [1 .. K+1]."""
+    return _checked_region(c, q, y, i, reach=False)
 
 
 def noiseless_region(c, q, y, i):
     """Intersection D_(y,i) with the noiseless reachability region A_(y,i)
     = (q_(y-1)^2 / rho_i^2, q_y^2 / rho_i^2); may be empty."""
-    d = decision_region(c, q, y, i)
-    rho = c.amplitudes[i]
-    lower = max(d.lower, (q.boundary(y - 1) / rho) ** 2)
-    upper = min(d.upper, (q.boundary(y) / rho) ** 2)
-    return DecisionRegion(lower, max(lower, upper), y, i)
+    return _checked_region(c, q, y, i, reach=True)
 
 
 def ml_detect_simo(c, q, h, y, sigma2):

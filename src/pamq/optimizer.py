@@ -1,13 +1,14 @@
 """Minimum-SEP design of quantizers and constellations.
 
 Multi-start Nelder-Mead over an unconstrained parameterization: ordered
-boundaries (and amplitudes) are cumulative sums of softplus increments, and
-joint designs renormalize the constellation to unit energy inside the
-objective, so every candidate the simplex visits is feasible. Each start
-runs at most 2000*dim iterations and 4000*dim SEP evaluations.
+boundaries (and amplitudes) are running sums of softplus increments, decoded
+on Python floats with NumPy's rounding, and joint designs renormalize to unit
+energy, so every candidate is feasible; one that still fails scores 1.0 and
+is counted. Each start runs at most 2000*dim iterations and 4000*dim SEP evaluations.
 """
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -94,10 +95,16 @@ class DesignResult:
     sep: float
     starts_used: int
     converged: bool
+    failed_evals: int  # objective calls that scored 1.0 on a failed candidate
 
 
 def _softplus(t):
-    return np.logaddexp(0.0, t)
+    """log(1 + e^t) on a Python float, bit for bit np.logaddexp(0.0, t)."""
+    if t > 0.0:
+        return t + math.log1p(math.exp(-t))
+    if t < 0.0:
+        return math.log1p(math.exp(t))
+    return math.log(2.0) if t == 0.0 else t  # t is nan
 
 
 def _softplus_inv(d):
@@ -108,22 +115,18 @@ def _softplus_inv(d):
 
 def _decode(p, theta):
     """Unconstrained vector -> (Quantizer, Constellation)."""
+    theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
-        step = float(_softplus(theta[0]))
-        quant = UniformQuantizer(step, p.bits).materialize()
+        quant = UniformQuantizer(_softplus(theta[0]), p.bits).materialize()
     else:
-        inc = _softplus(theta[:nb])
-        quant = Quantizer(tuple(np.cumsum(inc)), p.bits)
-    if p.n_amp_vars:
-        inc = _softplus(theta[nb:])
-        amps = np.cumsum(inc)
-        if amps[0] <= 0.0 or not np.all(np.isfinite(amps)):
-            raise ValueError("degenerate amplitude vector")
-        cons = Constellation(tuple(amps / math.sqrt(float(np.sum(amps**2)))))
-    else:
-        cons = p.constellation
-    return quant, cons
+        quant = Quantizer(tuple(accumulate(map(_softplus, theta[:nb]))), p.bits)
+    if not p.n_amp_vars:
+        return quant, p.constellation
+    amps = tuple(accumulate(map(_softplus, theta[nb:])))
+    if amps[0] <= 0.0 or not math.isfinite(amps[-1]):
+        raise ValueError("degenerate amplitude vector")
+    return quant, Constellation(amps).normalized()
 
 
 def _encode(p, quant, cons):
@@ -147,16 +150,15 @@ def _evaluate(p, quant, cons):
 
 
 def _objective(p):
+    """SEP of the decoded candidate; 1.0, counted in ``f.failed``, if it fails."""
     def f(theta):
         try:
-            quant, cons = _decode(p, theta)
-        except (ValueError, FloatingPointError):
-            return 1.0
-        try:
-            return _evaluate(p, quant, cons)
+            return _evaluate(p, *_decode(p, theta))
         except (ArithmeticError, ValueError):
+            f.failed += 1
             return 1.0
 
+    f.failed = 0
     return f
 
 
@@ -182,7 +184,7 @@ def _start_points(p):
         if p.n_amp_vars:
             avals = np.sort(0.1 + row[nb:] * 2.9)
             avals = _force_increasing(avals)
-            cons = Constellation(tuple(avals / math.sqrt(float(np.sum(avals**2)))))
+            cons = Constellation(tuple(avals)).normalized()
         else:
             cons = p.constellation
         starts.append(_encode(p, quant, cons))
@@ -231,6 +233,7 @@ def optimize(p):
         sep=_evaluate(p, quant, cons),
         starts_used=len(starts),
         converged=any_converged,
+        failed_evals=f.failed,
     )
 
 

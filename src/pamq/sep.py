@@ -2,8 +2,9 @@
 
 Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
-and the closed-form noiseless limit. Error-floor bounds and the AQNM
-linearized baseline live here as well.
+and the closed-form noiseless limit, plus error-floor bounds and the AQNM
+linearized baseline. The three engines share one loop over the decision
+regions that can be non-empty, planned once per (M/2, K), on Python floats.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .detector import decision_region, noiseless_region
+from .detector import _region_bounds
 from .specfun import SQRT_2PI, lower_gamma_reg, moment_primitive, q_func, upper_gamma_reg
 from .system import sigma2_from_snr, symbol_energy
 
@@ -186,29 +187,46 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi):
     return total, err
 
 
-def _iter_regions(c, q, region_fn):
-    for y in range(1, q.K + 2):
-        for i in range(c.half_size):
-            reg = region_fn(c, q, y, i)
-            if not reg.empty:
-                yield reg
+@functools.lru_cache(maxsize=None)
+def _region_plan(half, k):
+    """(y, i) pairs that can be non-empty, in sum order: all i for y <= K, the last at K+1."""
+    return tuple((y, i) for y in range(1, k + 1) for i in range(half)) + ((k + 1, half - 1),)
 
 
-def _p_correct(c, q, snr, h):
-    """Probability of correct detection and its error estimate: the sum
-    over decision regions of the Q-integral between the two boundaries of
-    the region's output, where h(b, c, z_lo, z_hi) returns (value, error)."""
+def _decision_regions(c, q, reach=False):
+    """(y, i, lower, upper) of each non-empty region; intersected with A_(y,i) when reach."""
+    amps = c.amplitudes
+    for y, i in _region_plan(c.half_size, q.K):
+        lower, upper = _region_bounds(amps, q, y, i, reach)
+        if lower < upper:
+            yield y, i, lower, upper
+
+
+def _p_correct(c, q, ch, snr, quadrature):
+    """Probability of correct detection and its error estimate: over the regions, the
+    Q-integral between the output's two boundaries, by quadrature or the exact series."""
     sigma2 = sigma2_from_snr(c, snr)
     sigma = math.sqrt(sigma2)
+    m, omega = (ch.m if quadrature else int(ch.m)), ch.omega
+    # an endpoint serves both sides of its region and its neighbours: one survival each
+    survival = {}
     terms, errs = [], []
-    for reg in _iter_regions(c, q, decision_region):
-        b_i = 2.0 * c.amplitudes[reg.i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(reg.y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(reg.y - 1) / sigma
-        v_hi, e_hi = h(b_i, c_hi, reg.lower, reg.upper)
-        v_lo, e_lo = h(b_i, c_lo, reg.lower, reg.upper)
-        terms.append(v_hi - v_lo)
-        errs.append(e_hi + e_lo)
+    for y, i, lower, upper in _decision_regions(c, q):
+        b_i = 2.0 * c.amplitudes[i] ** 2 / sigma2
+        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
+        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
+        if quadrature:
+            v_hi, e_hi = h_function_quad(m, omega, b_i, c_hi, lower, upper)
+            v_lo, e_lo = h_function_quad(m, omega, b_i, c_lo, lower, upper)
+            terms.append(v_hi - v_lo)
+            errs.append(e_hi + e_lo)
+        else:
+            for z in (lower, upper):
+                if z not in survival:
+                    survival[z] = _gamma_survival(m, omega, z)
+            g_lo, g_hi = survival[lower], survival[upper]
+            terms.append(_h_series(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)
+                         - _h_series(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi))
     return 2.0 / c.M * math.fsum(terms), 2.0 / c.M * math.fsum(errs)
 
 
@@ -216,20 +234,14 @@ def sep_closed_form(c, q, ch, snr):
     """Average SEP by the exact finite series; requires integer m."""
     if not ch.integer_m:
         raise ValueError("closed form requires integer m; use sep_quadrature")
-    m, omega = int(ch.m), ch.omega
-    # an endpoint serves both sides of its region and its neighbours: one survival each
-    survival = functools.cache(functools.partial(_gamma_survival, m, omega))
-    p_correct, _ = _p_correct(
-        c, q, snr,
-        lambda b, cc, lo, hi: (_h_series(m, omega, b, cc, lo, hi, survival(lo), survival(hi)), 0.0),
-    )
+    p_correct, _ = _p_correct(c, q, ch, snr, quadrature=False)
     return SepResult(_clamp_probability(1.0 - p_correct), "closed_form")
 
 
 def sep_quadrature(c, q, ch, snr):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
-    p_correct, err = _p_correct(c, q, snr, functools.partial(h_function_quad, ch.m, ch.omega))
+    p_correct, err = _p_correct(c, q, ch, snr, quadrature=True)
     return SepResult(_clamp_probability(1.0 - p_correct), "quadrature", abs_error_est=err)
 
 
@@ -244,9 +256,9 @@ def sep_noiseless(c, q, ch):
     """Infinite-SNR SEP: Gamma measure of the noiseless decision regions."""
     m, omega = ch.m, ch.omega
     total = 0.0
-    for reg in _iter_regions(c, q, noiseless_region):
-        hi = 1.0 if math.isinf(reg.upper) else float(special.gammainc(m, m * reg.upper / omega))
-        lo = float(special.gammainc(m, m * reg.lower / omega))
+    for _, _, lower, upper in _decision_regions(c, q, reach=True):
+        hi = 1.0 if math.isinf(upper) else float(special.gammainc(m, m * upper / omega))
+        lo = float(special.gammainc(m, m * lower / omega))
         total += hi - lo
     return SepResult(_clamp_probability(1.0 - 2.0 / c.M * total), "noiseless")
 

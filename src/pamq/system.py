@@ -4,6 +4,7 @@ All amplitudes and boundaries are dimensionless and stored raw; unit-energy
 normalization is always an explicit step, never implicit. Types are frozen
 dataclasses and safe to share between workers.
 """
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,8 +60,8 @@ class Constellation:
 
     def normalized(self):
         """Rescaled copy with unit total energy (sum of rho_i^2 = 1)."""
-        amps = np.asarray(self.amplitudes)
-        return Constellation(tuple(amps / math.sqrt(float(np.sum(amps**2)))))
+        norm = math.sqrt(_sum_squares(self.amplitudes))
+        return Constellation(tuple(a / norm for a in self.amplitudes))
 
 
 def equidistant_constellation(M):
@@ -172,10 +173,16 @@ class ChannelModel:
         return float(self.m).is_integer()
 
 
+def _sum_squares(values):
+    """sum(v^2), bit for bit np.sum(np.asarray(values) ** 2): in order below 8 terms."""
+    if len(values) >= 8:
+        return float(np.sum(np.asarray(values) ** 2))
+    return functools.reduce(lambda total, v: total + v * v, values, 0.0)
+
+
 def symbol_energy(c):
     """Average symbol energy E_s = (2/M) * sum(rho_i^2)."""
-    amps = np.asarray(c.amplitudes)
-    return 2.0 * float(np.sum(amps**2)) / c.M
+    return 2.0 * _sum_squares(c.amplitudes) / c.M
 
 
 def sigma2_from_snr(c, snr_linear):

@@ -312,6 +312,33 @@ class TestConfigAndErrors:
         assert "need at least 4 usable points in the window" in err
         assert calls == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dvo_rejects_trials_at_one_antenna(self, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))
+        argv = ["dvo", "--joint", "--m", "1", "--bits", "2"]
+        if source == "flag":
+            argv += ["--trials", "1000000"]
+        else:
+            cfg = tmp_path / "job.json"
+            cfg.write_text(json.dumps({"trials": 1000}))
+            argv += ["--config", str(cfg)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert "--trials is not read with --antennas 1" in err
+
+    def test_dvo_passes_trials_with_antennas(self, capsys, monkeypatch):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(kwargs)
+            return DvoEstimate(1.0, (20.0, 35.0), 1.0, 4), Fraction(1)
+
+        monkeypatch.setattr(cli, "dvo_experiment", fake)
+        for extra, budget in (([], 10**6), (["--trials", "500"], 500)):
+            code, _, _ = run_cli(["dvo", "--joint", "--m", "1", "--bits", "2",
+                                  "--antennas", "2", "--window", "20:35"] + extra, capsys)
+            assert code == 0 and calls[-1]["budget"] == budget
+
     @pytest.mark.parametrize("window", ["20", "a:b", "50:20"])
     def test_dvo_bad_window_names_flag(self, window, capsys, monkeypatch):
         monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))

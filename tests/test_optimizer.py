@@ -14,12 +14,14 @@ from pamq import (
     GeometricConstellation,
     Quantizer,
     check_prop2,
+    equidistant_constellation,
     lemma7_rho_star,
     optimize,
     sep_closed_form,
-    sep_noiseless,
     xg_design,
 )
+from pamq import optimizer
+from pamq.optimizer import _objective
 
 C13 = Constellation((1.0, 3.0))
 RAYLEIGH = ChannelModel(1, 1.0)
@@ -111,6 +113,70 @@ class TestStructure:
             )
 
 
+class TestObjectiveBits:
+    """float.hex of one objective evaluation per case, equal to a decode
+    through np.logaddexp, np.cumsum and np.sum: any change to the decode,
+    the energy sum or the SEP arithmetic shows here. Non-integer m runs the
+    quadrature, snr None the noiseless engine; M = 16 has 8 amplitudes, where
+    NumPy's sum turns pairwise, and its theta gives another last bit if the
+    squares are added in order."""
+
+    CASES = [
+        (dict(channel=ChannelModel(1), M=4, bits=3, variables="quantizer_only", snr=100.0,
+              constellation=C13), [0.3, -0.2, 0.5], "0x1.781ca43f755e0p-5"),
+        (dict(channel=ChannelModel(2), M=8, bits=3, variables="uniform_step_only", snr=1000.0,
+              constellation=equidistant_constellation(8).normalized()),
+         [-0.4], "0x1.0cea2dfa5619ep-1"),
+        (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
+         [0.1, -0.3, 0.7], "0x1.db5b92cb6a4bcp-3"),
+        (dict(channel=ChannelModel(3, 2.0), M=4, bits=3, variables="joint_uniform", snr=316.0),
+         [0.2, 0.4, -0.1], "0x1.3a70cc66e4e10p-3"),
+        (dict(channel=RAYLEIGH, M=16, bits=3, variables="joint_nonuniform", snr=1e4),
+         [0.5, -0.1, 0.3, -1.0, 0.2, 0.1, 0.4, -0.3, 0.6, 0.0, -0.28], "0x1.bcc85437d78c6p-1"),
+        (dict(channel=ChannelModel(1.5), M=4, bits=2, variables="quantizer_only", snr=30.0,
+              constellation=C13), [0.8], "0x1.8eaad6be75920p-3"),
+        (dict(channel=ChannelModel(2), M=8, bits=3, variables="quantizer_only", snr=None,
+              constellation=GeometricConstellation(0.4, 8).materialize()),
+         [-2.0, -1.0, 0.5], "0x1.07e6de5872a10p-2"),
+        # softplus(-800) is 0.0: the smallest amplitude vanishes
+        (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
+         [0.0, -800.0, 0.0], "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("kw,theta,expected", CASES)
+    def test_pinned(self, kw, theta, expected):
+        assert _objective(DesignProblem(**kw))(np.array(theta)).hex() == expected
+
+
+class TestFailedEvals:
+    def test_counts_degenerate_candidates(self):
+        p = DesignProblem(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform",
+                          snr=1000.0)
+        f = _objective(p)
+        for theta in ([0.0, -800.0, 0.0], [0.1, -0.3, 0.7], [-800.0, 0.0, 0.0]):
+            f(np.array(theta))
+        assert f.failed == 2
+
+    def test_reported_by_optimize(self, monkeypatch):
+        # candidates with q1 > 2 fail to evaluate; the returned best one does not
+        evaluate, failed = optimizer._evaluate, []
+
+        def flaky(p, quant, cons):
+            failed.append(quant.positive_boundaries[0] > 2.0)
+            if failed[-1]:
+                raise ArithmeticError("injected")
+            return evaluate(p, quant, cons)
+
+        monkeypatch.setattr(optimizer, "_evaluate", flaky)
+        r = optimize(quantizer_problem())
+        assert r.failed_evals == sum(failed) > 0
+
+    def test_zero_on_readme_example(self):
+        # pamq optimize --noiseless --m 1 --bits 2 --mod 4 --constellation 1,3 --starts 8
+        r = optimize(quantizer_problem())
+        assert r.failed_evals == 0
+
+
 class TestProp2Diagnostics:
     def test_geometric_fixed_point(self):
         cg = GeometricConstellation(0.4, 8)
@@ -132,7 +198,7 @@ class TestProp2Diagnostics:
         bad = DesignResult(
             quantizer=Quantizer((0.1, 0.5, 0.6), bits=3),
             constellation=cg.materialize(), sep=0.5, starts_used=1,
-            converged=True,
+            converged=True, failed_evals=0,
         )
         _, dev = check_prop2(bad, cg)
         assert dev > 0.01

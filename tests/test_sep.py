@@ -10,7 +10,6 @@ from pamq import (
     Constellation,
     GeometricConstellation,
     Quantizer,
-    UniformQuantizer,
     default_alpha,
     floor_bounds,
     floor_geometric,
