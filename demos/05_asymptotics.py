@@ -12,12 +12,7 @@ Two asymptotic regimes of the jointly optimized low-resolution receiver:
 """
 import numpy as np
 
-from pamq import (
-    dq_successive_slopes,
-    dvo_experiment,
-    dvo_theory,
-    optimal_floor_log2,
-)
+from pamq import dq_successive_slopes, dvo_experiment, optimal_floor_log2
 
 print("fitted decay exponents over [20, 50] dB (theory in parentheses)")
 grid = list(np.arange(20.0, 50.0 + 1e-9, 2.5))

@@ -22,14 +22,12 @@ from pamq import (
     DesignProblem,
     Quantizer,
     SimSpec,
-    UniformQuantizer,
     default_alpha,
     dvo_experiment,
     optimal_floor_log2,
     optimize,
     sep_aqnm,
     sep_closed_form,
-    sep_quadrature,
     simulate,
 )
 from pamq.table import write_table

@@ -13,7 +13,7 @@ from scipy import optimize as sciopt
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize, xg_design
 from .sep import floor_geometric
-from .system import ChannelModel, GeometricConstellation, UniformQuantizer
+from .system import ChannelModel, GeometricConstellation, Quantizer
 
 __all__ = [
     "DvoEstimate",
@@ -99,7 +99,7 @@ def _warm_start(m, bits, M, snr, uniform):
     q1 = math.sqrt(cg.C**2 * rho**a_exp)
     cons, quant = xg_design(rho, q1, M, bits)
     if uniform:
-        quant = UniformQuantizer(q1, bits).materialize()
+        quant = Quantizer.uniform(q1, bits)
     return cons, quant
 
 

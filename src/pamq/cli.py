@@ -20,7 +20,7 @@ from .asymptotics import dvo_experiment
 from .montecarlo import SimSpec, simulate, write_csv
 from .optimizer import DesignProblem, optimize
 from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
-from .system import ChannelModel, Constellation, GeometricConstellation, Quantizer, UniformQuantizer
+from .system import ChannelModel, Constellation, GeometricConstellation, Quantizer
 from .table import write_table
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _constellation(args):
 def _quantizer(args):
     _require(args, "bits")
     if args.uniform_step is not None:
-        return UniformQuantizer(args.uniform_step, args.bits).materialize()
+        return Quantizer.uniform(args.uniform_step, args.bits)
     if args.q is not None:
         return Quantizer(_parse_floats(args.q), args.bits)
     raise ValidationError("give --q or --uniform-step")

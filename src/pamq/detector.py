@@ -5,38 +5,20 @@ index into the positive half-constellation and s is the sign of the
 symbol; this keeps single-antenna and SIMO detectors comparable.
 
 Each rule has one vectorized kernel (``quantize_batch``,
-``midpoint_batch``, ``simo_batch``) over arrays of observations; the
-Monte Carlo engine runs these kernels, and the scalar functions are
-one-row calls into them.
+``midpoint_batch``, ``simo_batch``) over arrays of observations, and
+there are no scalar wrappers: a single observation is a one-row call.
+The region geometry of Theorem 1 lives once in ``_region_bounds``;
+``decision_region`` and ``noiseless_region`` are its checked forms.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = [
-    "DecisionRegion",
-    "quantize",
-    "ml_detect_midpoint",
-    "decision_region",
-    "noiseless_region",
-    "ml_detect_simo",
-]
+__all__ = ["decision_region", "noiseless_region"]
 
 # natural-log underflow floor for per-factor likelihoods
 LOG_FLOOR = -745.0
-
-
-@dataclass(frozen=True)
-class DecisionRegion:
-    """Interval on the z = |h|^2 axis where output y decodes to symbol i;
-    empty when lower >= upper."""
-
-    lower: float
-    upper: float
-    y: int
-    i: int
 
 
 def quantize_batch(bounds, r):
@@ -47,7 +29,11 @@ def quantize_batch(bounds, r):
 
 
 def midpoint_batch(amps, bounds, h, y):
-    """Midpoint rule over equal-shape arrays of gains h and outputs y."""
+    """Midpoint ML rule over equal-shape arrays of gains h and outputs y:
+    decode to the sign-matched symbol whose faded amplitude is closest to
+    the midpoint of the quantization region. The saturation region
+    |y| = K+1 has no finite midpoint; there the rule picks the largest
+    symbol."""
     k = len(bounds)
     ay = np.abs(y)
     rho_mids = 0.5 * (amps[:-1] + amps[1:])
@@ -60,7 +46,11 @@ def midpoint_batch(amps, bounds, h, y):
 
 
 def simo_batch(amps, bounds, h, y, sigma2):
-    """Product-likelihood rule; h and y have shape (n, n_r)."""
+    """Product-likelihood ML rule; h and y have shape (n, n_r).
+
+    Works in the log domain with a per-factor floor; a symbol whose every
+    factor underflows loses to any symbol with a finite factor.
+    """
     s = math.sqrt(sigma2 / 2.0)
     symbols = np.concatenate([-amps[::-1], amps])  # ascending
     ids = np.concatenate(
@@ -85,38 +75,6 @@ def simo_batch(amps, bounds, h, y, sigma2):
     return ids[np.argmax(ll, axis=1)]
 
 
-def _check_outputs(q, y):
-    ay = np.abs(y)
-    if np.any((ay < 1) | (ay > q.K + 1)):
-        raise ValueError("output index out of range")
-
-
-def quantize(q, r):
-    """Signed ADC output index for real input r.
-
-    Positive side: y with q_(y-1) <= r < q_y (boundaries belong to the
-    upper region), y = K+1 for r >= q_K. Inputs in [-q_1, 0) map to y = -1
-    and r = 0 maps to y = +1.
-    """
-    return int(quantize_batch(np.asarray(q.positive_boundaries), float(r)))
-
-
-def ml_detect_midpoint(c, q, h_mag, y):
-    """Midpoint ML rule: decode output y to the sign-matched symbol whose
-    faded amplitude is closest to the midpoint of the quantization region.
-
-    The saturation region |y| = K+1 has no finite midpoint; there the rule
-    degenerates to the largest symbol.
-    """
-    if h_mag <= 0:
-        raise ValueError("h_mag must be positive")
-    _check_outputs(q, int(y))
-    return int(midpoint_batch(
-        np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
-        np.array([float(h_mag)]), np.array([int(y)]),
-    )[0])
-
-
 def _region_bounds(amps, q, y, i, reach=False):
     """Unchecked (lower, upper) of D_(y,i), or of its intersection with A_(y,i)
     when reach (see noiseless_region)."""
@@ -138,11 +96,13 @@ def _checked_region(c, q, y, i, reach):
         raise ValueError("y out of range")
     if not 0 <= i < c.half_size:
         raise IndexError("symbol index out of range")
-    return DecisionRegion(*_region_bounds(c.amplitudes, q, y, i, reach), y, i)
+    return _region_bounds(c.amplitudes, q, y, i, reach)
 
 
 def decision_region(c, q, y, i):
-    """Region D_(y,i) on the z axis for positive output y in [1 .. K+1]."""
+    """(lower, upper) of the region D_(y,i) on the z = |h|^2 axis where
+    positive output y in [1 .. K+1] decodes to symbol i; empty when
+    lower >= upper."""
     return _checked_region(c, q, y, i, reach=False)
 
 
@@ -150,22 +110,3 @@ def noiseless_region(c, q, y, i):
     """Intersection D_(y,i) with the noiseless reachability region A_(y,i)
     = (q_(y-1)^2 / rho_i^2, q_y^2 / rho_i^2); may be empty."""
     return _checked_region(c, q, y, i, reach=True)
-
-
-def ml_detect_simo(c, q, h, y, sigma2):
-    """Product-likelihood ML detection from N_r quantized observations.
-
-    Works in the log domain with a per-factor floor; a symbol whose every
-    factor underflows loses to any symbol with a finite factor.
-    """
-    h = np.asarray(h, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if h.shape != y.shape:
-        raise ValueError("h and y must have equal length")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    _check_outputs(q, y)
-    return int(simo_batch(
-        np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
-        h[None, :], y[None, :], sigma2,
-    )[0])

@@ -42,7 +42,7 @@ class SimEstimate:
     snr_db: float
     trials: int
     errors: int
-    method: str = "monte_carlo"
+    method = "monte_carlo"  # a class constant, not a field
 
     @property
     def sep_hat(self):

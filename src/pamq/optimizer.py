@@ -15,13 +15,7 @@ from scipy import optimize as sciopt
 from scipy.stats import qmc
 
 from .sep import sep_exact, sep_noiseless
-from .system import (
-    Constellation,
-    GeometricConstellation,
-    Quantizer,
-    UniformQuantizer,
-    symbol_energy,
-)
+from .system import Constellation, GeometricConstellation, Quantizer, symbol_energy
 
 __all__ = [
     "DesignProblem",
@@ -57,6 +51,9 @@ class DesignProblem:
         if self.variables in ("quantizer_only", "uniform_step_only"):
             if self.constellation is None:
                 raise ValueError("fixed constellation required for this kind")
+            if self.constellation.M != self.M:
+                raise ValueError(f"M {self.M} disagrees with constellation size "
+                                 f"{self.constellation.M}")
         if self.snr is not None and self.snr <= 0:
             raise ValueError("snr must be positive (or None for noiseless)")
         if self.M < 4 or self.M & (self.M - 1):
@@ -118,7 +115,7 @@ def _decode(p, theta):
     theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
-        quant = UniformQuantizer(_softplus(theta[0]), p.bits).materialize()
+        quant = Quantizer.uniform(_softplus(theta[0]), p.bits)
     else:
         quant = Quantizer(tuple(accumulate(map(_softplus, theta[:nb]))), p.bits)
     if not p.n_amp_vars:
@@ -163,8 +160,9 @@ def _objective(p):
 
 
 def _start_points(p):
-    """Deterministic start schedule; the first n entries are the same for
-    any requested start count with a fixed seed."""
+    """The first n_starts points of a deterministic start schedule: the
+    full schedule is always drawn, so its first n entries are the same
+    for any requested start count with a fixed seed."""
     if p.constellation is not None:
         es = symbol_energy(p.constellation)
     else:
@@ -174,10 +172,10 @@ def _start_points(p):
     unit = sampler.random(_SCHEDULE_SIZE)
     starts = []
     nb = p.n_boundary_vars
-    for row in unit:
+    for row in unit[: p.n_starts]:
         qvals = np.sort(0.1 * scale + row[:nb] * (3.0 - 0.1) * scale)
         if p.uniform:
-            quant = UniformQuantizer(float(qvals[0]), p.bits).materialize()
+            quant = Quantizer.uniform(float(qvals[0]), p.bits)
         else:
             qvals = _force_increasing(qvals)
             quant = Quantizer(tuple(qvals), p.bits)
@@ -207,7 +205,6 @@ def optimize(p):
         cons0 = p.init_constellation or p.constellation
         starts.append(_encode(p, p.init_quantizer, cons0))
     starts.extend(_start_points(p))
-    starts = starts[: p.n_starts + (1 if p.init_quantizer is not None else 0)]
 
     best = None
     any_converged = False

@@ -14,7 +14,6 @@ __all__ = [
     "Constellation",
     "GeometricConstellation",
     "Quantizer",
-    "UniformQuantizer",
     "ChannelModel",
     "equidistant_constellation",
     "symbol_energy",
@@ -124,6 +123,14 @@ class Quantizer:
             if a >= b:
                 raise ValueError("boundaries must be strictly increasing")
 
+    @classmethod
+    def uniform(cls, step, bits):
+        """Uniform quantizer with step delta: q_y = y * delta."""
+        if step <= 0:
+            raise ValueError("step must be positive")
+        # an empty range for bits < 2 leaves that error to __post_init__
+        return cls(tuple(step * y for y in range(1, 2 ** max(bits - 1, 0))), bits)
+
     @property
     def K(self):
         return len(self.positive_boundaries)
@@ -135,22 +142,6 @@ class Quantizer:
         if y == self.K + 1:
             return math.inf
         return self.positive_boundaries[y - 1]
-
-
-@dataclass(frozen=True)
-class UniformQuantizer:
-    """Uniform symmetric quantizer with step delta: q_y = y * delta."""
-
-    step: float
-    bits: int
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-
-    def materialize(self):
-        k = 2 ** (self.bits - 1) - 1
-        return Quantizer(tuple(self.step * y for y in range(1, k + 1)), self.bits)
 
 
 @dataclass(frozen=True)

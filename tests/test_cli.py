@@ -51,6 +51,17 @@ class TestSepCommand:
         assert code == 0
         assert stdout.splitlines()[1].endswith("quadrature")
 
+    @pytest.mark.parametrize("step, bits, message", [
+        ("0", "2", "step must be positive"), ("1", "0", "bits must be >= 2"),
+    ])
+    def test_bad_uniform_quantizer_rejected(self, step, bits, message, capsys):
+        code, _, stderr = run_cli([
+            "sep", "--m", "1", "--bits", bits, "--constellation", "1,3",
+            "--uniform-step", step, "--snr-db", "10",
+        ], capsys)
+        assert code == 1
+        assert stderr == f"pamq: {message}\n"
+
 
 class TestOptimizeCommand:
     def test_noiseless_known_optimum(self, capsys):

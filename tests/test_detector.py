@@ -1,6 +1,7 @@
 """Detection rules and decision regions: the midpoint rule, its region
 form, the noiseless intersection regions, and the multi-antenna
-product-likelihood rule."""
+product-likelihood rule. Each rule runs through its batch kernel, on
+one-row arrays where a test looks at a single observation."""
 import math
 
 import mpmath
@@ -9,20 +10,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pamq import (
-    Constellation,
-    Quantizer,
-    decision_region,
-    ml_detect_midpoint,
-    ml_detect_simo,
-    noiseless_region,
-    quantize,
-)
+from pamq import Constellation, Quantizer, decision_region, noiseless_region
 from pamq.detector import midpoint_batch, quantize_batch, simo_batch
 
 C13 = Constellation((1.0, 3.0))
 Q2 = Quantizer((2.0,), bits=2)
 Q3 = Quantizer((0.5, 1.0, 1.5), bits=3)
+
+
+def quantize(q, r):
+    """The quantizer kernel on one input."""
+    return int(quantize_batch(np.asarray(q.positive_boundaries), r))
+
+
+def midpoint(c, q, h, y):
+    """The midpoint kernel on one observation."""
+    return int(midpoint_batch(np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
+                              np.array([h]), np.array([y]))[0])
+
+
+def simo(c, q, h, y, sigma2):
+    """The product-likelihood kernel on one row of per-antenna gains and outputs."""
+    return int(simo_batch(np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
+                          np.array([h], dtype=float), np.array([y]), sigma2)[0])
 
 
 def likelihood(q, y, h_mag, x, sigma2):
@@ -70,19 +80,19 @@ class TestQuantize:
 class TestMidpointRule:
     def test_inner_bin(self):
         # bin midpoint 1.0 is closer to h*1 than h*3
-        assert ml_detect_midpoint(C13, Q2, 1.0, 1) == 1
+        assert midpoint(C13, Q2, 1.0, 1) == 1
 
     def test_saturation_largest_symbol(self):
-        assert ml_detect_midpoint(C13, Q2, 1.0, 2) == 2
+        assert midpoint(C13, Q2, 1.0, 2) == 2
         assert brute_force_detect(C13, Q2, 1.0, 2, 1.0) == 2
 
     def test_saturation_weak_channel(self):
-        got = ml_detect_midpoint(C13, Q2, 0.4, 2)
+        got = midpoint(C13, Q2, 0.4, 2)
         assert got == brute_force_detect(C13, Q2, 0.4, 2, 1.0)
 
     def test_negative_mirror(self):
-        pos = ml_detect_midpoint(C13, Q3, 0.7, 2)
-        neg = ml_detect_midpoint(C13, Q3, 0.7, -2)
+        pos = midpoint(C13, Q3, 0.7, 2)
+        neg = midpoint(C13, Q3, 0.7, -2)
         assert neg == -pos
 
     @settings(max_examples=200, deadline=None)
@@ -94,7 +104,7 @@ class TestMidpointRule:
     def test_matches_likelihood_argmax(self, h, y, sigma2):
         # the midpoint rule is noise-level-free; the likelihood argmax
         # must agree for every sigma wherever the argmax is unambiguous
-        got = ml_detect_midpoint(C13, Q3, h, y)
+        got = midpoint(C13, Q3, h, y)
         with mpmath.workdps(60):
             symbols = [(-1, -1.0), (-2, -3.0), (1, 1.0), (2, 3.0)]
             ps = {s: likelihood(Q3, y, h, x, sigma2) for s, x in symbols}
@@ -106,57 +116,64 @@ class TestMidpointRule:
     @settings(max_examples=200, deadline=None)
     @given(h=st.floats(0.05, 5.0, allow_nan=False), y=st.integers(1, 4))
     def test_region_rule_equivalence(self, h, y):
-        i = abs(ml_detect_midpoint(C13, Q3, h, y)) - 1
-        reg = decision_region(C13, Q3, y, i)
-        assert reg.lower <= h * h <= reg.upper
+        i = abs(midpoint(C13, Q3, h, y)) - 1
+        lower, upper = decision_region(C13, Q3, y, i)
+        assert lower <= h * h <= upper
 
 
 class TestDecisionRegion:
     def test_plug_in(self):
-        reg = decision_region(C13, Q2, 1, 1)
-        assert reg.lower == 0.0
-        assert reg.upper == pytest.approx(0.25)
+        lower, upper = decision_region(C13, Q2, 1, 1)
+        assert lower == 0.0
+        assert upper == pytest.approx(0.25)
 
     def test_saturation_regions(self):
-        empty = decision_region(C13, Q2, 2, 0)
-        assert empty.lower >= empty.upper
-        full = decision_region(C13, Q2, 2, 1)
-        assert full.lower == 0.0 and full.upper == math.inf
+        lower, upper = decision_region(C13, Q2, 2, 0)
+        assert lower >= upper
+        assert decision_region(C13, Q2, 2, 1) == (0.0, math.inf)
 
     def test_tiling(self):
         c = Constellation((1.0, 2.0, 4.0, 8.0))
         q = Quantizer((0.5, 1.5, 3.0), bits=3)
         for y in range(1, q.K + 1):
-            regs = sorted(
-                (decision_region(c, q, y, i) for i in range(4)),
-                key=lambda r: r.lower,
-            )
-            assert regs[0].lower == 0.0
-            assert regs[-1].upper == math.inf
-            for a, b in zip(regs, regs[1:]):
-                assert a.upper == pytest.approx(b.lower, rel=1e-14)
+            regs = sorted(decision_region(c, q, y, i) for i in range(4))
+            assert regs[0][0] == 0.0
+            assert regs[-1][1] == math.inf
+            for (_, a_upper), (b_lower, _) in zip(regs, regs[1:]):
+                assert a_upper == pytest.approx(b_lower, rel=1e-14)
 
     def test_noiseless_subset(self):
         for y in range(1, Q3.K + 2):
             for i in range(2):
-                d = decision_region(C13, Q3, y, i)
-                n = noiseless_region(C13, Q3, y, i)
-                if n.lower >= n.upper:
+                d_lower, d_upper = decision_region(C13, Q3, y, i)
+                n_lower, n_upper = noiseless_region(C13, Q3, y, i)
+                if n_lower >= n_upper:
                     continue
-                assert d.lower <= n.lower + 1e-15
-                assert n.upper <= d.upper + 1e-15
+                assert d_lower <= n_lower + 1e-15
+                assert n_upper <= d_upper + 1e-15
 
     def test_noiseless_nonempty_at_optimum(self):
         q = Quantizer((1.5722,), bits=2)
-        reg = noiseless_region(C13, q, 1, 0)
-        assert reg.lower < reg.upper
+        lower, upper = noiseless_region(C13, q, 1, 0)
+        assert lower < upper
+
+    @pytest.mark.parametrize("region", [decision_region, noiseless_region])
+    def test_range_checks(self, region):
+        # y runs over [1, K+1] = [1, 4] for Q3, i over [0, M/2) = [0, 2) for C13
+        for y in (0, -1, Q3.K + 2):
+            with pytest.raises(ValueError):
+                region(C13, Q3, y, 0)
+        for i in (-1, C13.half_size):
+            with pytest.raises(IndexError):
+                region(C13, Q3, 1, i)
+        region(C13, Q3, Q3.K + 1, C13.half_size - 1)
 
 
 class TestSimoRule:
     def test_reduces_to_single_antenna(self):
         for h in (0.3, 0.9, 2.0):
             for y in (1, 2, -1):
-                single = ml_detect_simo(C13, Q2, [h], [y], 1.0)
+                single = simo(C13, Q2, [h], [y], 1.0)
                 assert single == brute_force_detect(C13, Q2, h, y, 1.0)
 
     def test_matches_midpoint_rule_at_one_antenna(self):
@@ -175,8 +192,8 @@ class TestSimoRule:
     def test_repeated_observation_agrees(self):
         for h in (0.5, 1.1):
             for y in (1, 2):
-                one = ml_detect_simo(C13, Q2, [h], [y], 0.8)
-                two = ml_detect_simo(C13, Q2, [h, h], [y, y], 0.8)
+                one = simo(C13, Q2, [h], [y], 0.8)
+                two = simo(C13, Q2, [h, h], [y, y], 0.8)
                 assert one == two
 
     @settings(max_examples=200, deadline=None)
@@ -188,7 +205,7 @@ class TestSimoRule:
         sigma2=st.sampled_from([0.2, 1.0, 5.0]),
     )
     def test_matches_brute_force(self, h1, h2, y1, y2, sigma2):
-        got = ml_detect_simo(C13, Q2, [h1, h2], [y1, y2], sigma2)
+        got = simo(C13, Q2, [h1, h2], [y1, y2], sigma2)
         with mpmath.workdps(60):
             scored = []
             for sid, x in [(-2, -3.0), (-1, -1.0), (1, 1.0), (2, 3.0)]:

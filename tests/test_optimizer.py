@@ -103,6 +103,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             quantizer_problem(**bad)
 
+    @pytest.mark.parametrize("kind", ["quantizer_only", "uniform_step_only"])
+    def test_M_must_match_fixed_constellation(self, kind):
+        with pytest.raises(ValueError, match="disagrees"):
+            quantizer_problem(M=16, variables=kind)
+
     def test_variable_kind_validation(self):
         with pytest.raises(ValueError):
             quantizer_problem(variables="nope")

@@ -8,7 +8,6 @@ from pamq import (
     Constellation,
     GeometricConstellation,
     Quantizer,
-    UniformQuantizer,
     equidistant_constellation,
     sigma2_from_snr,
     symbol_energy,
@@ -84,8 +83,14 @@ class TestQuantizer:
             Quantizer((1.0, 0.5, 2.0), bits=3)
 
     def test_uniform_materialization(self):
-        q = UniformQuantizer(0.25, bits=3).materialize()
+        q = Quantizer.uniform(0.25, bits=3)
         assert q.positive_boundaries == (0.25, 0.5, 0.75)
+        for step in (0.0, -0.25):
+            with pytest.raises(ValueError, match="step must be positive"):
+                Quantizer.uniform(step, bits=3)
+        for bits in (1, 0, -1):
+            with pytest.raises(ValueError, match="bits must be >= 2"):
+                Quantizer.uniform(0.25, bits)
 
 
 class TestChannelAndSnr:
