@@ -6,7 +6,13 @@ Usage:
     python3 demos/make_figures.py --all
 
 Each recipe is a JSON file under figures/ with a "kind" field selecting
-one of the generators below. Output CSVs land in figures/out/.
+one of the generators below (KINDS), and a "figure" field equal to its
+file stem. Output CSVs land in figures/out/.
+
+Per-SNR designs come from one optimize_sweep per curve. sep_vs_snr_by_m
+writes each point's q1 (the paper's q1* panel) and simulates every fifth
+point as a Monte Carlo marker with that point's own design, seeded
+seed + marker index. simo_mc designs once for all of its antenna counts.
 """
 import argparse
 import json
@@ -25,7 +31,7 @@ from pamq import (
     default_alpha,
     dvo_experiment,
     optimal_floor_log2,
-    optimize,
+    optimize_sweep,
     sep_aqnm,
     sep_closed_form,
     simulate,
@@ -69,46 +75,39 @@ def boundary_sweep(cfg):
 
 def sep_vs_snr_by_m(cfg):
     cons = _cons(cfg["constellation"]).normalized()
+    grid = _grid(cfg["snr_db"])
     rows = []
     for m in cfg["m_list"]:
         ch = ChannelModel(m, cfg["omega"])
-        init = None
-        for sdb in _grid(cfg["snr_db"]):
-            snr = 10.0 ** (sdb / 10.0)
-            p = DesignProblem(
-                channel=ch, M=cons.M, bits=cfg["bits"],
-                variables="quantizer_only", snr=snr, constellation=cons,
-                n_starts=6, seed=cfg["seed"], init_quantizer=init,
-            )
-            r = optimize(p)
-            init = r.quantizer
-            rows.append((m, sdb, r.sep, "closed_form"))
-        spec = SimSpec(
-            constellation=cons, quantizer=init, channel=ch,
-            snr_db=tuple(_grid(cfg["snr_db"])[::5]),
-            trials=cfg["mc_trials"], seed=cfg["seed"],
+        p = DesignProblem(
+            channel=ch, M=cons.M, bits=cfg["bits"], variables="quantizer_only",
+            constellation=cons, n_starts=6, seed=cfg["seed"],
         )
-        for est in simulate(spec):
-            rows.append((m, est.snr_db, est.sep_hat, "monte_carlo"))
-    _write(cfg["figure"], ["m", "snr_db", "sep", "method"], rows)
+        designs = optimize_sweep(p, grid)
+        for sdb, r in zip(grid, designs):
+            rows.append((m, sdb, r.sep, r.quantizer.boundary(1), "closed_form"))
+        for marker, (sdb, r) in enumerate(zip(grid[::5], designs[::5])):
+            spec = SimSpec(
+                constellation=cons, quantizer=r.quantizer, channel=ch, snr_db=(sdb,),
+                trials=cfg["mc_trials"], seed=cfg["seed"] + marker,
+            )
+            est = simulate(spec)[0]
+            rows.append((m, sdb, est.sep_hat, r.quantizer.boundary(1), "monte_carlo"))
+    _write(cfg["figure"], ["m", "snr_db", "sep", "q1", "method"], rows)
 
 
 def exact_vs_aqnm_by_bits(cfg):
     cons = _cons(cfg["constellation"]).normalized()
     ch = ChannelModel(cfg["m"], cfg["omega"])
+    grid = _grid(cfg["snr_db"])
     rows = []
     for bits in cfg["bits_list"]:
-        init = None
-        for sdb in _grid(cfg["snr_db"]):
-            snr = 10.0 ** (sdb / 10.0)
-            p = DesignProblem(
-                channel=ch, M=cons.M, bits=bits, variables="quantizer_only",
-                snr=snr, constellation=cons, n_starts=6, seed=cfg["seed"],
-                init_quantizer=init,
-            )
-            r = optimize(p)
-            init = r.quantizer
-            aq = sep_aqnm(cons, snr, default_alpha(bits)).value
+        p = DesignProblem(
+            channel=ch, M=cons.M, bits=bits, variables="quantizer_only",
+            constellation=cons, n_starts=6, seed=cfg["seed"],
+        )
+        for sdb, r in zip(grid, optimize_sweep(p, grid)):
+            aq = sep_aqnm(cons, 10.0 ** (sdb / 10.0), default_alpha(bits)).value
             rows.append((bits, sdb, r.sep, aq))
     _write(cfg["figure"], ["bits", "snr_db", "sep_exact", "sep_aqnm"], rows)
 
@@ -152,19 +151,15 @@ def diversity_order(cfg):
 
 def simo_mc(cfg):
     ch = ChannelModel(cfg["m"], 1.0)
+    grid = _grid(cfg["snr_db"])
+    p = DesignProblem(
+        channel=ch, M=cfg["mod"], bits=cfg["bits"], variables="joint_nonuniform",
+        n_starts=6, seed=cfg["seed"],
+    )
+    designs = optimize_sweep(p, grid)
     rows = []
     for n_r in cfg["antennas_list"]:
-        init_c, init_q = None, None
-        for sdb in _grid(cfg["snr_db"]):
-            snr = 10.0 ** (sdb / 10.0)
-            p = DesignProblem(
-                channel=ch, M=cfg["mod"], bits=cfg["bits"],
-                variables="joint_nonuniform", snr=snr, n_starts=6,
-                seed=cfg["seed"], init_quantizer=init_q,
-                init_constellation=init_c,
-            )
-            r = optimize(p)
-            init_c, init_q = r.constellation, r.quantizer
+        for sdb, r in zip(grid, designs):
             spec = SimSpec(
                 constellation=r.constellation, quantizer=r.quantizer,
                 channel=ch, snr_db=(sdb,), trials=cfg["trials"],

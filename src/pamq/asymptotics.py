@@ -11,9 +11,9 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .montecarlo import SimSpec, simulate
-from .optimizer import DesignProblem, lemma7_rho_star, optimize, xg_design
+from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
 from .sep import floor_geometric
-from .system import ChannelModel, GeometricConstellation, Quantizer
+from .system import ChannelModel, GeometricConstellation, Quantizer, _boundary_count
 
 __all__ = [
     "DvoEstimate",
@@ -84,23 +84,15 @@ def dvo_fit(curve, window):
 
 def _warm_start(m, bits, M, snr, uniform):
     """Analytic geometric-schedule design used to seed the joint optimizer."""
-    n = 2**bits - M + 2
     sigma = math.sqrt((2.0 / M) / snr)
-    if uniform:
-        rho = lemma7_rho_star(A=2.0 * m, B=2.0, C=float(m), sigma=sigma)
-    else:
-        rho = lemma7_rho_star(A=float(m * n), B=float(M - 2), C=float(m), sigma=sigma)
+    top = 4 if uniform else 2**bits  # uniform designs have M = 4 (dvo_theory)
+    rho = lemma7_rho_star(A=float(m * (top - M + 2)), B=float(M - 2), C=float(m), sigma=sigma)
     rho = min(rho, 0.9)
     cg = GeometricConstellation(rho, M)
+    q1 = math.sqrt(cg.C**2 * rho ** (0.5 * (M - 2 + top)))
     if uniform:
-        a_exp = 0.5 * (M - 2 + 4)
-    else:
-        a_exp = 0.5 * (M - 2 + 2**bits)
-    q1 = math.sqrt(cg.C**2 * rho**a_exp)
-    cons, quant = xg_design(rho, q1, M, bits)
-    if uniform:
-        quant = Quantizer.uniform(q1, bits)
-    return cons, quant
+        return cg.materialize(), Quantizer.uniform(q1, bits)
+    return xg_design(rho, q1, M, bits)
 
 
 def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed=0):
@@ -120,18 +112,10 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed
     if len(snr_db_grid) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
     init_c, init_q = _warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform)
-
-    designs = []
-    for sdb in snr_db_grid:
-        snr = 10.0 ** (sdb / 10.0)
-        p = DesignProblem(
-            channel=ch, M=M, bits=b, variables=kind, snr=snr,
-            n_starts=6, seed=seed,
-            init_quantizer=init_q, init_constellation=init_c,
-        )
-        r = optimize(p)
-        init_c, init_q = r.constellation, r.quantizer
-        designs.append(r)
+    designs = optimize_sweep(DesignProblem(
+        channel=ch, M=M, bits=b, variables=kind, n_starts=6, seed=seed,
+        init_quantizer=init_q, init_constellation=init_c,
+    ), snr_db_grid)
 
     window = (min(snr_db_grid), max(snr_db_grid))
     if n_r == 1:
@@ -177,7 +161,7 @@ def optimal_floor_log2(m, bits, quantizer_kind="nonuniform", omega=1.0):
     0.5 * [P(Z < q_1^2/9) + P(Z > q_K^2)]; evaluated in high precision so
     double-exponentially small floors stay representable.
     """
-    k = 2 ** (bits - 1) - 1
+    k = _boundary_count(bits, max_bits=math.inf)
     mp_m = mpmath.mpf(m)
 
     def log2_floor(log_q1):

@@ -298,8 +298,11 @@ def run(argv):
         _load_config(args.config, subs[args.command])
         args = parser.parse_args(argv)
     env_seed = os.environ.get("PAMQ_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
+    if env_seed is not None and "seed" in vars(args):
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(f"PAMQ_SEED must be an integer, not {env_seed!r}")
     return _COMMANDS[args.command][0](args)
 
 

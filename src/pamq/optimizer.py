@@ -7,7 +7,7 @@ energy, so every candidate is feasible; one that still fails scores 1.0 and
 is counted. Each start runs at most 2000*dim iterations and 4000*dim SEP evaluations.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -15,12 +15,14 @@ from scipy import optimize as sciopt
 from scipy.stats import qmc
 
 from .sep import sep_exact, sep_noiseless
-from .system import Constellation, GeometricConstellation, Quantizer, symbol_energy
+from .system import (Constellation, GeometricConstellation, Quantizer, _boundary_count,
+                     _geometric_boundary, symbol_energy)
 
 __all__ = [
     "DesignProblem",
     "DesignResult",
     "optimize",
+    "optimize_sweep",
     "check_prop2",
     "lemma7_rho_star",
     "xg_design",
@@ -58,14 +60,13 @@ class DesignProblem:
             raise ValueError("snr must be positive (or None for noiseless)")
         if self.M < 4 or self.M & (self.M - 1):
             raise ValueError("M must be a power of two >= 4")
-        if self.bits < 2:
-            raise ValueError("bits must be >= 2")
+        _boundary_count(self.bits)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
 
     @property
     def K(self):
-        return 2 ** (self.bits - 1) - 1
+        return _boundary_count(self.bits)
 
     @property
     def uniform(self):
@@ -163,10 +164,7 @@ def _start_points(p):
     """The first n_starts points of a deterministic start schedule: the
     full schedule is always drawn, so its first n entries are the same
     for any requested start count with a fixed seed."""
-    if p.constellation is not None:
-        es = symbol_energy(p.constellation)
-    else:
-        es = 2.0 / p.M
+    es = 2.0 / p.M if p.constellation is None else symbol_energy(p.constellation)
     scale = math.sqrt(p.channel.omega * es)
     sampler = qmc.LatinHypercube(d=p.dim, seed=p.seed)
     unit = sampler.random(_SCHEDULE_SIZE)
@@ -234,6 +232,17 @@ def optimize(p):
     )
 
 
+def optimize_sweep(p, snr_db_grid):
+    """One DesignResult per point of an SNR grid in dB, by continuation: optimize(p) at
+    each SNR from the previous point's optimum, the first from p's own init_*."""
+    results = []
+    for sdb in snr_db_grid:
+        r = optimize(replace(p, snr=10.0 ** (sdb / 10.0)))
+        p = replace(p, init_quantizer=r.quantizer, init_constellation=r.constellation)
+        results.append(r)
+    return results
+
+
 def check_prop2(result, cg):
     """Adjacent-boundary-ratio diagnostics against the geometric ratio.
 
@@ -259,8 +268,6 @@ def lemma7_rho_star(A, B, C, sigma):
 
 def xg_design(rho, q1, M, bits):
     """Geometric constellation with matching-ratio boundaries q_y = q1 / rho^(y-1)."""
-    cg = GeometricConstellation(rho, M)
-    k = 2 ** (bits - 1) - 1
-    bounds = tuple(q1 / rho ** (y - 1) for y in range(1, k + 1))
-    return cg.materialize(), Quantizer(bounds, bits)
+    bounds = (_geometric_boundary(q1, rho, y) for y in range(1, _boundary_count(bits) + 1))
+    return GeometricConstellation(rho, M).materialize(), Quantizer(tuple(bounds), bits)
 

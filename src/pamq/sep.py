@@ -19,7 +19,7 @@ from scipy import integrate, special
 
 from .detector import _region_bounds
 from .specfun import SQRT_2PI, lower_gamma_reg, moment_primitive, q_func, upper_gamma_reg
-from .system import sigma2_from_snr, symbol_energy
+from .system import _boundary_count, _geometric_boundary, sigma2_from_snr, symbol_energy
 
 __all__ = [
     "SepResult",
@@ -59,6 +59,14 @@ def _clamp_probability(p):
     if not -CLAMP_SLACK <= p <= 1.0 + CLAMP_SLACK:
         raise ArithmeticError(f"probability {p} outside [0,1] beyond slack")
     return min(max(p, 0.0), 1.0)
+
+
+def _square(x):
+    """x ** 2, or +inf where that overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _gamma_survival(m, omega, z):
@@ -269,57 +277,34 @@ def floor_bounds(c, q, ch):
     The upper bound assumes adjacent boundary ratios equal the minimum
     adjacent amplitude ratio; both collapse to the exact floor at M = 4.
     """
-    amps = c.amplitudes
-    m, omega = ch.m, ch.omega
-    q1 = q.boundary(1)
-    qk = q.boundary(q.K)
-    low_mass = float(lower_gamma_reg(m, m * (q1 / amps[1]) ** 2 / omega))
-    high_mass = float(upper_gamma_reg(m, m * (qk / amps[c.half_size - 2]) ** 2 / omega))
-    bracket = low_mass + high_mass
+    f_l, f_u = _floor_bracket(c, q.boundary(1), q.boundary(q.K), ch)
+    return SepResult(f_l, "bound_lower"), SepResult(f_u, "bound_upper")
+
+
+def _floor_bracket(c, q1, qk, ch):
+    """floor_bounds' (f_L, f_U) from q_1 and q_K alone; qk may be +inf."""
+    amps, m, omega = c.amplitudes, ch.m, ch.omega
+    bracket = (float(lower_gamma_reg(m, m * _square(q1 / amps[1]) / omega))
+               + float(upper_gamma_reg(m, m * _square(qk / amps[-2]) / omega)))
     f_l = _clamp_probability(2.0 / c.M * bracket)
     # the raw upper bound can exceed 1 (vacuous); 1 is still a valid bound
-    f_u = _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))
-    return (
-        SepResult(f_l, "bound_lower"),
-        SepResult(f_u, "bound_upper"),
-    )
+    return f_l, _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))
 
 
 def floor_geometric(cg, q1, ch, bits, uniform=False):
-    """Upper bound on the noiseless SEP of the geometric constellation.
-
-    Non-uniform path assumes boundaries q_y = q_1 / rho^(y-1) (the noiseless
-    optimality condition) and needs 2^b > M - 2; the uniform path takes q1
-    as the step and needs M = 4, b > 1.
-    """
-    m, omega = ch.m, ch.omega
-    M = cg.M
-    rho = cg.rho
-    c2 = cg.C**2
+    """floor_bounds' upper bound on the noiseless SEP of the geometric constellation
+    with boundaries q_y = q_1 / rho^(y-1), the noiseless optimality condition
+    (needs 2^b > M - 2), or with the uniform step q1 (needs M = 4, b > 1). It
+    forms only q_1 and q_K, so b is not held to MAX_BITS."""
     if q1 <= 0:
         raise ValueError("q1 must be positive")
-    coeff = M / 4.0 - 0.5
-    if uniform:
-        if M != 4 or bits < 2:
-            raise ValueError("uniform bound requires M = 4 and b > 1")
-        k = 2 ** (bits - 1) - 1
-        x_lo = m / omega * q1**2 / (c2 * rho ** (M - 2))
-        x_hi = _safe_ratio(m / omega * k**2 * q1**2 / c2, rho, 4)
-    else:
-        if 2**bits <= M - 2:
-            raise ValueError("non-uniform bound requires 2^b > M - 2")
-        x_lo = m / omega * q1**2 / (c2 * rho ** (M - 2))
-        x_hi = _safe_ratio(m / omega * q1**2 / c2, rho, 2**bits)
-    val = float(lower_gamma_reg(m, x_lo)) + float(upper_gamma_reg(m, x_hi))
-    return _clamp_probability(coeff * val)
-
-
-def _safe_ratio(num, rho, power):
-    """num / rho^power without intermediate under/overflow."""
-    log_x = math.log(num) - power * math.log(rho)
-    if log_x > 700.0:
-        return math.inf
-    return math.exp(log_x)
+    if uniform and (cg.M != 4 or bits < 2):
+        raise ValueError("uniform bound requires M = 4 and b > 1")
+    if not uniform and 2**bits <= cg.M - 2:
+        raise ValueError("non-uniform bound requires 2^b > M - 2")
+    k = _boundary_count(bits, max_bits=math.inf)
+    qk = k * q1 if uniform else _geometric_boundary(q1, cg.rho, k)
+    return _floor_bracket(cg.materialize(), q1, qk, ch)[1]
 
 
 def sep_aqnm(c, snr, alpha):

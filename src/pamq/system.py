@@ -20,6 +20,21 @@ __all__ = [
     "sigma2_from_snr",
 ]
 
+MAX_BITS = 16  # largest ADC resolution: 2^15 - 1 boundaries
+
+
+def _boundary_count(bits, max_bits=MAX_BITS):
+    """K = 2^(b-1) - 1 positive boundaries of a b-bit quantizer, 2 <= b <= max_bits."""
+    if not 2 <= bits <= max_bits:
+        raise ValueError("bits must be >= 2" if bits < 2 else f"bits must be <= {max_bits}")
+    return 2 ** (bits - 1) - 1
+
+
+def _geometric_boundary(q1, rho, y):
+    """q_y = q1 / rho^(y-1) of boundary ratio rho, or +inf where that leaves float64."""
+    r = rho ** (y - 1)
+    return q1 / r if r > 0.0 else math.inf
+
 
 def _as_tuple(values):
     return tuple(float(v) for v in values)
@@ -112,13 +127,13 @@ class Quantizer:
     def __post_init__(self):
         bounds = _as_tuple(self.positive_boundaries)
         object.__setattr__(self, "positive_boundaries", bounds)
-        if self.bits < 2:
-            raise ValueError("bits must be >= 2")
-        k = 2 ** (self.bits - 1) - 1
+        k = _boundary_count(self.bits)
         if len(bounds) != k:
             raise ValueError(f"expected {k} boundaries for {self.bits} bits")
         if bounds[0] <= 0:
             raise ValueError("boundaries must be positive")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("boundaries must be finite")
         for a, b in zip(bounds, bounds[1:]):
             if a >= b:
                 raise ValueError("boundaries must be strictly increasing")
@@ -128,8 +143,7 @@ class Quantizer:
         """Uniform quantizer with step delta: q_y = y * delta."""
         if step <= 0:
             raise ValueError("step must be positive")
-        # an empty range for bits < 2 leaves that error to __post_init__
-        return cls(tuple(step * y for y in range(1, 2 ** max(bits - 1, 0))), bits)
+        return cls(tuple(step * y for y in range(1, _boundary_count(bits) + 1)), bits)
 
     @property
     def K(self):

@@ -143,6 +143,13 @@ class TestFloorSchedule:
         with pytest.raises(ValueError):
             floor_schedule([0.1], a=8.0, b=3, M=4, ch=ch)  # a = 2^b
 
+    def test_top_boundary_beyond_float(self):
+        # at b = 10, rho^(K-1) underflows for rho = 0.1: the top tail is then 0
+        # and the bound is its lower tail, as the earlier closed form gave
+        ch = ChannelModel(1, 1.0)
+        [(_, val)] = floor_schedule([0.1], a=4.0, b=10, M=4, ch=ch)
+        assert val == pytest.approx(0.004975083125415971, rel=1e-13)
+
     def test_uniform_variant_decreasing(self):
         ch = ChannelModel(1, 1.0)
         out = floor_schedule(

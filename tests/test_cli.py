@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pamq import asymptotics, cli
+from pamq import cli, optimizer
 from pamq.asymptotics import DvoEstimate
 from pamq.cli import main
 
@@ -61,6 +61,22 @@ class TestSepCommand:
         ], capsys)
         assert code == 1
         assert stderr == f"pamq: {message}\n"
+
+
+class TestBitsMaximum:
+    # one bit above the maximum, so that a missing check costs seconds, not memory
+    @pytest.mark.parametrize("argv", [
+        ["sep", "--constellation", "1,3", "--uniform-step", "1", "--snr-db", "10"],
+        ["sep", "--constellation", "1,3", "--q", "1.5", "--snr-db", "10"],
+        ["optimize", "--constellation", "1,3", "--snr-db", "10", "--starts", "1"],
+        ["optimize", "--joint", "--snr-db", "10", "--starts", "1"],
+    ])
+    def test_bits_above_maximum_rejected(self, argv, capsys, monkeypatch):
+        for module in (cli, optimizer):
+            monkeypatch.setattr(module, "optimize", lambda *a, **k: pytest.fail("designed"))
+        code, stdout, err = run_cli(argv + ["--m", "1", "--bits", "17"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "pamq: bits must be <= 16\n"
 
 
 class TestOptimizeCommand:
@@ -134,6 +150,20 @@ class TestSimulateCommand:
         monkeypatch.setenv("PAMQ_SEED", "1")
         _, env_same, _ = run_cli(args[:-2] + ["--seed", "7"], capsys)
         assert env_same == base  # env var wins over the flag
+
+    def test_env_seed_read_only_with_seed_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("PAMQ_SEED", "abc")
+        code, stdout, _ = run_cli([
+            "sep", "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "10",
+        ], capsys)
+        assert code == 0 and stdout.startswith("snr_db,sep,method\n")
+        code, stdout, err = run_cli([
+            "simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "10", "--trials", "100",
+        ], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "pamq: PAMQ_SEED must be an integer, not 'abc'\n"
 
 
 class TestCompareAqnm:
@@ -304,7 +334,7 @@ class TestConfigAndErrors:
 
     def test_dvo_rejects_antennas_before_designing(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(asymptotics, "optimize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optimizer, "optimize", lambda *a, **k: calls.append(a))
         code, stdout, err = run_cli(
             ["dvo", "--joint", "--m", "1", "--bits", "2", "--antennas", "0"], capsys
         )
@@ -315,7 +345,7 @@ class TestConfigAndErrors:
     def test_dvo_rejects_short_window_before_designing(self, capsys, monkeypatch):
         # 20:25 in 2.5 dB steps is 3 points; the fit needs 4
         calls = []
-        monkeypatch.setattr(asymptotics, "optimize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optimizer, "optimize", lambda *a, **k: calls.append(a))
         code, stdout, err = run_cli(
             ["dvo", "--joint", "--m", "1", "--bits", "2", "--window", "20:25"], capsys
         )

@@ -1,0 +1,54 @@
+"""Figure recipes: every recipe under figures/ names a generator of
+demos/make_figures.py, and the Monte Carlo markers of the SEP-versus-SNR
+figure agree with its exact curve."""
+import csv
+import importlib.util
+import json
+import math
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RECIPES = sorted((ROOT / "figures").glob("fig_*.json"))
+
+
+@pytest.fixture(scope="module")
+def make_figures():
+    spec = importlib.util.spec_from_file_location("make_figures",
+                                                  ROOT / "demos" / "make_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recipes_and_generators_agree(make_figures):
+    assert RECIPES
+    kinds = set()
+    for path in RECIPES:
+        cfg = json.loads(path.read_text())
+        assert cfg["figure"] == path.stem, path.name
+        assert cfg["kind"] in make_figures.KINDS, path.name
+        kinds.add(cfg["kind"])
+    assert kinds == set(make_figures.KINDS)
+
+
+def test_sep_nakagami_markers_on_exact_curve(make_figures, tmp_path, monkeypatch):
+    # the committed recipe's grid, trial count and seed, for m = 1 only
+    cfg = json.loads((ROOT / "figures" / "fig_sep_nakagami.json").read_text())
+    cfg["m_list"] = [1]
+    monkeypatch.setattr(make_figures, "OUT", tmp_path)
+    make_figures.sep_vs_snr_by_m(cfg)
+    with open(tmp_path / "fig_sep_nakagami.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["m", "snr_db", "sep", "q1", "method"]
+    exact = {r["snr_db"]: r for r in rows if r["method"] == "closed_form"}
+    markers = [r for r in rows if r["method"] == "monte_carlo"]
+    assert len(exact) == 16 and len(markers) == 4
+    n = cfg["mc_trials"]
+    for marker in markers:
+        curve = exact[marker["snr_db"]]
+        assert marker["q1"] == curve["q1"]
+        p = float(curve["sep"])
+        stderr = math.sqrt(p * (1.0 - p) / n)
+        assert abs(float(marker["sep"]) - p) < 3.0 * stderr, marker["snr_db"]

@@ -17,11 +17,13 @@ from pamq import (
     equidistant_constellation,
     lemma7_rho_star,
     optimize,
+    optimize_sweep,
     sep_closed_form,
     xg_design,
 )
 from pamq import optimizer
 from pamq.optimizer import _objective
+from pamq.system import MAX_BITS
 
 C13 = Constellation((1.0, 3.0))
 RAYLEIGH = ChannelModel(1, 1.0)
@@ -98,7 +100,10 @@ class TestStructure:
         assert qk == pytest.approx(q1 * math.sqrt(k), rel=1e-5)
         assert rk.sep == pytest.approx(r1.sep, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", [dict(n_starts=0), dict(bits=1), dict(M=6), dict(M=2)])
+    @pytest.mark.parametrize("bad", [
+        dict(n_starts=0), dict(bits=1), dict(M=6), dict(M=2), dict(bits=MAX_BITS + 1),
+        dict(bits=MAX_BITS + 1, variables="joint_nonuniform"),
+    ])
     def test_size_validation(self, bad):
         with pytest.raises(ValueError):
             quantizer_problem(**bad)
@@ -116,6 +121,41 @@ class TestStructure:
                 channel=RAYLEIGH, M=4, bits=2, variables="quantizer_only",
                 snr=10.0, constellation=None,
             )
+
+
+def _continuation(p, snr_db_grid):
+    """The per-SNR loop that dvo_experiment ran before optimize_sweep existed."""
+    init_c, init_q = p.init_constellation, p.init_quantizer
+    designs = []
+    for sdb in snr_db_grid:
+        snr = 10.0 ** (sdb / 10.0)
+        point = DesignProblem(
+            channel=p.channel, M=p.M, bits=p.bits, variables=p.variables, snr=snr,
+            constellation=p.constellation, n_starts=p.n_starts, seed=p.seed,
+            init_quantizer=init_q, init_constellation=init_c,
+        )
+        r = optimize(point)
+        init_c, init_q = r.constellation, r.quantizer
+        designs.append(r)
+    return designs
+
+
+class TestSweep:
+    GRID = (10.0, 17.5, 25.0)
+
+    def test_quantizer_only_matches_continuation_loop(self):
+        p = quantizer_problem(bits=3, n_starts=2, seed=3)
+        assert optimize_sweep(p, self.GRID) == _continuation(p, self.GRID)
+
+    def test_joint_matches_continuation_loop(self):
+        cons, quant = xg_design(0.3, 0.05, M=4, bits=2)
+        p = DesignProblem(
+            channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", n_starts=2,
+            seed=1, init_quantizer=quant, init_constellation=cons,
+        )
+        designs = optimize_sweep(p, self.GRID)
+        assert designs == _continuation(p, self.GRID)
+        assert [r.starts_used for r in designs] == [3, 3, 3]
 
 
 class TestObjectiveBits:
@@ -244,4 +284,14 @@ class TestScheduleMinimizer:
         for lo, hi in zip(q, q[1:]):
             assert lo / hi == pytest.approx(0.3, rel=1e-12)
         assert cons.M == 4
+
+    def test_xg_design_boundaries(self):
+        _, quant = xg_design(0.3, 0.05, M=4, bits=3)
+        assert quant.positive_boundaries == (0.05, 0.05 / 0.3, 0.05 / 0.3**2)
+        # 1e10 / 0.5^1022 overflows; 0.5^2046 underflows to 0
+        for q1, bits in ((1e10, 11), (1.0, 12)):
+            with pytest.raises(ValueError, match="boundaries must be finite"):
+                xg_design(0.5, q1, M=4, bits=bits)
+        with pytest.raises(ValueError, match=f"bits must be <= {MAX_BITS}"):
+            xg_design(0.9, 0.1, M=4, bits=MAX_BITS + 1)
 

@@ -22,6 +22,7 @@ from pamq import (
     sep_noiseless,
     sep_quadrature,
     symbol_energy,
+    xg_design,
 )
 
 C13 = Constellation((1.0, 3.0))
@@ -224,6 +225,13 @@ class TestFloorBounds:
         assert f_lo.value == pytest.approx(exact, abs=1e-12)
         assert f_hi.value == pytest.approx(exact, abs=1e-12)
 
+    def test_top_boundary_beyond_float_square(self):
+        # (1e200)^2 overflows a float; the high tail is then exactly 0
+        f_lo, f_hi = floor_bounds(C13, Quantizer((1.0, 2.0, 1e200), 3), RAYLEIGH)
+        low = 0.5 * -math.expm1(-1.0 / 9.0)
+        assert f_lo.value == pytest.approx(low, rel=1e-15)
+        assert f_hi.value == pytest.approx(low, rel=1e-15)
+
     def test_sandwich_at_eight_pam(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -278,6 +286,33 @@ class TestFloorGeometric:
         cg = GeometricConstellation(0.3, 8)
         with pytest.raises(ValueError):
             floor_geometric(cg, 0.1, RAYLEIGH, bits=2)  # 2^b <= M - 2
+
+    def test_vacuous_bound_is_one(self):
+        # the raw bound here is 1.48: vacuous, and 1 is still a valid bound
+        assert floor_geometric(GeometricConstellation(0.9, 8), 0.1, RAYLEIGH, 3) == 1.0
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_bits_beyond_quantizer_maximum(self, uniform):
+        # only q_1 and q_K are formed, so b is not held to MAX_BITS; the top tail
+        # is 0 from b = 16 on, and the bound is its lower tail alone
+        cg = GeometricConstellation(0.3, 4)
+        vals = [floor_geometric(cg, 0.01, RAYLEIGH, b, uniform=uniform) for b in (16, 20)]
+        low = -math.expm1(-(0.01 / cg.materialize().amplitudes[1]) ** 2)
+        assert vals[0] == vals[1] == pytest.approx(0.5 * low, rel=1e-13)
+
+    @pytest.mark.parametrize("rho, M, q1, m, omega, bits, uniform, value", [
+        # values of the tail formula floor_geometric used before it called floor_bounds
+        (0.3, 4, 0.05, 1, 1.0, 3, False, 0.013261507367351022),
+        (0.5, 8, 0.02, 2, 1.5, 4, False, 0.00026799908022287293),
+        (0.3, 4, 0.1, 1, 1.0, 3, True, 0.17352865197901027),
+    ])
+    def test_is_floor_bounds_upper_on_the_design(self, rho, M, q1, m, omega, bits, uniform,
+                                                  value):
+        cg, ch = GeometricConstellation(rho, M), ChannelModel(m, omega)
+        quant = Quantizer.uniform(q1, bits) if uniform else xg_design(rho, q1, M, bits)[1]
+        got = floor_geometric(cg, q1, ch, bits, uniform=uniform)
+        assert got == floor_bounds(cg.materialize(), quant, ch)[1].value
+        assert got == pytest.approx(value, rel=1e-13)
 
 
 class TestAqnm:

@@ -12,6 +12,7 @@ from pamq import (
     sigma2_from_snr,
     symbol_energy,
 )
+from pamq.system import MAX_BITS
 
 
 class TestConstellation:
@@ -91,6 +92,19 @@ class TestQuantizer:
         for bits in (1, 0, -1):
             with pytest.raises(ValueError, match="bits must be >= 2"):
                 Quantizer.uniform(0.25, bits)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_finite_enforced(self, bad):
+        with pytest.raises(ValueError, match="boundaries must be finite"):
+            Quantizer((1.0, 2.0, bad), bits=3)
+
+    def test_bits_maximum(self):
+        assert Quantizer.uniform(1.0, MAX_BITS).K == 2 ** (MAX_BITS - 1) - 1
+        too_many = MAX_BITS + 1  # one above: a missing check costs little memory
+        for build in (lambda: Quantizer((1.0,), too_many),
+                      lambda: Quantizer.uniform(1.0, too_many)):
+            with pytest.raises(ValueError, match=f"bits must be <= {MAX_BITS}"):
+                build()
 
 
 class TestChannelAndSnr:
