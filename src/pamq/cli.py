@@ -175,6 +175,8 @@ def _cmd_optimize(args):
         "sep": result.sep,
         "starts_used": result.starts_used,
         "converged": result.converged,
+        "evals": result.evals,
+        "failed_evals": result.failed_evals,
     })
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 

@@ -28,6 +28,7 @@ __all__ = [
     "sep_closed_form",
     "sep_quadrature",
     "sep_noiseless",
+    "sep_and_grad",
     "floor_bounds",
     "floor_geometric",
     "sep_aqnm",
@@ -258,6 +259,155 @@ def sep_exact(c, q, ch, snr):
     if ch.integer_m:
         return sep_closed_form(c, q, ch, snr)
     return sep_quadrature(c, q, ch, snr)
+
+
+def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
+    """_h_series' value, bit for bit, with dH/dc, dH/db and the Q factors Q(-c + sqrt(b z))
+    at z_lo and z_hi, by which the Leibniz terms dH/dz_hi = Q f_Z(z_hi) and dH/dz_lo =
+    -Q f_Z(z_lo) go. In t = sqrt(z), dH/dc = A T_(2m-1) and dH/db = -A T_(2m) / (2 sqrt(b)),
+    with T_k the integral of t^k exp(-u^2/2) du over the u interval of the series."""
+    if math.isinf(c):
+        return g_lo - g_hi, 0.0, 0.0, 1.0, 1.0
+    if b == 0.0:
+        q_c, mass = float(q_func(-c)), g_lo - g_hi
+        return q_c * mass, math.exp(-0.5 * c * c) / SQRT_2PI * mass, 0.0, q_c, q_c
+
+    q_lo = float(q_func(-c + math.sqrt(b * z_lo)))
+    boundary = q_lo * g_lo
+    q_hi = 0.0
+    if not math.isinf(z_hi):
+        q_hi = float(q_func(-c + math.sqrt(b * z_hi)))
+        boundary -= q_hi * g_hi
+
+    alpha = 2.0 * m / (omega * b)
+    s = alpha + 1.0
+
+    def u_of(z):
+        if math.isinf(z):
+            return math.inf
+        return (-c + s * math.sqrt(b * z)) / math.sqrt(s)
+
+    u_hi, u_lo = u_of(z_hi), u_of(z_lo)
+    f = [moment_primitive(u_hi, l) - moment_primitive(u_lo, l) for l in range(2 * m - 1)]
+    expo = math.exp(-0.5 * c * c * alpha / s)
+    terms = []
+    if c > 0.0:
+        for r in range(m):
+            base = (m / (omega * b)) ** r / (SQRT_2PI * math.factorial(r))
+            for l in range(2 * r + 1):
+                terms.append(
+                    base
+                    * math.comb(2 * r, l)
+                    * expo
+                    * c ** (2 * r - l)
+                    * f[l]
+                    / s ** (2 * r - 0.5 * (l - 1))
+                )
+    else:
+        scale = math.sqrt(omega * b / (omega * b + 2.0 * m)) / SQRT_2PI
+        for r in range(m):
+            terms.append(
+                (m / (omega * b + 2.0 * m)) ** r
+                * scale
+                * f[2 * r]
+                / math.factorial(r)
+            )
+    value = boundary - math.fsum(terms)
+
+    # the two orders above the series, by parts: F_l = [-u^(l-1) e^(-u^2/2)] + (l-1) F_(l-2)
+    e_lo = math.exp(-0.5 * u_lo * u_lo)
+    e_hi = 0.0 if math.isinf(u_hi) else math.exp(-0.5 * u_hi * u_hi)
+    for k in (2 * m - 2, 2 * m - 1):
+        edges = u_lo ** k * e_lo - (u_hi ** k * e_hi if e_hi else 0.0)
+        f.append(edges + k * f[k - 1] if k else edges)
+    # T_k: t^k against exp(-u^2/2) du, where t = sqrt(z) = r_c + r_u u
+    r_c, r_u = c / (s * math.sqrt(b)), 1.0 / math.sqrt(b * s)
+    t_odd = t_even = 0.0
+    for l in range(2 * m):
+        t_odd += math.comb(2 * m - 1, l) * r_c ** (2 * m - 1 - l) * r_u ** l * f[l]
+    for l in range(2 * m + 1):
+        t_even += math.comb(2 * m, l) * r_c ** (2 * m - l) * r_u ** l * f[l]
+    lead = (2.0 * (m / omega) ** m * expo
+            / (math.factorial(m - 1) * SQRT_2PI * math.sqrt(b * s)))
+    d_c = lead * t_odd
+    d_b = -lead * t_even / (2.0 * math.sqrt(b))
+    return value, d_c, d_b, q_lo, q_hi
+
+
+def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper, reach):
+    """Add weight * dz/d(q, rho) for the endpoint z of region (y, i) that _region_bounds
+    gave. An endpoint in (0, inf) is the square of a ratio, of q_(y-1) + q_y over
+    rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1) (lower), or, where the reach region
+    binds, of q_y (upper) or q_(y-1) (lower) over rho_i."""
+    if not 0.0 < z < math.inf or weight == 0.0:
+        return
+    amps = c.amplitudes
+    k = y if upper else y - 1
+    if reach and z == (q.boundary(k) / amps[i]) ** 2:
+        ks, js = (k,), (i,)
+    else:
+        ks, js = (y - 1, y), (i, i - 1 if upper else i + 1)
+    num = sum(q.boundary(x) for x in ks)
+    den = sum(amps[x] for x in js)
+    for x in ks:
+        if 1 <= x <= q.K:
+            grad_q[x - 1] += weight * 2.0 * z / num
+    for x in js:
+        grad_rho[x] -= weight * 2.0 * z / den
+
+
+def sep_and_grad(c, q, ch, snr):
+    """SEP and its gradient: (value, dSEP/dq_y for y = 1..K, dSEP/drho_i for
+    i = 0..M/2-1), the amplitude derivatives at fixed sigma. The value is bit for
+    bit sep_closed_form's (integer m only) or, with snr None, sep_noiseless' (any m)."""
+    grad_q, grad_rho = [0.0] * q.K, [0.0] * c.half_size
+    m, omega, amps = ch.m, ch.omega, c.amplitudes
+    pdf = _log_gamma_pdf(m, omega)
+    weight = -2.0 / c.M  # dSEP / dP(correct)
+    if snr is None:
+        total = 0.0
+        for y, i, lower, upper in _decision_regions(c, q, reach=True):
+            hi = 1.0 if math.isinf(upper) else float(special.gammainc(m, m * upper / omega))
+            lo = float(special.gammainc(m, m * lower / omega))
+            total += hi - lo
+            _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i,
+                               True, True)
+            _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i,
+                               False, True)
+        return _clamp_probability(1.0 - 2.0 / c.M * total), grad_q, grad_rho
+
+    if not ch.integer_m:
+        raise ValueError("the noisy gradient requires integer m")
+    m = int(m)
+    sigma2 = sigma2_from_snr(c, snr)
+    sigma = math.sqrt(sigma2)
+    dc_dq = math.sqrt(2.0) / sigma
+    survival = {}
+    terms = []
+    for y, i, lower, upper in _decision_regions(c, q):
+        b_i = 2.0 * amps[i] ** 2 / sigma2
+        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
+        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
+        for z in (lower, upper):
+            if z not in survival:
+                survival[z] = _gamma_survival(m, omega, z)
+        g_lo, g_hi = survival[lower], survival[upper]
+        h_hi, dc_hi, db_hi, qlo_hi, qhi_hi = _h_series_grad(m, omega, b_i, c_hi, lower, upper,
+                                                             g_lo, g_hi)
+        h_lo, dc_lo, db_lo, qlo_lo, qhi_lo = _h_series_grad(m, omega, b_i, c_lo, lower, upper,
+                                                             g_lo, g_hi)
+        terms.append(h_hi - h_lo)
+        if y <= q.K:
+            grad_q[y - 1] += weight * dc_hi * dc_dq
+        if y >= 2:
+            grad_q[y - 2] -= weight * dc_lo * dc_dq
+        grad_rho[i] += weight * (db_hi - db_lo) * 4.0 * amps[i] / sigma2
+        _add_endpoint_grad(grad_q, grad_rho, weight * (qhi_hi - qhi_lo) * pdf(upper), upper,
+                           c, q, y, i, True, False)
+        _add_endpoint_grad(grad_q, grad_rho, -weight * (qlo_hi - qlo_lo) * pdf(lower), lower,
+                           c, q, y, i, False, False)
+    p_correct = 2.0 / c.M * math.fsum(terms)
+    return _clamp_probability(1.0 - p_correct), grad_q, grad_rho
 
 
 def sep_noiseless(c, q, ch):

@@ -89,6 +89,22 @@ class TestOptimizeCommand:
         payload = json.loads(stdout)
         assert payload["boundaries"][0] == pytest.approx(Q1_STAR, abs=1e-4)
         assert payload["sep"] == pytest.approx(FLOOR_STAR, abs=1e-6)
+        assert payload["converged"] is True
+        assert payload["evals"] > 0 and payload["failed_evals"] == 0
+
+    def test_prints_failed_evals(self, capsys, monkeypatch):
+        # every candidate fails: both counts show, and no start converged
+        def failing(c, q, ch, snr):
+            raise ArithmeticError("injected")
+
+        monkeypatch.setattr(optimizer, "sep_and_grad", failing)
+        code, stdout, _ = run_cli([
+            "optimize", "--noiseless", "--m", "1", "--bits", "2",
+            "--constellation", "1,3", "--starts", "2",
+        ], capsys)
+        assert code == 2
+        payload = json.loads(stdout)
+        assert payload["failed_evals"] == payload["evals"] > 0
 
 
 class TestFloorCommand:

@@ -17,6 +17,7 @@ from pamq import (
     h_function_quad,
     lloyd_max_gaussian,
     q_func,
+    sep_and_grad,
     sep_aqnm,
     sep_closed_form,
     sep_noiseless,
@@ -24,6 +25,7 @@ from pamq import (
     symbol_energy,
     xg_design,
 )
+from pamq import sep
 
 C13 = Constellation((1.0, 3.0))
 RAYLEIGH = ChannelModel(1, 1.0)
@@ -151,6 +153,118 @@ class TestBitIdentity:
             for db in self.QUADRATURE_DB
         )
         assert got == self.QUADRATURE[M, bits, m]
+
+
+def _random_design(rng, M, bits):
+    amps = np.sort(rng.uniform(0.1, 3.0, M // 2))
+    bounds = np.sort(rng.uniform(0.1, 3.0, 2 ** (bits - 1) - 1))
+    return Constellation(tuple(amps)), Quantizer(tuple(bounds), bits)
+
+
+class TestSepAndGrad:
+    """sep_and_grad: its value is the engine's, bit for bit, and its gradient a
+    four-point central difference of the engine's SEP, at fixed sigma."""
+
+    GRID = [(M, bits, m) for M in (4, 8) for bits in (2, 3, 4) for m in (1, 2, 5)]
+    SHAPES = (0.5, 1.0, 1.5, 3.0)
+
+    @pytest.mark.parametrize("M,bits,m", GRID)
+    def test_value_is_closed_form(self, M, bits, m):
+        rng = np.random.default_rng([M, bits, m])
+        for _ in range(4):
+            c, q = _random_design(rng, M, bits)
+            snr = 10.0 ** (rng.uniform(0.0, 40.0) / 10.0)
+            ch = ChannelModel(m, float(rng.uniform(0.5, 2.0)))
+            assert sep_and_grad(c, q, ch, snr)[0] == sep_closed_form(c, q, ch, snr).value
+        c, q = _odd_pam(M, bits)
+        for db in TestBitIdentity.CLOSED_FORM_DB:
+            assert sep_and_grad(c, q, ChannelModel(m), 10.0 ** (db / 10.0))[0] == (
+                sep_closed_form(c, q, ChannelModel(m), 10.0 ** (db / 10.0)).value)
+
+    @pytest.mark.parametrize("m", SHAPES)
+    def test_value_is_noiseless(self, m):
+        rng = np.random.default_rng(int(2 * m))
+        for M in (4, 8):
+            for bits in (2, 3, 4):
+                c, q = _random_design(rng, M, bits)
+                ch = ChannelModel(m, float(rng.uniform(0.5, 2.0)))
+                assert sep_and_grad(c, q, ch, None)[0] == sep_noiseless(c, q, ch).value
+
+    @staticmethod
+    def _check_gradient(c, q, ch, snr, rel_step):
+        _, grad_q, grad_rho = sep_and_grad(c, q, ch, snr)
+        es = symbol_energy(c)
+
+        def sep_at(amps, bounds):
+            c2, q2 = Constellation(tuple(amps)), Quantizer(tuple(bounds), q.bits)
+            if snr is None:
+                return sep_noiseless(c2, q2, ch).value
+            # the same sigma: snr scaled with the symbol energy
+            return sep_closed_form(c2, q2, ch, snr * symbol_energy(c2) / es).value
+
+        amps, bounds = list(c.amplitudes), list(q.positive_boundaries)
+        for vec, grad, is_q in ((bounds, grad_q, True), (amps, grad_rho, False)):
+            for k, g in enumerate(grad):
+                h = rel_step * vec[k]
+
+                def at(d):
+                    moved = list(vec)
+                    moved[k] += d
+                    return sep_at(amps, moved) if is_q else sep_at(moved, bounds)
+
+                fd = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+                assert g == pytest.approx(fd, rel=1e-5, abs=1e-9), (is_q, k)
+
+    @pytest.mark.parametrize("M,bits,m", GRID)
+    def test_gradient_matches_difference(self, M, bits, m):
+        rng = np.random.default_rng([M, bits, m, 1])
+        for db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            c, q = _random_design(rng, M, bits)
+            self._check_gradient(c, q, ChannelModel(m, float(rng.uniform(0.5, 2.0))),
+                                 10.0 ** (db / 10.0), 1e-5)
+
+    @pytest.mark.parametrize("m", SHAPES)
+    def test_noiseless_gradient_matches_difference(self, m):
+        rng = np.random.default_rng(int(4 * m) + 7)
+        for M in (4, 8):
+            for bits in (2, 3, 4):
+                c, q = _random_design(rng, M, bits)
+                self._check_gradient(c, q, ChannelModel(m, float(rng.uniform(0.5, 2.0))),
+                                     None, 1e-6)
+
+    def test_h_series_derivatives(self):
+        # the value is _h_series' bit for bit; dH/dc and dH/db match a difference of
+        # h_function, also at b = 0 (dH/dc only) and c = +inf (no dependence)
+        rng = np.random.default_rng(3)
+        cases = [(int(rng.integers(1, 6)), float(rng.uniform(0.3, 3.0)),
+                  float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.5, 8.0)),
+                  *sorted(rng.uniform(0.0, 2.0, 2))) for _ in range(30)]
+        cases += [(2, 1.0, 0.0, 1.5, 0.2, 0.9), (3, 1.5, 4.0, math.inf, 0.1, math.inf),
+                  (1, 1.0, 2.0, 0.7, 0.3, math.inf)]
+        for m, omega, b, c, z_lo, z_hi in cases:
+            g_lo, g_hi = (sep._gamma_survival(m, omega, z) for z in (z_lo, z_hi))
+            value, d_c, d_b, _, _ = sep._h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            assert value == sep._h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            if math.isinf(c):
+                assert d_c == d_b == 0.0
+                continue
+            h = 1e-5 * c
+            fd_c = (h_function(m, omega, b, c + h, z_lo, z_hi)
+                    - h_function(m, omega, b, c - h, z_lo, z_hi)) / (2.0 * h)
+            assert d_c == pytest.approx(fd_c, rel=1e-6, abs=1e-10)
+            if b > 0.0:
+                h = 1e-5 * b
+                fd_b = (h_function(m, omega, b + h, c, z_lo, z_hi)
+                        - h_function(m, omega, b - h, c, z_lo, z_hi)) / (2.0 * h)
+                assert d_b == pytest.approx(fd_b, rel=1e-6, abs=1e-10)
+
+    def test_noiseless_optimum_is_stationary(self):
+        _, grad_q, _ = sep_and_grad(C13, Quantizer((Q1_STAR,), bits=2), RAYLEIGH, None)
+        assert abs(grad_q[0]) < 1e-15
+
+    def test_noisy_gradient_needs_integer_m(self):
+        with pytest.raises(ValueError, match="integer m"):
+            sep_and_grad(C13, Quantizer((1.5,), bits=2), ChannelModel(1.5), 10.0)
 
 
 class TestSepEngines:
