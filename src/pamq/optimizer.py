@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.stats import qmc
 
-from .sep import sep_and_grad, sep_exact, sep_noiseless
+from .sep import sep_and_grad, sep_exact
 from .system import (Constellation, GeometricConstellation, Quantizer, _boundary_count,
                      _geometric_boundary, symbol_energy)
 
@@ -157,12 +157,6 @@ def _encode(p, quant, cons):
     return np.concatenate(parts)
 
 
-def _evaluate(p, quant, cons):
-    if p.snr is None:
-        return sep_noiseless(cons, quant, p.channel).value
-    return sep_exact(cons, quant, p.channel, p.snr).value
-
-
 def _through_sums(theta, grad):
     """d/dtheta of a function of the running sums of softplus(theta), from its gradient."""
     tails = list(accumulate(reversed(grad)))[::-1]
@@ -196,7 +190,7 @@ def _objective(p, grad=False):
         try:
             quant, cons = _decode(p, theta)
             if not grad:
-                return _evaluate(p, quant, cons)
+                return sep_exact(cons, quant, p.channel, p.snr).value
             value, grad_q, grad_rho = sep_and_grad(cons, quant, p.channel, p.snr)
             return value, _pullback(p, theta, cons, grad_q, grad_rho)
         except (ArithmeticError, ValueError):
@@ -276,7 +270,7 @@ def optimize(p):
     return DesignResult(
         quantizer=quant,
         constellation=cons,
-        sep=_evaluate(p, quant, cons),
+        sep=sep_exact(cons, quant, p.channel, p.snr).value,
         starts_used=len(starts),
         converged=any_converged,
         failed_evals=f.failed,

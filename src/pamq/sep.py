@@ -3,8 +3,10 @@
 Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
 and the closed-form noiseless limit, plus error-floor bounds and the AQNM
-linearized baseline. The three engines share one loop over the decision
-regions that can be non-empty, planned once per (M/2, K), on Python floats.
+linearized baseline. Every engine walks the decision regions that can be
+non-empty, planned once per (M/2, K), on Python floats. The series SEP and
+its gradient share one region walk (_series_regions) and one series
+(_h_series), and the noiseless SEP is the value of its gradient routine.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -84,9 +86,9 @@ def h_function(m, omega, b, c, z_lo, z_hi):
     c = +inf reduces to the plain Gamma measure of the interval; b = 0
     reduces to Q(-c) times that measure.
     """
-    m = int(m)
-    if m < 1 or m != float(m):
+    if m < 1 or not float(m).is_integer():
         raise ValueError("closed form requires integer m >= 1")
+    m = int(m)
     if b < 0 or c < 0:
         raise ValueError("b and c must be nonnegative")
     if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
@@ -94,19 +96,26 @@ def h_function(m, omega, b, c, z_lo, z_hi):
     if z_lo == z_hi:
         return 0.0
     return _h_series(m, omega, b, c, z_lo, z_hi,
-                     _gamma_survival(m, omega, z_lo), _gamma_survival(m, omega, z_hi))
+                     _gamma_survival(m, omega, z_lo), _gamma_survival(m, omega, z_hi))[0]
 
 
 def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
-    """h_function's series for checked z_lo < z_hi, given the survivals g_lo, g_hi."""
+    """h_function's series for checked z_lo < z_hi, given the survivals g_lo, g_hi:
+    (value, q_lo, q_hi, parts), with q_lo and q_hi the Q factors Q(-c + sqrt(b z)) at
+    z_lo and z_hi (0 at z = inf), and parts = (u_lo, u_hi, s, expo, f) of the series,
+    or None for c = inf and b = 0, which need none."""
     if math.isinf(c):
-        return g_lo - g_hi
+        return g_lo - g_hi, 1.0, 1.0, None
     if b == 0.0:
-        return float(q_func(-c)) * (g_lo - g_hi)
+        q_c = float(q_func(-c))
+        return q_c * (g_lo - g_hi), q_c, q_c, None
 
-    boundary = float(q_func(-c + math.sqrt(b * z_lo))) * g_lo
+    q_lo = float(q_func(-c + math.sqrt(b * z_lo)))
+    boundary = q_lo * g_lo
+    q_hi = 0.0
     if not math.isinf(z_hi):
-        boundary -= float(q_func(-c + math.sqrt(b * z_hi))) * g_hi
+        q_hi = float(q_func(-c + math.sqrt(b * z_hi)))
+        boundary -= q_hi * g_hi
 
     alpha = 2.0 * m / (omega * b)
     s = alpha + 1.0
@@ -119,9 +128,9 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
     u_hi, u_lo = u_of(z_hi), u_of(z_lo)
     # f[l]: integral of u^l exp(-u^2/2) over (u_lo, u_hi)
     f = [moment_primitive(u_hi, l) - moment_primitive(u_lo, l) for l in range(2 * m - 1)]
+    expo = math.exp(-0.5 * c * c * alpha / s)
     terms = []
     if c > 0.0:
-        expo = math.exp(-0.5 * c * c * alpha / s)
         for r in range(m):
             base = (m / (omega * b)) ** r / (SQRT_2PI * math.factorial(r))
             for l in range(2 * r + 1):
@@ -143,7 +152,7 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
                 / math.factorial(r)
             )
     # fsum is correctly rounded, so the order of the terms does not matter
-    return boundary - math.fsum(terms)
+    return boundary - math.fsum(terms), q_lo, q_hi, (u_lo, u_hi, s, expo, f)
 
 
 def _log_gamma_pdf(m, omega):
@@ -211,108 +220,75 @@ def _decision_regions(c, q, reach=False):
             yield y, i, lower, upper
 
 
-def _p_correct(c, q, ch, snr, quadrature):
-    """Probability of correct detection and its error estimate: over the regions, the
-    Q-integral between the output's two boundaries, by quadrature or the exact series."""
-    sigma2 = sigma2_from_snr(c, snr)
+def _series_regions(c, q, ch, sigma2):
+    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty region at noise
+    variance sigma2: the series' b and its c at the output's two boundaries, and the Gamma
+    survivals at the region's ends. An endpoint serves both sides of its region and its
+    neighbours, so each survival is computed once."""
     sigma = math.sqrt(sigma2)
-    m, omega = (ch.m if quadrature else int(ch.m)), ch.omega
-    # an endpoint serves both sides of its region and its neighbours: one survival each
+    m, omega = int(ch.m), ch.omega
     survival = {}
-    terms, errs = [], []
     for y, i, lower, upper in _decision_regions(c, q):
-        b_i = 2.0 * c.amplitudes[i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
-        if quadrature:
-            v_hi, e_hi = h_function_quad(m, omega, b_i, c_hi, lower, upper)
-            v_lo, e_lo = h_function_quad(m, omega, b_i, c_lo, lower, upper)
-            terms.append(v_hi - v_lo)
-            errs.append(e_hi + e_lo)
-        else:
-            for z in (lower, upper):
-                if z not in survival:
-                    survival[z] = _gamma_survival(m, omega, z)
-            g_lo, g_hi = survival[lower], survival[upper]
-            terms.append(_h_series(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)
-                         - _h_series(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi))
-    return 2.0 / c.M * math.fsum(terms), 2.0 / c.M * math.fsum(errs)
+        for z in (lower, upper):
+            if z not in survival:
+                survival[z] = _gamma_survival(m, omega, z)
+        yield (y, i, lower, upper, 2.0 * c.amplitudes[i] ** 2 / sigma2,
+               math.sqrt(2.0) * q.boundary(y) / sigma, math.sqrt(2.0) * q.boundary(y - 1) / sigma,
+               survival[lower], survival[upper])
 
 
 def sep_closed_form(c, q, ch, snr):
     """Average SEP by the exact finite series; requires integer m."""
     if not ch.integer_m:
         raise ValueError("closed form requires integer m; use sep_quadrature")
-    p_correct, _ = _p_correct(c, q, ch, snr, quadrature=False)
-    return SepResult(_clamp_probability(1.0 - p_correct), "closed_form")
+    m, omega = int(ch.m), ch.omega
+    terms = [_h_series(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)[0]
+             - _h_series(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi)[0]
+             for _, _, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi
+             in _series_regions(c, q, ch, sigma2_from_snr(c, snr))]
+    return SepResult(_clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), "closed_form")
 
 
 def sep_quadrature(c, q, ch, snr):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
-    p_correct, err = _p_correct(c, q, ch, snr, quadrature=True)
-    return SepResult(_clamp_probability(1.0 - p_correct), "quadrature", abs_error_est=err)
+    sigma2 = sigma2_from_snr(c, snr)
+    sigma = math.sqrt(sigma2)
+    m, omega = ch.m, ch.omega
+    terms, errs = [], []
+    for y, i, lower, upper in _decision_regions(c, q):
+        b_i = 2.0 * c.amplitudes[i] ** 2 / sigma2
+        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
+        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
+        v_hi, e_hi = h_function_quad(m, omega, b_i, c_hi, lower, upper)
+        v_lo, e_lo = h_function_quad(m, omega, b_i, c_lo, lower, upper)
+        terms.append(v_hi - v_lo)
+        errs.append(e_hi + e_lo)
+    return SepResult(_clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), "quadrature",
+                     abs_error_est=2.0 / c.M * math.fsum(errs))
 
 
 def sep_exact(c, q, ch, snr):
-    """Average SEP by the closed form for integer m, by quadrature otherwise."""
+    """Average SEP: noiseless for snr None, else by the closed form for integer m and by
+    quadrature otherwise."""
+    if snr is None:
+        return sep_noiseless(c, q, ch)
     if ch.integer_m:
         return sep_closed_form(c, q, ch, snr)
     return sep_quadrature(c, q, ch, snr)
 
 
 def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
-    """_h_series' value, bit for bit, with dH/dc, dH/db and the Q factors Q(-c + sqrt(b z))
-    at z_lo and z_hi, by which the Leibniz terms dH/dz_hi = Q f_Z(z_hi) and dH/dz_lo =
-    -Q f_Z(z_lo) go. In t = sqrt(z), dH/dc = A T_(2m-1) and dH/db = -A T_(2m) / (2 sqrt(b)),
-    with T_k the integral of t^k exp(-u^2/2) du over the u interval of the series."""
-    if math.isinf(c):
-        return g_lo - g_hi, 0.0, 0.0, 1.0, 1.0
-    if b == 0.0:
-        q_c, mass = float(q_func(-c)), g_lo - g_hi
-        return q_c * mass, math.exp(-0.5 * c * c) / SQRT_2PI * mass, 0.0, q_c, q_c
-
-    q_lo = float(q_func(-c + math.sqrt(b * z_lo)))
-    boundary = q_lo * g_lo
-    q_hi = 0.0
-    if not math.isinf(z_hi):
-        q_hi = float(q_func(-c + math.sqrt(b * z_hi)))
-        boundary -= q_hi * g_hi
-
-    alpha = 2.0 * m / (omega * b)
-    s = alpha + 1.0
-
-    def u_of(z):
-        if math.isinf(z):
-            return math.inf
-        return (-c + s * math.sqrt(b * z)) / math.sqrt(s)
-
-    u_hi, u_lo = u_of(z_hi), u_of(z_lo)
-    f = [moment_primitive(u_hi, l) - moment_primitive(u_lo, l) for l in range(2 * m - 1)]
-    expo = math.exp(-0.5 * c * c * alpha / s)
-    terms = []
-    if c > 0.0:
-        for r in range(m):
-            base = (m / (omega * b)) ** r / (SQRT_2PI * math.factorial(r))
-            for l in range(2 * r + 1):
-                terms.append(
-                    base
-                    * math.comb(2 * r, l)
-                    * expo
-                    * c ** (2 * r - l)
-                    * f[l]
-                    / s ** (2 * r - 0.5 * (l - 1))
-                )
-    else:
-        scale = math.sqrt(omega * b / (omega * b + 2.0 * m)) / SQRT_2PI
-        for r in range(m):
-            terms.append(
-                (m / (omega * b + 2.0 * m)) ** r
-                * scale
-                * f[2 * r]
-                / math.factorial(r)
-            )
-    value = boundary - math.fsum(terms)
+    """_h_series' value and Q factors, with dH/dc and dH/db: (value, d_c, d_b, q_lo,
+    q_hi). The Leibniz terms dH/dz_hi = q_hi f_Z(z_hi) and dH/dz_lo = -q_lo f_Z(z_lo)
+    go by the Q factors. In t = sqrt(z), dH/dc = A T_(2m-1) and dH/db = -A T_(2m) /
+    (2 sqrt(b)), with T_k the integral of t^k exp(-u^2/2) du over the u interval of
+    the series, summed from its moment differences f."""
+    value, q_lo, q_hi, parts = _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+    if parts is None:  # c = inf: no dependence; b = 0: Q(-c) times the mass
+        d_c = 0.0 if math.isinf(c) else math.exp(-0.5 * c * c) / SQRT_2PI * (g_lo - g_hi)
+        return value, d_c, 0.0, q_lo, q_hi
+    u_lo, u_hi, s, expo, f = parts
 
     # the two orders above the series, by parts: F_l = [-u^(l-1) e^(-u^2/2)] + (l-1) F_(l-2)
     e_lo = math.exp(-0.5 * u_lo * u_lo)
@@ -358,8 +334,10 @@ def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper, reach):
 
 def sep_and_grad(c, q, ch, snr):
     """SEP and its gradient: (value, dSEP/dq_y for y = 1..K, dSEP/drho_i for
-    i = 0..M/2-1), the amplitude derivatives at fixed sigma. The value is bit for
-    bit sep_closed_form's (integer m only) or, with snr None, sep_noiseless' (any m)."""
+    i = 0..M/2-1), the amplitude derivatives at fixed sigma. At finite SNR (integer m
+    only) it walks sep_closed_form's regions and series, so the value is bit for bit
+    sep_closed_form's; with snr None it is the noiseless SEP (any m), which
+    sep_noiseless returns."""
     grad_q, grad_rho = [0.0] * q.K, [0.0] * c.half_size
     m, omega, amps = ch.m, ch.omega, c.amplitudes
     pdf = _log_gamma_pdf(m, omega)
@@ -382,16 +360,8 @@ def sep_and_grad(c, q, ch, snr):
     sigma2 = sigma2_from_snr(c, snr)
     sigma = math.sqrt(sigma2)
     dc_dq = math.sqrt(2.0) / sigma
-    survival = {}
     terms = []
-    for y, i, lower, upper in _decision_regions(c, q):
-        b_i = 2.0 * amps[i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
-        for z in (lower, upper):
-            if z not in survival:
-                survival[z] = _gamma_survival(m, omega, z)
-        g_lo, g_hi = survival[lower], survival[upper]
+    for y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi in _series_regions(c, q, ch, sigma2):
         h_hi, dc_hi, db_hi, qlo_hi, qhi_hi = _h_series_grad(m, omega, b_i, c_hi, lower, upper,
                                                              g_lo, g_hi)
         h_lo, dc_lo, db_lo, qlo_lo, qhi_lo = _h_series_grad(m, omega, b_i, c_lo, lower, upper,
@@ -406,19 +376,12 @@ def sep_and_grad(c, q, ch, snr):
                            c, q, y, i, True, False)
         _add_endpoint_grad(grad_q, grad_rho, -weight * (qlo_hi - qlo_lo) * pdf(lower), lower,
                            c, q, y, i, False, False)
-    p_correct = 2.0 / c.M * math.fsum(terms)
-    return _clamp_probability(1.0 - p_correct), grad_q, grad_rho
+    return _clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), grad_q, grad_rho
 
 
 def sep_noiseless(c, q, ch):
     """Infinite-SNR SEP: Gamma measure of the noiseless decision regions."""
-    m, omega = ch.m, ch.omega
-    total = 0.0
-    for _, _, lower, upper in _decision_regions(c, q, reach=True):
-        hi = 1.0 if math.isinf(upper) else float(special.gammainc(m, m * upper / omega))
-        lo = float(special.gammainc(m, m * lower / omega))
-        total += hi - lo
-    return SepResult(_clamp_probability(1.0 - 2.0 / c.M * total), "noiseless")
+    return SepResult(sep_and_grad(c, q, ch, None)[0], "noiseless")
 
 
 def floor_bounds(c, q, ch):

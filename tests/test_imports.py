@@ -1,6 +1,8 @@
 """Tooling: no module in src/, tests/ or demos/ imports a name at module
 level that it never reads. Package ``__init__.py`` files and names listed
-in a module's ``__all__`` are re-exports and are exempt."""
+in a module's ``__all__`` are re-exports and are exempt. And no private
+module-level function or class of the package goes unread in src/: tests
+alone do not keep one alive."""
 import ast
 import pathlib
 
@@ -41,3 +43,35 @@ def test_scanner_finds_unused_and_spares_used_and_exported():
 def test_no_unused_module_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in FILES}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def unread_privates(sources):
+    """Module-level _private functions and classes, defined in any of the sources (a
+    mapping of name to text), that no source reads by name or attribute."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(node.name, name, node.lineno) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{fn} ({name} line {line})" for fn, name, line in defined if fn not in read)
+
+
+def test_scanner_finds_unread_privates():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef public(): pass\n"
+                "def __dunder__(): pass\n",
+        "b.py": "from a import _used\nimport a\nx = a._Viaattr\nclass _Viaattr: pass\n"
+                "def f(): return _used()\n",
+    }
+    assert unread_privates(sources) == ["_Gone (a.py line 3)", "_dead (a.py line 2)"]
+
+
+def test_no_unread_private_code():
+    package = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_privates({str(p.relative_to(ROOT)): p.read_text() for p in package}) == []

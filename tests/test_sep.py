@@ -96,6 +96,9 @@ class TestHFunction:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             h_function(0, 1.0, 1.0, 1.0, 0.0, 1.0)
+        for m in (1.5, 2.5):  # not cut to the integer below
+            with pytest.raises(ValueError, match="integer m"):
+                h_function(m, 1.0, 1.0, 1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             h_function(1, 1.0, 1.0, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
@@ -144,6 +147,17 @@ class TestBitIdentity:
             for db in self.CLOSED_FORM_DB
         )
         assert got == self.CLOSED_FORM[M, bits, m]
+
+    NOISELESS = {
+        (4, 2, 1): "0x1.822fbe3b8e91cp-3", (4, 2, 1.5): "0x1.2504731068220p-3",
+        (4, 3, 1): "0x1.af3e5f82e0b10p-5", (4, 3, 1.5): "0x1.7bcfc18ee07c0p-6",
+        (8, 4, 1): "0x1.a57084df72ac8p-4", (8, 4, 1.5): "0x1.f5a2617fec080p-5",
+    }
+
+    @pytest.mark.parametrize("M,bits,m", sorted(NOISELESS))
+    def test_noiseless(self, M, bits, m):
+        c, q = _odd_pam(M, bits)
+        assert sep_noiseless(c, q, ChannelModel(m)).value.hex() == self.NOISELESS[M, bits, m]
 
     @pytest.mark.parametrize("M,bits,m", sorted(QUADRATURE))
     def test_quadrature(self, M, bits, m):
@@ -233,18 +247,29 @@ class TestSepAndGrad:
                                      None, 1e-6)
 
     def test_h_series_derivatives(self):
-        # the value is _h_series' bit for bit; dH/dc and dH/db match a difference of
-        # h_function, also at b = 0 (dH/dc only) and c = +inf (no dependence)
+        # _h_series gives h_function's value with the Q factors at the interval's ends,
+        # and series parts only where the series runs; _h_series_grad passes value and
+        # Q factors on, and its dH/dc and dH/db match a difference of h_function, also
+        # at b = 0 (dH/dc only) and c = +inf (no dependence)
         rng = np.random.default_rng(3)
         cases = [(int(rng.integers(1, 6)), float(rng.uniform(0.3, 3.0)),
                   float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.5, 8.0)),
                   *sorted(rng.uniform(0.0, 2.0, 2))) for _ in range(30)]
-        cases += [(2, 1.0, 0.0, 1.5, 0.2, 0.9), (3, 1.5, 4.0, math.inf, 0.1, math.inf),
+        cases += [(2, 1.0, 0.0, 1.5, 0.2, 0.9), (2, 1.0, 0.0, 1.5, 0.2, math.inf),
+                  (3, 1.5, 4.0, math.inf, 0.1, math.inf),
                   (1, 1.0, 2.0, 0.7, 0.3, math.inf)]
         for m, omega, b, c, z_lo, z_hi in cases:
             g_lo, g_hi = (sep._gamma_survival(m, omega, z) for z in (z_lo, z_hi))
-            value, d_c, d_b, _, _ = sep._h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
-            assert value == sep._h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            value, q_lo, q_hi, parts = sep._h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            assert value == h_function(m, omega, b, c, z_lo, z_hi)
+            assert (parts is None) == (math.isinf(c) or b == 0.0)
+            if not math.isinf(c):  # Q(-c + sqrt(b z)), with sqrt(0 * inf) = 0
+                q_at = [float(q_func(-c + (math.sqrt(b * z) if b > 0.0 else 0.0)))
+                        for z in (z_lo, z_hi)]
+                assert [q_lo, q_hi] == q_at
+            grad = sep._h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            assert (grad[0], *grad[3:]) == (value, q_lo, q_hi)
+            d_c, d_b = grad[1:3]
             if math.isinf(c):
                 assert d_c == d_b == 0.0
                 continue
@@ -257,6 +282,74 @@ class TestSepAndGrad:
                 fd_b = (h_function(m, omega, b + h, c, z_lo, z_hi)
                         - h_function(m, omega, b - h, c, z_lo, z_hi)) / (2.0 * h)
                 assert d_b == pytest.approx(fd_b, rel=1e-6, abs=1e-10)
+
+    # float.hex of (value, dSEP/dq_1..q_K, dSEP/drho_0..), the odd-PAM designs of
+    # TestBitIdentity; snr in dB, or None for the noiseless limit
+    GRADIENT_BITS = {
+        (4, 2, 1, 0): (
+            "0x1.daae007ce3b9cp-2 -0x1.337a94e985808p-7 0x1.7269ca96daa75p-7 "
+            "-0x1.1cbb8fd6b0625p-4"),
+        (4, 2, 1, 20): (
+            "0x1.873c000c88e40p-3 0x1.9b1605f27218ap-4 0x1.42c42b0271641p-4 "
+            "-0x1.84c4b921c59a0p-4"),
+        (4, 2, 1, 40): (
+            "0x1.823c4ed1d6018p-3 0x1.b15a684bc985ap-4 0x1.2c53bfe57e8a1p-4 "
+            "-0x1.85139c9118ec0p-4"),
+        (4, 3, 1, 0): (
+            "0x1.cb63222f77dd4p-2 -0x1.0220feb8d6960p-9 0x1.b5e3bc1665100p-12 "
+            "-0x1.2ac40538d5da0p-9 0x1.1763acb6b2beap-8 -0x1.4a93dcfafb5b3p-4"),
+        (4, 3, 1, 20): (
+            "0x1.d9fe94e094d40p-5 0x1.203d7439693d7p-4 0x1.0841f46d6cd14p-7 "
+            "-0x1.14e41d5853000p-11 0x1.a323e597a89aap-7 -0x1.41c5a7eab01b0p-5"),
+        (4, 3, 1, 40): (
+            "0x1.af61c222888f0p-5 0x1.97384af9df3f7p-4 0x0.0p+0 "
+            "-0x1.85abe15830900p-12 0x1.241d9942d8640p-10 -0x1.0f921582c9d42p-5"),
+        (8, 4, 4, 0): (
+            "0x1.57cf71c9f3ff4p-1 -0x1.aa140f0c2152fp-13 -0x1.9af260b648544p-15 "
+            "0x1.38ba793ca0b70p-14 -0x1.4c6ff0d16f640p-15 0x1.c2db9de13f180p-15 "
+            "0x1.b837702b2a900p-15 -0x1.1c8ecb6c5f530p-10 -0x1.a8244c2fdbcc5p-14 "
+            "0x1.b8b75e0d6cf00p-20 0x1.e5338d35f6ea8p-12 -0x1.b90a71fa0bbb0p-6"),
+        (8, 4, 4, 20): (
+            "0x1.a715474f4f730p-5 -0x1.b338c725cc0e6p-6 0x1.c76a2a7e66e41p-7 "
+            "-0x1.74a57841ae2dap-9 0x1.1cb09085a9efcp-8 0x1.f1860fba3f721p-9 "
+            "0x1.a259a34820915p-9 -0x1.166b5ee710c28p-6 0x1.f23fca00c7b7dp-7 "
+            "-0x1.467eb9261be1fp-10 0x1.9aa8eef3909a6p-6 -0x1.712e03f97422ap-6"),
+        (8, 4, 4, 40): (
+            "0x1.bdeb4cfa37e00p-7 0x1.f517dc03f0a20p-19 0x1.7dc426fe3605cp-12 "
+            "0x1.eb2445597a25bp-9 0x1.8136c2fa3ef73p-14 0x1.4000000000000p-52 "
+            "0x1.0000000000000p-57 -0x1.22457a1468d34p-6 0x1.90b9d409af8a7p-50 "
+            "0x1.105dce460c1c0p-18 0x1.974a9c2f24ebep-6 -0x1.db231e33f5b60p-10"),
+        (4, 2, 1, None): (
+            "0x1.822fbe3b8e91cp-3 0x1.b1932e3bea3eep-4 0x1.2c155b8213cf4p-4 "
+            "-0x1.8513e7fdf819bp-4"),
+        (4, 2, 1.5, None): (
+            "0x1.2504731068220p-3 0x1.18d25a6afa660p-3 0x1.50bf7affd41fap-5 "
+            "-0x1.ae8db7b9468d4p-4"),
+        (4, 3, 1, None): (
+            "0x1.af3e5f82e0b10p-5 0x1.9740563a79d57p-4 0x0.0p+0 "
+            "-0x1.8436b37b97f00p-12 0x1.2329069cb1f00p-10 -0x1.0f80397c51390p-5"),
+        (4, 3, 1.5, None): (
+            "0x1.7bcfc18ee07c0p-6 0x1.0a32d57ae3664p-4 0x0.0p+0 "
+            "-0x1.ad1ebe3d40000p-16 0x1.41d70eadf0000p-14 -0x1.62ee71f92f330p-6"),
+        (8, 4, 1, None): (
+            "0x1.a57084df72ac8p-4 0x1.479cd8cce2cfcp-7 0x1.34280c76971a9p-6 "
+            "0x1.a164ff56c2b90p-6 -0x1.0000000000000p-57 0x1.8000000000000p-57 "
+            "0x1.0000000000000p-57 -0x1.5e9f3f2744f8ap-6 0x1.aab926d664800p-59 "
+            "0x1.00ea551961c32p-8 0x1.c455653ff84bcp-6 -0x1.22543755b365dp-6"),
+        (8, 4, 1.5, None): (
+            "0x1.f5a2617fec080p-5 0x1.80225e1a5e2abp-9 0x1.5e6d93a56571fp-7 "
+            "0x1.5247f56d5cd17p-6 0x1.0000000000000p-58 0x1.0000000000000p-56 "
+            "0x0.0p+0 -0x1.68ab80ea0645ep-6 -0x1.2230554cd757bp-57 "
+            "0x1.46b7bd534a824p-10 0x1.ecaf9d614f96cp-6 -0x1.93cbeda0390c2p-7"),
+    }
+
+    @pytest.mark.parametrize("M,bits,m,db", sorted(GRADIENT_BITS, key=str))
+    def test_gradient_bits(self, M, bits, m, db):
+        c, q = _odd_pam(M, bits)
+        snr = None if db is None else 10.0 ** (db / 10.0)
+        value, grad_q, grad_rho = sep_and_grad(c, q, ChannelModel(m), snr)
+        got = " ".join(x.hex() for x in (value, *grad_q, *grad_rho))
+        assert got == self.GRADIENT_BITS[M, bits, m, db]
 
     def test_noiseless_optimum_is_stationary(self):
         _, grad_q, _ = sep_and_grad(C13, Quantizer((Q1_STAR,), bits=2), RAYLEIGH, None)
