@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,11 +44,20 @@ def _parse_grid(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"bad grid {text!r}, want start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = _finite_snrs(text, parts)
         if step <= 0:
             raise ValidationError("grid step must be positive")
         return list(np.arange(start, stop + 1e-9, step))
-    return [float(p) for p in text.split(",")]
+    return _finite_snrs(text, text.split(","))
+
+
+def _finite_snrs(text, parts):
+    """parts of --snr-db value text as floats, each finite: the noiseless
+    limit is --noiseless, not an infinite SNR."""
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"--snr-db must be finite, not {text!r}")
+    return values
 
 
 def _parse_window(text):

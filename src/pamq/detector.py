@@ -7,6 +7,10 @@ symbol; this keeps single-antenna and SIMO detectors comparable.
 Each rule has one vectorized kernel (``quantize_batch``,
 ``midpoint_batch``, ``simo_batch``) over arrays of observations, and
 there are no scalar wrappers: a single observation is a one-row call.
+``simo_batch`` takes its rows in fixed blocks and evaluates the lower-edge
+``ndtr`` only for bins with two finite edges; its decisions and
+log-likelihoods are the same floats as a plain per-symbol evaluation of
+every bin.
 The region geometry of Theorem 1 lives once in ``_region_bounds``;
 ``decision_region`` and ``noiseless_region`` are its checked forms.
 """
@@ -19,6 +23,9 @@ __all__ = ["decision_region", "noiseless_region"]
 
 # natural-log underflow floor for per-factor likelihoods
 LOG_FLOOR = -745.0
+
+# rows per block of simo_batch
+_BLOCK_ROWS = 8192
 
 
 def quantize_batch(bounds, r):
@@ -49,7 +56,8 @@ def simo_batch(amps, bounds, h, y, sigma2):
     """Product-likelihood ML rule; h and y have shape (n, n_r).
 
     Works in the log domain with a per-factor floor; a symbol whose every
-    factor underflows loses to any symbol with a finite factor.
+    factor underflows loses to any symbol with a finite factor. The rows
+    run in blocks of _BLOCK_ROWS, so that the temporaries stay in cache.
     """
     s = math.sqrt(sigma2 / 2.0)
     symbols = np.concatenate([-amps[::-1], amps])  # ascending
@@ -57,22 +65,51 @@ def simo_batch(amps, bounds, h, y, sigma2):
         [-np.arange(len(amps), 0, -1), np.arange(1, len(amps) + 1)]
     )
     edges = np.concatenate([[0.0], bounds, [np.inf]])
-    ay = np.abs(y)
-    lo = np.where(y > 0, edges[ay - 1], -edges[ay])
-    hi = np.where(y > 0, edges[ay], -edges[ay - 1])
-    ll = np.empty((h.shape[0], len(symbols)))
+    decided = np.empty(h.shape[0], dtype=ids.dtype)
+    for start in range(0, h.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        ll = _log_likelihoods(symbols, edges, h[rows], y[rows], s)
+        # argmax keeps the first maximum: ties go to the lowest symbol
+        decided[rows] = ids[np.argmax(ll, axis=1)]
+    return decided
+
+
+def _log_likelihoods(symbols, edges, h, y, s):
+    """Log-likelihood of each symbol (columns) for each row of gains h and
+    outputs y: the sum over antennas of max(log P(y | h * symbol), LOG_FLOOR)
+    at noise deviation s."""
+    ay = np.abs(y).ravel()
+    inner = ay < len(edges) - 1  # both edges finite
+    # inner factors first, so that the ndtr of their lower edge is one slice
+    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    n_in = np.count_nonzero(inner)
+    ay = ay[order]
+    lo, hi = edges[ay - 1], edges[ay[:n_in]]
+    # bin -y at mean mu is bin y at mean -mu mirrored: fold sign(y) into h
+    hy = np.where(y > 0, h, -h).ravel()[order]
+    mean, a, p = (np.empty(order.size) for _ in range(3))
+    b = np.empty(n_in)
+    lp = np.empty(y.shape)
+    ll = np.empty((y.shape[0], len(symbols)))
     for j, sym in enumerate(symbols):
-        mean = h * sym
-        a, b = (lo - mean) / s, (hi - mean) / s
+        np.multiply(hy, sym, out=mean)
+        np.divide(np.subtract(lo, mean, out=a), s, out=a)
+        np.divide(np.subtract(hi, mean[:n_in], out=b), s, out=b)
         # mirror bins whose center is right of the mean: Phi(b) - Phi(a)
-        # cancels when both are near 1, so keep the lower endpoint <= 0
-        flip = a + b > 0.0
-        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
-        p = ndtr(b) - ndtr(a)
-        lp = np.where(p > 0.0, np.log(np.maximum(p, 5e-324)), LOG_FLOOR)
-        ll[:, j] = np.maximum(lp, LOG_FLOOR).sum(axis=1)
-    # argmax keeps the first maximum: ties go to the lowest symbol
-    return ids[np.argmax(ll, axis=1)]
+        # cancels when both are near 1, so take Phi(b') - Phi(a') with
+        # a' = min(a, -b) <= 0 and b' = min(b, -a); p holds b', b holds a'.
+        # A saturation bin has b = inf: a' = -inf, Phi(a') = 0 and b' = -a.
+        np.negative(a, out=p)
+        np.minimum(b, p[:n_in], out=p[:n_in])
+        np.minimum(a[:n_in], np.negative(b, out=b), out=b)
+        ndtr(p, out=p)
+        p[:n_in] -= ndtr(b, out=b)
+        # log(0) = -inf falls to the floor; fmax also floors a NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.fmax(np.log(p, out=p), LOG_FLOOR, out=p)
+        lp.reshape(-1)[order] = p
+        ll[:, j] = lp.sum(axis=1)
+    return ll
 
 
 def _region_bounds(amps, q, y, i, reach=False):

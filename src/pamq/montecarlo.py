@@ -35,6 +35,8 @@ class SimSpec:
             raise ValueError("trials must be >= 1")
         if self.n_r < 1:
             raise ValueError("n_r must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,9 @@ def _run_batch(args):
 def _count_errors(spec, sigma2s, use_simo, workers):
     """Error count at each noise variance in sigma2s.
 
-    The batches of every point go through one process pool (or plain map
-    for one worker); counts are summed by point.
+    The batches of every point go through one process pool of at most
+    one worker per batch (or plain map for one worker); counts are summed
+    by point.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -91,6 +94,8 @@ def _count_errors(spec, sigma2s, use_simo, workers):
         for point, sigma2 in enumerate(sigma2s)
         for batch, n in enumerate(sizes)
     ]
+    # the pool starts all its workers at once: start none that would idle
+    workers = min(workers, len(args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_run_batch, args))

@@ -196,6 +196,6 @@ def sigma2_from_snr(c, snr_linear):
     sigma^2 is the complex-noise variance; the in-phase branch seen by the
     ADC has variance sigma^2 / 2.
     """
-    if snr_linear <= 0:
-        raise ValueError("SNR must be positive")
+    if not 0 < snr_linear < math.inf:
+        raise ValueError("SNR must be positive and finite")
     return symbol_energy(c) / snr_linear

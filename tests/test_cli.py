@@ -197,6 +197,18 @@ class TestCompareAqnm:
         assert (exact - aqnm) / aqnm > 0.10  # high-SNR gap
 
 
+class TestNonFiniteSnr:
+    @pytest.mark.parametrize("command", ["sep", "simulate", "compare-aqnm"])
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "10,nan", "0:inf:30", "0:5:nan"])
+    def test_rejected_with_flag_named(self, command, snr_db, capsys):
+        code, stdout, err = run_cli([
+            command, "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", f"--snr-db={snr_db}",
+        ] + (["--trials", "100", "--antennas", "2"] if command == "simulate" else []), capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: --snr-db must be finite, not {snr_db!r}\n"
+
+
 class TestConfigAndErrors:
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from pamq import Constellation, Quantizer, decision_region, noiseless_region
-from pamq.detector import midpoint_batch, quantize_batch, simo_batch
+from pamq.detector import (
+    LOG_FLOOR,
+    _BLOCK_ROWS,
+    _log_likelihoods,
+    midpoint_batch,
+    quantize_batch,
+    simo_batch,
+)
 
 C13 = Constellation((1.0, 3.0))
 Q2 = Quantizer((2.0,), bits=2)
@@ -33,6 +41,56 @@ def simo(c, q, h, y, sigma2):
     """The product-likelihood kernel on one row of per-antenna gains and outputs."""
     return int(simo_batch(np.asarray(c.amplitudes), np.asarray(q.positive_boundaries),
                           np.array([h], dtype=float), np.array([y]), sigma2)[0])
+
+
+def reference_simo(amps, bounds, h, y, sigma2):
+    """The unblocked product-likelihood kernel, frozen as first written:
+    (decisions, per-symbol log-likelihoods). simo_batch must reproduce
+    both bit for bit."""
+    s = math.sqrt(sigma2 / 2.0)
+    symbols = np.concatenate([-amps[::-1], amps])  # ascending
+    ids = np.concatenate(
+        [-np.arange(len(amps), 0, -1), np.arange(1, len(amps) + 1)]
+    )
+    edges = np.concatenate([[0.0], bounds, [np.inf]])
+    ay = np.abs(y)
+    lo = np.where(y > 0, edges[ay - 1], -edges[ay])
+    hi = np.where(y > 0, edges[ay], -edges[ay - 1])
+    ll = np.empty((h.shape[0], len(symbols)))
+    for j, sym in enumerate(symbols):
+        mean = h * sym
+        a, b = (lo - mean) / s, (hi - mean) / s
+        flip = a + b > 0.0
+        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+        p = ndtr(b) - ndtr(a)
+        lp = np.where(p > 0.0, np.log(np.maximum(p, 5e-324)), LOG_FLOOR)
+        ll[:, j] = np.maximum(lp, LOG_FLOOR).sum(axis=1)
+    return ids[np.argmax(ll, axis=1)], ll
+
+
+def blocked_log_likelihoods(amps, bounds, h, y, sigma2):
+    """simo_batch's log-likelihoods, block by block as it computes them."""
+    symbols = np.concatenate([-amps[::-1], amps])
+    edges = np.concatenate([[0.0], bounds, [np.inf]])
+    s = math.sqrt(sigma2 / 2.0)
+    blocks = [_log_likelihoods(symbols, edges, h[i:i + _BLOCK_ROWS], y[i:i + _BLOCK_ROWS], s)
+              for i in range(0, h.shape[0], _BLOCK_ROWS)]
+    return np.concatenate(blocks) if blocks else np.empty((0, len(symbols)))
+
+
+def faded_observations(M, bits, n, n_r, sigma2, seed):
+    """Unit-energy equidistant M-PAM through Rayleigh fading and noise,
+    quantized by the uniform b-bit quantizer that spans the constellation:
+    (amps, bounds, h, y)."""
+    rng = np.random.default_rng(seed)
+    amps = np.arange(1.0, M, 2.0)
+    amps /= math.sqrt(np.sum(amps ** 2))
+    k = 2 ** (bits - 1) - 1
+    bounds = np.arange(1, k + 1) * (amps[-1] / k)
+    x = rng.choice(np.concatenate([-amps, amps]), size=(n, 1))
+    h = np.sqrt(rng.standard_gamma(1.0, size=(n, n_r)))
+    r = h * x + rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
+    return amps, bounds, h, quantize_batch(bounds, r)
 
 
 def likelihood(q, y, h_mag, x, sigma2):
@@ -221,3 +279,43 @@ class TestSimoRule:
         )[1]
         assume(float(best[1] * best[2]) > (1.0 + 1e-9) * runner_up)
         assert got == best[0]
+
+
+class TestSimoOracle:
+    """The blocked kernel against the frozen unblocked one: the same
+    decisions and the same log-likelihood floats."""
+
+    @pytest.mark.parametrize("M,bits", [(4, 2), (8, 3), (8, 4), (16, 4)])
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 4, 8])
+    def test_matches_reference(self, M, bits, n_r):
+        for seed, sigma2 in enumerate([1e-6, 1e-3, 0.1, 1.0, 30.0]):
+            amps, bounds, h, y = faded_observations(M, bits, 1500, n_r, sigma2, seed)
+            want, want_ll = reference_simo(amps, bounds, h, y, sigma2)
+            assert np.array_equal(simo_batch(amps, bounds, h, y, sigma2), want)
+            assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, sigma2), want_ll)
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 77, _BLOCK_ROWS - 1, 0])
+    def test_block_edges(self, n):
+        amps, bounds, h, y = faded_observations(4, 2, n, 2, 0.5, 7)
+        got = simo_batch(amps, bounds, h, y, 0.5)
+        want, want_ll = reference_simo(amps, bounds, h, y, 0.5)
+        assert got.shape == (n,) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, 0.5), want_ll)
+
+    def test_structural_ties(self):
+        amps = np.asarray(C13.amplitudes)
+        bounds = np.asarray(Q2.positive_boundaries)
+        h = np.array([[100.0, 100.0], [100.0, 100.0], [100.0, 100.0], [0.0, 0.0], [0.0, 0.0]])
+        y = np.array([[1, 1], [-1, 1], [2, 2], [1, 1], [-2, 1]])
+        sigma2 = 1e-6
+        got = simo_batch(amps, bounds, h, y, sigma2)
+        want, want_ll = reference_simo(amps, bounds, h, y, sigma2)
+        assert np.array_equal(got, want)
+        assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, sigma2), want_ll)
+        # rows 0-1: every factor of every symbol floored, so the lowest
+        # symbol wins; row 2: p = 1 for both positive symbols, so the
+        # lower of them wins; rows 3-4: a zero gain ties all four symbols
+        assert np.all(want_ll[:2] == 2 * LOG_FLOOR)
+        assert want_ll[2, 2] == want_ll[2, 3] == 0.0
+        assert got.tolist() == [-2, -2, 1, -2, -2]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pamq import montecarlo
 from pamq import (
     ChannelModel,
     Constellation,
@@ -67,6 +68,56 @@ class TestDeterminism:
         a = simulate(make_spec(seed=1))
         b = simulate(make_spec(seed=2))
         assert a[0].errors != b[0].errors
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 0), ("n_r", 0), ("batch_size", 0), ("batch_size", -5),
+    ])
+    def test_rejects_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make_spec(**{field: value})
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """max_workers of every pool simulate builds; the stand-in pool
+        maps in-process, so no test starts a process."""
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    def test_capped_at_batch_count(self, made):
+        # 7 one-batch points: 64 requested workers start 7
+        spec = make_spec(snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), trials=10)
+        got = simulate(spec, workers=64)
+        assert made == [7]
+        assert [e.errors for e in got] == [e.errors for e in simulate(spec, workers=1)]
+
+    def test_one_batch_runs_in_process(self, made):
+        spec = make_spec(trials=10)
+        simulate(spec, workers=64)
+        simulate_noiseless(spec, workers=8)
+        assert made == []
+
+    def test_fewer_workers_than_batches_kept(self, made):
+        simulate(make_spec(trials=100, batch_size=10), workers=3)
+        assert made == [3]
 
 
 class TestCalibration:

@@ -112,6 +112,12 @@ class TestChannelAndSnr:
         c = Constellation((1.0, 3.0))  # E_s = 5
         assert sigma2_from_snr(c, 10.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
+    def test_snr_positive_and_finite(self, snr):
+        # the noiseless limit is snr=None in the SEP engines, not snr=inf
+        with pytest.raises(ValueError, match="SNR must be positive and finite"):
+            sigma2_from_snr(Constellation((1.0, 3.0)), snr)
+
     def test_shape_domain(self):
         with pytest.raises(ValueError):
             ChannelModel(0.4, 1.0)
