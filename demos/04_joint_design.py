@@ -9,8 +9,8 @@ boundaries for a geometric 8-PAM constellation and for the equidistant
 """
 from pamq import (
     ChannelModel,
+    Constellation,
     DesignProblem,
-    GeometricConstellation,
     check_prop2,
     equidistant_constellation,
     optimize,
@@ -19,13 +19,12 @@ from pamq import (
 ch = ChannelModel(1, omega=1.0)
 
 print("noiseless design, geometric 8-PAM with rho = 0.4, b = 3")
-cg = GeometricConstellation(0.4, M=8)
 problem = DesignProblem(
     channel=ch, M=8, bits=3, variables="quantizer_only", snr=None,
-    constellation=cg.materialize(), n_starts=12, seed=0,
+    constellation=Constellation.geometric(0.4, M=8), n_starts=12, seed=0,
 )
 result = optimize(problem)
-ratios, dev = check_prop2(result, cg)
+ratios, dev = check_prop2(result, 0.4)
 print(f"  boundaries: {[f'{q:.5f}' for q in result.quantizer.positive_boundaries]}")
 print(f"  adjacent ratios: {[f'{r:.4f}' for r in ratios]} (target 0.4000)")
 print(f"  max deviation: {dev:.2e}")
@@ -37,7 +36,6 @@ problem = DesignProblem(
     snr=10.0 ** 6.0, constellation=cons, n_starts=12, seed=0,
 )
 result = optimize(problem)
-cg13 = GeometricConstellation(1.0 / 3.0, M=4)
-ratios, dev = check_prop2(result, cg13)
+ratios, dev = check_prop2(result, 1.0 / 3.0)
 print(f"  boundaries: {[f'{q:.5f}' for q in result.quantizer.positive_boundaries]}")
 print(f"  adjacent ratios: {[f'{r:.4f}' for r in ratios]} (target 0.3333)")

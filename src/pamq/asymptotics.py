@@ -13,7 +13,8 @@ from scipy import optimize as sciopt
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
 from .sep import floor_geometric
-from .system import ChannelModel, GeometricConstellation, Quantizer, _boundary_count
+from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _family_levels,
+                     _schedule_q1)
 
 __all__ = [
     "DvoEstimate",
@@ -40,24 +41,19 @@ class DvoEstimate:
 
 
 def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
-    """Exact decay exponent as a rational number.
-
-    nonuniform: m * n_r * (2^b - M + 2) / 2^b, valid for 2^b > M - 2.
-    uniform: m / 2, derived for M = 4 single-antenna receivers only.
+    """Exact decay exponent of the geometric design family as a rational number:
+    m * n_r * (L - M + 2) / L with L = 2^b levels (nonuniform), or L = 4 for the
+    uniform step (M = 4, single antenna only), where it is m / 2.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    if quantizer_kind == "nonuniform":
-        if 2**b <= M - 2:
-            raise ValueError("requires 2^b > M - 2")
-        return Fraction(m) * n_r * Fraction(2**b - M + 2, 2**b)
-    if quantizer_kind == "uniform":
-        if M != 4 or b < 2:
-            raise ValueError("uniform decay exponent derived for M = 4, b >= 2")
-        if n_r != 1:
-            raise ValueError("uniform decay exponent is single-antenna only")
-        return Fraction(m) / 2
-    raise ValueError(f"unknown quantizer kind {quantizer_kind!r}")
+    if quantizer_kind not in ("nonuniform", "uniform"):
+        raise ValueError(f"unknown quantizer kind {quantizer_kind!r}")
+    uniform = quantizer_kind == "uniform"
+    if uniform and n_r != 1:
+        raise ValueError("uniform decay exponent is single-antenna only")
+    levels = _family_levels(M, b, uniform)
+    return Fraction(m) * n_r * Fraction(levels - M + 2, levels)
 
 
 def dvo_fit(curve, window):
@@ -85,13 +81,12 @@ def dvo_fit(curve, window):
 def _warm_start(m, bits, M, snr, uniform):
     """Analytic geometric-schedule design used to seed the joint optimizer."""
     sigma = math.sqrt((2.0 / M) / snr)
-    top = 4 if uniform else 2**bits  # uniform designs have M = 4 (dvo_theory)
-    rho = lemma7_rho_star(A=float(m * (top - M + 2)), B=float(M - 2), C=float(m), sigma=sigma)
+    levels = _family_levels(M, bits, uniform)
+    rho = lemma7_rho_star(A=float(m * (levels - M + 2)), B=float(M - 2), C=float(m), sigma=sigma)
     rho = min(rho, 0.9)
-    cg = GeometricConstellation(rho, M)
-    q1 = math.sqrt(cg.C**2 * rho ** (0.5 * (M - 2 + top)))
+    q1 = _schedule_q1(rho, M, 0.5 * (M - 2 + levels))
     if uniform:
-        return cg.materialize(), Quantizer.uniform(q1, bits)
+        return Constellation.geometric(rho, M), Quantizer.uniform(q1, bits)
     return xg_design(rho, q1, M, bits)
 
 
@@ -186,15 +181,11 @@ def floor_schedule(rho_grid, a, b, M, ch, uniform=False):
     """Vanishing-floor construction: evaluate the geometric floor bound
     along q_1(rho) = sqrt(C^2 rho^a).
 
-    The exponent must satisfy a in (M-2, 2^b) (non-uniform) or
-    a in (M-2, 4) with M = 4 (uniform).
+    The exponent must satisfy M - 2 < a < L, with L = 2^b levels
+    (non-uniform) or L = 4 for the uniform step at M = 4.
     """
-    hi = 4 if uniform else 2**b
-    if not (M - 2 < a < hi):
-        raise ValueError(f"exponent a must lie in the open interval ({M - 2}, {hi})")
-    out = []
-    for rho in rho_grid:
-        cg = GeometricConstellation(rho, M)
-        q1 = math.sqrt(cg.C**2 * rho**a)
-        out.append((rho, floor_geometric(cg, q1, ch, b, uniform=uniform)))
-    return out
+    levels = _family_levels(M, b, uniform)
+    if not (M - 2 < a < levels):
+        raise ValueError(f"exponent a must lie in the open interval ({M - 2}, {levels})")
+    return [(rho, floor_geometric(rho, M, _schedule_q1(rho, M, a), ch, b, uniform=uniform))
+            for rho in rho_grid]

@@ -21,7 +21,7 @@ from .asymptotics import dvo_experiment
 from .montecarlo import SimSpec, simulate, write_csv
 from .optimizer import DesignProblem, optimize
 from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
-from .system import ChannelModel, Constellation, GeometricConstellation, Quantizer
+from .system import ChannelModel, Constellation, Quantizer
 from .table import write_table
 
 EXIT_OK = 0
@@ -61,14 +61,14 @@ def _finite_snrs(text, parts):
 
 
 def _parse_window(text):
-    """Fit window 'lo:hi' in dB with lo < hi."""
+    """Fit window 'lo:hi' in dB with lo < hi, each end at a linear SNR in (0, inf)."""
     try:
         lo, hi = (float(p) for p in text.split(":"))
-        if lo < hi:
+        if lo < hi and 0.0 < 10.0 ** (lo / 10.0) and 10.0 ** (hi / 10.0) < math.inf:
             return lo, hi
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
-    raise ValidationError(f"bad --window {text!r}, want lo:hi in dB with lo < hi")
+    raise ValidationError(f"bad --window {text!r}, want lo:hi in dB with lo < hi, 0 < SNR < inf")
 
 
 def _parse_floats(text):
@@ -107,7 +107,7 @@ def _channel(args):
 def _constellation(args):
     if args.geometric is not None:
         M = 4 if args.mod is None else args.mod
-        cons = GeometricConstellation(args.geometric, M).materialize()
+        cons = Constellation.geometric(args.geometric, M)
     elif args.constellation is not None:
         cons = Constellation(_parse_floats(args.constellation))
     else:

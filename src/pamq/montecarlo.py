@@ -57,7 +57,7 @@ class SimEstimate:
 
 
 def _run_batch(args):
-    (amps, bounds, m, omega, sigma2, n, n_r, seed, point, batch, use_simo) = args
+    amps, bounds, m, omega, sigma2, n, n_r, seed, point, batch = args
     ss = np.random.SeedSequence(seed, spawn_key=(point, batch))
     rng = np.random.Generator(np.random.Philox(ss))
     half = len(amps)
@@ -68,14 +68,14 @@ def _run_batch(args):
     if sigma2 > 0.0:
         r = r + rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
     yq = quantize_batch(bounds, r)
-    if use_simo:
+    if n_r > 1:
         decided = simo_batch(amps, bounds, h, yq, sigma2)
     else:
         decided = midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])
     return int(np.count_nonzero(decided != sym_id))
 
 
-def _count_errors(spec, sigma2s, use_simo, workers):
+def _count_errors(spec, sigma2s, workers):
     """Error count at each noise variance in sigma2s.
 
     The batches of every point go through one process pool of at most
@@ -90,7 +90,7 @@ def _count_errors(spec, sigma2s, use_simo, workers):
     sizes = [min(spec.batch_size, spec.trials - done)
              for done in range(0, spec.trials, spec.batch_size)]
     args = [
-        (amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch, use_simo)
+        (amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch)
         for point, sigma2 in enumerate(sigma2s)
         for batch, n in enumerate(sizes)
     ]
@@ -108,7 +108,7 @@ def simulate(spec, workers=1):
     """Simulate the SEP at every SNR point of the spec, with the midpoint
     rule for n_r = 1 and the product-likelihood rule otherwise."""
     sigma2s = [sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0)) for s in spec.snr_db]
-    errs = _count_errors(spec, sigma2s, spec.n_r > 1, workers)
+    errs = _count_errors(spec, sigma2s, workers)
     return [SimEstimate(s, spec.trials, e) for s, e in zip(spec.snr_db, errs)]
 
 
@@ -118,7 +118,7 @@ def simulate_noiseless(spec, workers=1):
     Returns a single estimate from one antenna; the spec's snr grid and
     n_r are ignored.
     """
-    (errs,) = _count_errors(replace(spec, n_r=1), [0.0], False, workers)
+    (errs,) = _count_errors(replace(spec, n_r=1), [0.0], workers)
     return SimEstimate(math.inf, spec.trials, errs)
 
 

@@ -18,8 +18,8 @@ from scipy import optimize as sciopt
 from scipy.stats import qmc
 
 from .sep import sep_and_grad, sep_exact
-from .system import (Constellation, GeometricConstellation, Quantizer, _boundary_count,
-                     _geometric_boundary, symbol_energy)
+from .system import (Constellation, Quantizer, _boundary_count, _geometric_boundary,
+                     symbol_energy)
 
 __all__ = [
     "DesignProblem",
@@ -63,8 +63,8 @@ class DesignProblem:
             if self.constellation.M != self.M:
                 raise ValueError(f"M {self.M} disagrees with constellation size "
                                  f"{self.constellation.M}")
-        if self.snr is not None and self.snr <= 0:
-            raise ValueError("snr must be positive (or None for noiseless)")
+        if self.snr is not None and not 0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite (or None for noiseless)")
         if self.M < 4 or self.M & (self.M - 1):
             raise ValueError("M must be a power of two >= 4")
         _boundary_count(self.bits)
@@ -289,8 +289,8 @@ def optimize_sweep(p, snr_db_grid):
     return results
 
 
-def check_prop2(result, cg):
-    """Adjacent-boundary-ratio diagnostics against the geometric ratio.
+def check_prop2(result, rho):
+    """Adjacent-boundary-ratio diagnostics against the geometric ratio rho.
 
     Returns (ratios, max_abs_deviation); vacuous (empty, 0.0) for a single
     boundary.
@@ -299,7 +299,7 @@ def check_prop2(result, cg):
     if len(q) < 2:
         return (), 0.0
     ratios = tuple(q[:-1] / q[1:])
-    dev = float(np.max(np.abs(np.asarray(ratios) - cg.rho)))
+    dev = float(np.max(np.abs(np.asarray(ratios) - rho)))
     return ratios, dev
 
 
@@ -315,5 +315,5 @@ def lemma7_rho_star(A, B, C, sigma):
 def xg_design(rho, q1, M, bits):
     """Geometric constellation with matching-ratio boundaries q_y = q1 / rho^(y-1)."""
     bounds = (_geometric_boundary(q1, rho, y) for y in range(1, _boundary_count(bits) + 1))
-    return GeometricConstellation(rho, M).materialize(), Quantizer(tuple(bounds), bits)
+    return Constellation.geometric(rho, M), Quantizer(tuple(bounds), bits)
 

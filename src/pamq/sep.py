@@ -4,9 +4,9 @@ Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
 and the closed-form noiseless limit, plus error-floor bounds and the AQNM
 linearized baseline. Every engine walks the decision regions that can be
-non-empty, planned once per (M/2, K), on Python floats. The series SEP and
-its gradient share one region walk (_series_regions) and one series
-(_h_series), and the noiseless SEP is the value of its gradient routine.
+non-empty, planned once per (M/2, K), on Python floats. The noisy engines
+share one region walk (_series_regions), the series SEP and its gradient one
+series (_h_series), and the noiseless SEP is its gradient routine's value.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -21,7 +21,8 @@ from scipy import integrate, special
 
 from .detector import _region_bounds
 from .specfun import SQRT_2PI, lower_gamma_reg, moment_primitive, q_func, upper_gamma_reg
-from .system import _boundary_count, _geometric_boundary, sigma2_from_snr, symbol_energy
+from .system import (Constellation, _boundary_count, _family_levels, _geometric_boundary,
+                     sigma2_from_snr, symbol_energy)
 
 __all__ = [
     "SepResult",
@@ -226,12 +227,11 @@ def _series_regions(c, q, ch, sigma2):
     survivals at the region's ends. An endpoint serves both sides of its region and its
     neighbours, so each survival is computed once."""
     sigma = math.sqrt(sigma2)
-    m, omega = int(ch.m), ch.omega
     survival = {}
     for y, i, lower, upper in _decision_regions(c, q):
         for z in (lower, upper):
             if z not in survival:
-                survival[z] = _gamma_survival(m, omega, z)
+                survival[z] = _gamma_survival(ch.m, ch.omega, z)
         yield (y, i, lower, upper, 2.0 * c.amplitudes[i] ** 2 / sigma2,
                math.sqrt(2.0) * q.boundary(y) / sigma, math.sqrt(2.0) * q.boundary(y - 1) / sigma,
                survival[lower], survival[upper])
@@ -253,15 +253,10 @@ def sep_quadrature(c, q, ch, snr):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
     sigma2 = sigma2_from_snr(c, snr)
-    sigma = math.sqrt(sigma2)
-    m, omega = ch.m, ch.omega
     terms, errs = [], []
-    for y, i, lower, upper in _decision_regions(c, q):
-        b_i = 2.0 * c.amplitudes[i] ** 2 / sigma2
-        c_hi = math.sqrt(2.0) * q.boundary(y) / sigma
-        c_lo = math.sqrt(2.0) * q.boundary(y - 1) / sigma
-        v_hi, e_hi = h_function_quad(m, omega, b_i, c_hi, lower, upper)
-        v_lo, e_lo = h_function_quad(m, omega, b_i, c_lo, lower, upper)
+    for _, _, lower, upper, b_i, c_hi, c_lo, _, _ in _series_regions(c, q, ch, sigma2):
+        v_hi, e_hi = h_function_quad(ch.m, ch.omega, b_i, c_hi, lower, upper)
+        v_lo, e_lo = h_function_quad(ch.m, ch.omega, b_i, c_lo, lower, upper)
         terms.append(v_hi - v_lo)
         errs.append(e_hi + e_lo)
     return SepResult(_clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), "quadrature",
@@ -404,20 +399,16 @@ def _floor_bracket(c, q1, qk, ch):
     return f_l, _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))
 
 
-def floor_geometric(cg, q1, ch, bits, uniform=False):
-    """floor_bounds' upper bound on the noiseless SEP of the geometric constellation
-    with boundaries q_y = q_1 / rho^(y-1), the noiseless optimality condition
-    (needs 2^b > M - 2), or with the uniform step q1 (needs M = 4, b > 1). It
-    forms only q_1 and q_K, so b is not held to MAX_BITS."""
+def floor_geometric(rho, M, q1, ch, bits, uniform=False):
+    """floor_bounds' upper bound on the noiseless SEP of Constellation.geometric(rho, M)
+    with boundaries q_y = q_1 / rho^(y-1), the noiseless optimality condition, or with
+    the uniform step q1. It forms only q_1 and q_K, so b is not held to MAX_BITS."""
     if q1 <= 0:
         raise ValueError("q1 must be positive")
-    if uniform and (cg.M != 4 or bits < 2):
-        raise ValueError("uniform bound requires M = 4 and b > 1")
-    if not uniform and 2**bits <= cg.M - 2:
-        raise ValueError("non-uniform bound requires 2^b > M - 2")
+    _family_levels(M, bits, uniform)
     k = _boundary_count(bits, max_bits=math.inf)
-    qk = k * q1 if uniform else _geometric_boundary(q1, cg.rho, k)
-    return _floor_bracket(cg.materialize(), q1, qk, ch)[1]
+    qk = k * q1 if uniform else _geometric_boundary(q1, rho, k)
+    return _floor_bracket(Constellation.geometric(rho, M), q1, qk, ch)[1]
 
 
 def sep_aqnm(c, snr, alpha):

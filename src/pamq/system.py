@@ -1,4 +1,5 @@
-"""Data model: PAM constellations, symmetric quantizers, fading channel.
+"""Data model: PAM constellations (equidistant, geometric or given), symmetric
+quantizers, fading channel, and the geometric design family's one rule.
 
 All amplitudes and boundaries are dimensionless and stored raw; unit-energy
 normalization is always an explicit step, never implicit. Types are frozen
@@ -12,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Constellation",
-    "GeometricConstellation",
     "Quantizer",
     "ChannelModel",
     "equidistant_constellation",
@@ -34,6 +34,33 @@ def _geometric_boundary(q1, rho, y):
     """q_y = q1 / rho^(y-1) of boundary ratio rho, or +inf where that leaves float64."""
     r = rho ** (y - 1)
     return q1 / r if r > 0.0 else math.inf
+
+
+def _geometric_scale(rho, M):
+    """C of the geometric constellation of ratio rho in (0, 1) and size M."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
+    if M < 4 or M & (M - 1):
+        raise ValueError("M must be a power of 2, M >= 4")
+    return 1.0 / math.sqrt(float(np.sum(rho ** (2 * np.arange(1, M // 2 + 1)))))
+
+
+def _schedule_q1(rho, M, a):
+    """q_1 = sqrt(C^2 rho^a) of the geometric design family at exponent a."""
+    return math.sqrt(_geometric_scale(rho, M) ** 2 * rho ** a)
+
+
+def _family_levels(M, bits, uniform):
+    """Quantizer levels of the geometric design family, b >= 2: 2^b with matching-ratio
+    boundaries, or 4 for the uniform step, derived for M = 4 only; more than M - 2."""
+    if bits < 2:
+        raise ValueError("bits must be >= 2")
+    if uniform and M != 4:
+        raise ValueError("the uniform step is derived for M = 4 only")
+    levels = 4 if uniform else 2**bits
+    if levels <= M - 2:
+        raise ValueError("the geometric design family requires 2^b > M - 2")
+    return levels
 
 
 def _as_tuple(values):
@@ -77,40 +104,19 @@ class Constellation:
         norm = math.sqrt(_sum_squares(self.amplitudes))
         return Constellation(tuple(a / norm for a in self.amplitudes))
 
+    @classmethod
+    def geometric(cls, rho, M):
+        """Geometric constellation X_g of ratio rho in (0, 1): amplitudes C * rho^(M/2 - i),
+        with C^2 * sum_{i=1}^{M/2} rho^(2i) = 1, so the positive half has unit energy."""
+        c = _geometric_scale(rho, M)
+        return cls(tuple(c * rho ** (M // 2 - i) for i in range(M // 2)))
+
 
 def equidistant_constellation(M):
     """Standard equidistant M-PAM: amplitudes {2i+1}."""
     if M < 4 or M & (M - 1):
         raise ValueError("M must be a power of 2, M >= 4")
     return Constellation(tuple(2 * i + 1 for i in range(M // 2)))
-
-
-@dataclass(frozen=True)
-class GeometricConstellation:
-    """Geometric constellation with amplitude ratio rho in (0,1).
-
-    Amplitudes are C * rho^(M/2 - i) with C chosen so the total energy of the
-    positive half is 1 (C^2 * sum_{i=1}^{M/2} rho^(2i) = 1).
-    """
-
-    rho: float
-    M: int
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
-        if self.M < 4 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of 2, M >= 4")
-
-    @property
-    def C(self):
-        powers = self.rho ** (2 * np.arange(1, self.M // 2 + 1))
-        return 1.0 / math.sqrt(float(np.sum(powers)))
-
-    def materialize(self):
-        c = self.C
-        amps = [c * self.rho ** (self.M // 2 - i) for i in range(self.M // 2)]
-        return Constellation(tuple(amps))
 
 
 @dataclass(frozen=True)

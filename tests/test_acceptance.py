@@ -9,7 +9,6 @@ from pamq import (
     ChannelModel,
     Constellation,
     DesignProblem,
-    GeometricConstellation,
     Quantizer,
     SimSpec,
     check_prop2,
@@ -146,12 +145,11 @@ def test_criterion_04_noiseless_optimum():
 
 
 def test_criterion_05_boundary_ratio_structure():
-    cg = GeometricConstellation(0.4, 8)
     p = DesignProblem(
         channel=RAYLEIGH, M=8, bits=3, variables="quantizer_only",
-        snr=None, constellation=cg.materialize(), n_starts=10, seed=0,
+        snr=None, constellation=Constellation.geometric(0.4, 8), n_starts=10, seed=0,
     )
-    _, dev_g = check_prop2(optimize(p), cg)
+    _, dev_g = check_prop2(optimize(p), 0.4)
 
     p = DesignProblem(
         channel=RAYLEIGH, M=4, bits=3, variables="quantizer_only",

@@ -1,6 +1,7 @@
 """Decay-exponent analytics: exact theoretical values, slope fitting,
 bit-scaling of the optimized floor, and vanishing-floor schedules."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,14 @@ from pamq import (
     dq_successive_slopes,
     dvo_fit,
     dvo_theory,
+    floor_geometric,
     floor_schedule,
     optimal_floor_log2,
     sep_closed_form,
 )
+from pamq.asymptotics import _warm_start
+
+RAYLEIGH = ChannelModel(1, 1.0)
 
 
 class TestDvoTheory:
@@ -157,3 +162,75 @@ class TestFloorSchedule:
         )
         vals = [v for _, v in out]
         assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+# every input the geometric design family rejects, at each function that takes one
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dvo_theory(1, 3, 8, "uniform"), "derived for M = 4",
+                 id="dvo_theory-uniform-M8"),
+    pytest.param(lambda: floor_geometric(0.3, 8, 0.1, RAYLEIGH, 3, uniform=True),
+                 "derived for M = 4", id="floor_geometric-uniform-M8"),
+    pytest.param(lambda: floor_schedule([0.3], 6.5, 3, 8, RAYLEIGH, uniform=True),
+                 "derived for M = 4", id="floor_schedule-uniform-M8"),
+    pytest.param(lambda: dvo_theory(1, 2, 8), "2^b > M - 2", id="dvo_theory-levels"),
+    pytest.param(lambda: floor_geometric(0.3, 8, 0.1, RAYLEIGH, 2), "2^b > M - 2",
+                 id="floor_geometric-levels"),
+    pytest.param(lambda: floor_schedule([0.3], 6.5, 2, 8, RAYLEIGH), "2^b > M - 2",
+                 id="floor_schedule-levels"),
+    pytest.param(lambda: dvo_theory(1, 1, 4), "bits must be >= 2", id="dvo_theory-b1"),
+    pytest.param(lambda: dvo_theory(1, 1, 4, "uniform"), "bits must be >= 2",
+                 id="dvo_theory-b1-uniform"),
+    pytest.param(lambda: floor_geometric(0.3, 4, 0.1, RAYLEIGH, 1), "bits must be >= 2",
+                 id="floor_geometric-b1"),
+    pytest.param(lambda: floor_geometric(0.3, 4, 0.1, RAYLEIGH, 1, uniform=True),
+                 "bits must be >= 2", id="floor_geometric-b1-uniform"),
+    pytest.param(lambda: floor_schedule([0.3], 2.5, 1, 4, RAYLEIGH), "bits must be >= 2",
+                 id="floor_schedule-b1"),
+    pytest.param(lambda: floor_schedule([0.3], 2.5, 1, 4, RAYLEIGH, uniform=True),
+                 "bits must be >= 2", id="floor_schedule-b1-uniform"),
+    pytest.param(lambda: dvo_theory(1, 3, 4, "uniform", n_r=2), "single-antenna",
+                 id="dvo_theory-uniform-nr2"),
+    pytest.param(lambda: floor_schedule([0.3], 2.0, 3, 4, RAYLEIGH), "open interval",
+                 id="floor_schedule-a-at-M-2"),
+    pytest.param(lambda: floor_schedule([0.3], 8.0, 3, 4, RAYLEIGH), "open interval",
+                 id="floor_schedule-a-at-2^b"),
+    pytest.param(lambda: floor_schedule([0.3], 2.0, 3, 4, RAYLEIGH, uniform=True),
+                 "open interval", id="floor_schedule-uniform-a-at-M-2"),
+    pytest.param(lambda: floor_schedule([0.3], 4.0, 3, 4, RAYLEIGH, uniform=True),
+                 "open interval", id="floor_schedule-uniform-a-at-4"),
+])
+def test_family_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+class TestFamilyBits:
+    """float.hex of the geometric family's designs and floors, as computed before the
+    family had one constellation type and one rule."""
+
+    @pytest.mark.parametrize("uniform, amplitudes, boundaries", [
+        (False, ["0x1.47160e42b0cb4p-2", "0x1.e52d8f6383e2cp-1"],
+         ["0x1.7bcd6a0e41917p-3", "0x1.19afd75a6e7acp-1", "0x1.a1d5ef92ff59dp+0"]),
+        (True, ["0x1.2ee13dfa70037p-3", "0x1.fa5eb2840327fp-1"],
+         ["0x1.879fb4f644e8cp-2", "0x1.879fb4f644e8cp-1", "0x1.25b7c7b8b3ae9p+0"]),
+    ])
+    def test_warm_start(self, uniform, amplitudes, boundaries):
+        cons, quant = _warm_start(1, 3, 4, 1e3, uniform)
+        assert [a.hex() for a in cons.amplitudes] == amplitudes
+        assert [q.hex() for q in quant.positive_boundaries] == boundaries
+
+    def test_acceptance_schedules(self):
+        # the two floor_schedule calls of acceptance criterion 7
+        rho_grid = [10.0 ** e for e in np.linspace(-0.3, -3.0, 10)]
+        out = floor_schedule(rho_grid, a=4.0, b=3, M=4, ch=RAYLEIGH)
+        assert [v.hex() for _, v in out] == [
+            "0x1.c6e9379ccee54p-4", "0x1.f4e95191dd9c8p-6", "0x1.019f3ad2e8011p-7",
+            "0x1.04628693b17dfp-9", "0x1.0603521cac487p-11", "0x1.075b785912bd3p-13",
+            "0x1.08a2644783205p-15", "0x1.09e61ad8e58e4p-17", "0x1.0b2a27ac40822p-19",
+            "0x1.0c6f713f9249dp-21"]
+        out = floor_schedule(rho_grid, a=3.5, b=3, M=4, ch=ChannelModel(2, 1.0), uniform=True)
+        assert [v.hex() for _, v in out] == [
+            "0x1.45f4b5b21527ap-4", "0x1.b7de9a77e2aa6p-7", "0x1.ece9ed14bd1c7p-10",
+            "0x1.01e3da101d132p-12", "0x1.074a5c23c19dap-15", "0x1.0a749c4142af6p-18",
+            "0x1.0cd1a9c456b1bp-21", "0x1.0ee74366abea7p-24", "0x1.10e58c50bdc61p-27",
+            "0x1.12ddc6f9488b5p-30"]

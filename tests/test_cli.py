@@ -408,14 +408,28 @@ class TestConfigAndErrors:
                                   "--antennas", "2", "--window", "20:35"] + extra, capsys)
             assert code == 0 and calls[-1]["budget"] == budget
 
-    @pytest.mark.parametrize("window", ["20", "a:b", "50:20"])
+    @pytest.mark.parametrize("window", ["20", "a:b", "50:20", "20:inf", "-inf:30", "20:1e300"])
     def test_dvo_bad_window_names_flag(self, window, capsys, monkeypatch):
+        # an end at a zero or non-finite linear SNR fails here, not in np.arange
         monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))
         code, stdout, err = run_cli(
-            ["dvo", "--joint", "--m", "1", "--bits", "2", "--window", window], capsys
+            ["dvo", "--joint", "--m", "1", "--bits", "2", f"--window={window}"], capsys
         )
         assert code == 1 and stdout == ""
         assert "--window" in err and "lo:hi" in err
+
+    def test_dvo_finite_window_grid(self, capsys, monkeypatch):
+        grids = []
+
+        def fake(m, b, M, kind, n_r, grid, **kwargs):
+            grids.append(grid)
+            return DvoEstimate(1.0, (grid[0], grid[-1]), 1.0, len(grid)), Fraction(1, 2)
+
+        monkeypatch.setattr(cli, "dvo_experiment", fake)
+        code, stdout, _ = run_cli(["dvo", "--joint", "--m", "1", "--bits", "2",
+                                   "--window", "20:60"], capsys)
+        assert code == 0 and json.loads(stdout)["window"] == [20.0, 60.0]
+        assert grids == [[20.0 + 2.5 * k for k in range(17)]]
 
     @pytest.mark.parametrize("extra,flag", [
         (["--joint", "--constellation", "1,3", "--snr-db", "20"], "--constellation"),

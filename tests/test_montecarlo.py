@@ -1,7 +1,6 @@
 """Link-level Monte Carlo: reproducibility, calibration against the
 analytic SEP, noiseless mode, and the multi-antenna path."""
 import csv
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from pamq import montecarlo
 from pamq import (
     ChannelModel,
     Constellation,
-    GeometricConstellation,
     Quantizer,
     SimSpec,
     floor_geometric,
@@ -20,6 +18,7 @@ from pamq import (
     simulate_noiseless,
     write_csv,
 )
+from pamq.system import _schedule_q1
 
 C13 = Constellation((1.0, 3.0))
 RAYLEIGH = ChannelModel(1, 1.0)
@@ -172,16 +171,16 @@ class TestNoiseless:
         assert abs(est.sep_hat - exact) < 3 * est.stderr
 
     def test_below_geometric_bound(self):
-        cg = GeometricConstellation(0.2, 4)
-        q1 = math.sqrt(cg.C**2 * cg.rho**4.0)
-        bounds = tuple(q1 / cg.rho**j for j in range(3))
+        rho = 0.2
+        q1 = _schedule_q1(rho, 4, 4.0)
+        bounds = tuple(q1 / rho**j for j in range(3))
         spec = make_spec(
-            constellation=cg.materialize(),
+            constellation=Constellation.geometric(rho, 4),
             quantizer=Quantizer(bounds, bits=3),
             trials=400_000,
         )
         est = simulate_noiseless(spec)
-        bound = floor_geometric(cg, q1, RAYLEIGH, bits=3)
+        bound = floor_geometric(rho, 4, q1, RAYLEIGH, bits=3)
         assert est.sep_hat <= bound + 3 * est.stderr
 
 

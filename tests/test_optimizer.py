@@ -11,7 +11,6 @@ from pamq import (
     Constellation,
     DesignProblem,
     DesignResult,
-    GeometricConstellation,
     Quantizer,
     check_prop2,
     equidistant_constellation,
@@ -108,6 +107,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             quantizer_problem(**bad)
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
+    def test_snr_positive_and_finite(self, snr):
+        # an infinite or NaN SNR fails here, not at optimize's last SEP call
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            quantizer_problem(snr=snr)
+
     @pytest.mark.parametrize("kind", ["quantizer_only", "uniform_step_only"])
     def test_M_must_match_fixed_constellation(self, kind):
         with pytest.raises(ValueError, match="disagrees"):
@@ -181,7 +186,7 @@ class TestObjectiveBits:
         (dict(channel=ChannelModel(1.5), M=4, bits=2, variables="quantizer_only", snr=30.0,
               constellation=C13), [0.8], "0x1.8eaad6be75920p-3"),
         (dict(channel=ChannelModel(2), M=8, bits=3, variables="quantizer_only", snr=None,
-              constellation=GeometricConstellation(0.4, 8).materialize()),
+              constellation=Constellation.geometric(0.4, 8)),
          [-2.0, -1.0, 0.5], "0x1.07e6de5872a10p-2"),
         # softplus(-800) is 0.0: the smallest amplitude vanishes
         (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
@@ -301,28 +306,26 @@ class TestGradientDesign:
 
 class TestProp2Diagnostics:
     def test_geometric_fixed_point(self):
-        cg = GeometricConstellation(0.4, 8)
         p = DesignProblem(
             channel=RAYLEIGH, M=8, bits=3, variables="quantizer_only",
-            snr=None, constellation=cg.materialize(), n_starts=10, seed=0,
+            snr=None, constellation=Constellation.geometric(0.4, 8), n_starts=10, seed=0,
         )
-        ratios, dev = check_prop2(optimize(p), cg)
+        ratios, dev = check_prop2(optimize(p), 0.4)
         assert len(ratios) == 2
         assert dev < 0.01 * 0.4
 
     def test_single_boundary_vacuous(self):
         r = optimize(quantizer_problem())
-        ratios, dev = check_prop2(r, GeometricConstellation(0.4, 4))
+        ratios, dev = check_prop2(r, 0.4)
         assert ratios == () and dev == 0.0
 
     def test_perturbed_negative_control(self):
-        cg = GeometricConstellation(0.4, 8)
         bad = DesignResult(
             quantizer=Quantizer((0.1, 0.5, 0.6), bits=3),
-            constellation=cg.materialize(), sep=0.5, starts_used=1,
+            constellation=Constellation.geometric(0.4, 8), sep=0.5, starts_used=1,
             converged=True, failed_evals=0, evals=0,
         )
-        _, dev = check_prop2(bad, cg)
+        _, dev = check_prop2(bad, 0.4)
         assert dev > 0.01
 
 

@@ -8,7 +8,6 @@ import pytest
 from pamq import (
     ChannelModel,
     Constellation,
-    GeometricConstellation,
     Quantizer,
     default_alpha,
     floor_bounds,
@@ -26,6 +25,7 @@ from pamq import (
     xg_design,
 )
 from pamq import sep
+from pamq.system import _schedule_q1
 
 C13 = Constellation((1.0, 3.0))
 RAYLEIGH = ChannelModel(1, 1.0)
@@ -443,8 +443,7 @@ class TestFloorBounds:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rho = float(rng.uniform(0.2, 0.7))
-            cg = GeometricConstellation(rho, 8)
-            cons = cg.materialize()
+            cons = Constellation.geometric(rho, 8)
             q1 = float(rng.uniform(0.2, 1.0)) * cons.amplitudes[0]
             bounds = tuple(q1 / rho**j for j in range(3))
             q = Quantizer(bounds, bits=3)
@@ -470,41 +469,35 @@ class TestFloorGeometric:
         ch = RAYLEIGH
         prev = 1.0
         for rho in (0.5, 0.3, 0.1, 0.03):
-            cg = GeometricConstellation(rho, 4)
-            q1 = math.sqrt(cg.C**2 * rho**4.0)
-            val = floor_geometric(cg, q1, ch, bits=3)
+            val = floor_geometric(rho, 4, _schedule_q1(rho, 4, 4.0), ch, bits=3)
             assert val < prev
             prev = val
         assert prev < 1e-3
 
     def test_decreasing_in_bits(self):
-        cg = GeometricConstellation(0.8, 4)
-        q1 = 0.5 * cg.materialize().amplitudes[0]
-        vals = [floor_geometric(cg, q1, RAYLEIGH, bits=b) for b in (3, 4, 5)]
+        q1 = 0.5 * Constellation.geometric(0.8, 4).amplitudes[0]
+        vals = [floor_geometric(0.8, 4, q1, RAYLEIGH, bits=b) for b in (3, 4, 5)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_uniform_variant(self):
-        cg = GeometricConstellation(0.3, 4)
-        q1 = math.sqrt(cg.C**2 * cg.rho**3.0)
-        val = floor_geometric(cg, q1, RAYLEIGH, bits=3, uniform=True)
+        q1 = _schedule_q1(0.3, 4, 3.0)
+        val = floor_geometric(0.3, 4, q1, RAYLEIGH, bits=3, uniform=True)
         assert 0.0 < val < 1.0
 
     def test_regime_error(self):
-        cg = GeometricConstellation(0.3, 8)
         with pytest.raises(ValueError):
-            floor_geometric(cg, 0.1, RAYLEIGH, bits=2)  # 2^b <= M - 2
+            floor_geometric(0.3, 8, 0.1, RAYLEIGH, bits=2)  # 2^b <= M - 2
 
     def test_vacuous_bound_is_one(self):
         # the raw bound here is 1.48: vacuous, and 1 is still a valid bound
-        assert floor_geometric(GeometricConstellation(0.9, 8), 0.1, RAYLEIGH, 3) == 1.0
+        assert floor_geometric(0.9, 8, 0.1, RAYLEIGH, 3) == 1.0
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_bits_beyond_quantizer_maximum(self, uniform):
         # only q_1 and q_K are formed, so b is not held to MAX_BITS; the top tail
         # is 0 from b = 16 on, and the bound is its lower tail alone
-        cg = GeometricConstellation(0.3, 4)
-        vals = [floor_geometric(cg, 0.01, RAYLEIGH, b, uniform=uniform) for b in (16, 20)]
-        low = -math.expm1(-(0.01 / cg.materialize().amplitudes[1]) ** 2)
+        vals = [floor_geometric(0.3, 4, 0.01, RAYLEIGH, b, uniform=uniform) for b in (16, 20)]
+        low = -math.expm1(-(0.01 / Constellation.geometric(0.3, 4).amplitudes[1]) ** 2)
         assert vals[0] == vals[1] == pytest.approx(0.5 * low, rel=1e-13)
 
     @pytest.mark.parametrize("rho, M, q1, m, omega, bits, uniform, value", [
@@ -515,10 +508,10 @@ class TestFloorGeometric:
     ])
     def test_is_floor_bounds_upper_on_the_design(self, rho, M, q1, m, omega, bits, uniform,
                                                   value):
-        cg, ch = GeometricConstellation(rho, M), ChannelModel(m, omega)
+        ch = ChannelModel(m, omega)
         quant = Quantizer.uniform(q1, bits) if uniform else xg_design(rho, q1, M, bits)[1]
-        got = floor_geometric(cg, q1, ch, bits, uniform=uniform)
-        assert got == floor_bounds(cg.materialize(), quant, ch)[1].value
+        got = floor_geometric(rho, M, q1, ch, bits, uniform=uniform)
+        assert got == floor_bounds(Constellation.geometric(rho, M), quant, ch)[1].value
         assert got == pytest.approx(value, rel=1e-13)
 
 

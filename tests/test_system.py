@@ -6,7 +6,6 @@ import pytest
 from pamq import (
     ChannelModel,
     Constellation,
-    GeometricConstellation,
     Quantizer,
     equidistant_constellation,
     sigma2_from_snr,
@@ -42,28 +41,47 @@ class TestConstellation:
         assert c.amplitudes == (1.0, 3.0, 5.0, 7.0)
 
 
-class TestGeometricConstellation:
+class TestGeometric:
     def test_normalization_constraint(self):
-        cg = GeometricConstellation(0.5, 4)
-        total = cg.C**2 * sum(cg.rho ** (2 * i) for i in range(1, 3))
+        # the top amplitude is C * rho
+        rho = 0.5
+        c = Constellation.geometric(rho, 4).amplitudes[-1] / rho
+        total = c**2 * sum(rho ** (2 * i) for i in range(1, 3))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_materialized_energy(self):
+    def test_unit_energy(self):
         for rho, M in ((0.5, 4), (0.3, 8), (0.8, 4)):
-            c = GeometricConstellation(rho, M).materialize()
+            c = Constellation.geometric(rho, M)
             assert symbol_energy(c) == pytest.approx(2.0 / M, abs=1e-12)
 
     def test_adjacent_ratio_exact(self):
-        c = GeometricConstellation(0.4, 8).materialize()
+        c = Constellation.geometric(0.4, 8)
         a = c.amplitudes
         for lo, hi in zip(a, a[1:]):
             assert lo / hi == pytest.approx(0.4, abs=1e-14)
 
     def test_ratio_domain(self):
         with pytest.raises(ValueError):
-            GeometricConstellation(1.0, 4)
+            Constellation.geometric(1.0, 4)
         with pytest.raises(ValueError):
-            GeometricConstellation(0.0, 4)
+            Constellation.geometric(0.0, 4)
+
+    @pytest.mark.parametrize("M", [0, 2, 5, 6])
+    def test_size_domain(self, M):
+        with pytest.raises(ValueError, match="power of 2"):
+            Constellation.geometric(0.5, M)
+
+    @pytest.mark.parametrize("rho, M, amplitudes", [
+        # float.hex of the amplitudes of the separate geometric type this replaced
+        (0.3, 4, ["0x1.263e862c542d5p-2", "0x1.ea6834f48c4b8p-1"]),
+        (0.4, 8, ["0x1.e0ace88101a6ap-5", "0x1.2c6c1150a1082p-3", "0x1.778715a4c94a3p-2",
+                  "0x1.d568db0dfb9cap-1"]),
+        (0.2, 16, ["0x1.a4d1b2bb71d73p-17", "0x1.07030fb527267p-14", "0x1.48c3d3a270f01p-12",
+                   "0x1.9af4c88b0d2c0p-10", "0x1.00d8fd56e83b8p-7", "0x1.410f3caca24a6p-5",
+                   "0x1.91530bd7cadcfp-3", "0x1.f5a7cecdbd942p-1"]),
+    ])
+    def test_bits(self, rho, M, amplitudes):
+        assert [a.hex() for a in Constellation.geometric(rho, M).amplitudes] == amplitudes
 
 
 class TestQuantizer:
