@@ -128,10 +128,10 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed
     return dvo_fit(curve, window), theory
 
 
-def dq_metric(floor_fn, b_range):
-    """Least-squares slope of -log2(floor) against the bit count."""
+def dq_metric(log2_floor_fn, b_range):
+    """Least-squares slope of -log2(floor) against the bit count, from log2 floors."""
     bs = list(b_range)
-    y = [-math.log2(floor_fn(b)) for b in bs]
+    y = [-log2_floor_fn(b) for b in bs]
     slope = np.polyfit(np.asarray(bs, dtype=float), np.asarray(y), 1)[0]
     return float(slope)
 

@@ -18,8 +18,8 @@ from scipy import optimize as sciopt
 from scipy.stats import qmc
 
 from .sep import sep_and_grad, sep_exact
-from .system import (Constellation, Quantizer, _boundary_count, _geometric_boundary,
-                     symbol_energy)
+from .system import (Constellation, Quantizer, _boundary_count, _check_size,
+                     _geometric_boundary, symbol_energy)
 
 __all__ = [
     "DesignProblem",
@@ -65,8 +65,7 @@ class DesignProblem:
                                  f"{self.constellation.M}")
         if self.snr is not None and not 0 < self.snr < math.inf:
             raise ValueError("snr must be positive and finite (or None for noiseless)")
-        if self.M < 4 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of two >= 4")
+        _check_size(self.M)
         _boundary_count(self.bits)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")

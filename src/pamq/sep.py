@@ -102,21 +102,17 @@ def h_function(m, omega, b, c, z_lo, z_hi):
 
 def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
     """h_function's series for checked z_lo < z_hi, given the survivals g_lo, g_hi:
-    (value, q_lo, q_hi, parts), with q_lo and q_hi the Q factors Q(-c + sqrt(b z)) at
-    z_lo and z_hi (0 at z = inf), and parts = (u_lo, u_hi, s, expo, f) of the series,
-    or None for c = inf and b = 0, which need none."""
+    (value, parts), with parts = (u_lo, u_hi, s, expo, f) of the series, or None for
+    c = inf and b = 0, which need none. No gradient needs the Q factors at the ends:
+    ML regions meet where the likelihoods tie (see sep_and_grad)."""
     if math.isinf(c):
-        return g_lo - g_hi, 1.0, 1.0, None
+        return g_lo - g_hi, None
     if b == 0.0:
-        q_c = float(q_func(-c))
-        return q_c * (g_lo - g_hi), q_c, q_c, None
+        return float(q_func(-c)) * (g_lo - g_hi), None
 
-    q_lo = float(q_func(-c + math.sqrt(b * z_lo)))
-    boundary = q_lo * g_lo
-    q_hi = 0.0
+    boundary = float(q_func(-c + math.sqrt(b * z_lo))) * g_lo
     if not math.isinf(z_hi):
-        q_hi = float(q_func(-c + math.sqrt(b * z_hi)))
-        boundary -= q_hi * g_hi
+        boundary -= float(q_func(-c + math.sqrt(b * z_hi))) * g_hi
 
     alpha = 2.0 * m / (omega * b)
     s = alpha + 1.0
@@ -153,7 +149,7 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
                 / math.factorial(r)
             )
     # fsum is correctly rounded, so the order of the terms does not matter
-    return boundary - math.fsum(terms), q_lo, q_hi, (u_lo, u_hi, s, expo, f)
+    return boundary - math.fsum(terms), (u_lo, u_hi, s, expo, f)
 
 
 def _log_gamma_pdf(m, omega):
@@ -274,15 +270,14 @@ def sep_exact(c, q, ch, snr):
 
 
 def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
-    """_h_series' value and Q factors, with dH/dc and dH/db: (value, d_c, d_b, q_lo,
-    q_hi). The Leibniz terms dH/dz_hi = q_hi f_Z(z_hi) and dH/dz_lo = -q_lo f_Z(z_lo)
-    go by the Q factors. In t = sqrt(z), dH/dc = A T_(2m-1) and dH/db = -A T_(2m) /
-    (2 sqrt(b)), with T_k the integral of t^k exp(-u^2/2) du over the u interval of
-    the series, summed from its moment differences f."""
-    value, q_lo, q_hi, parts = _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+    """_h_series' value with dH/dc and dH/db: (value, d_c, d_b). In t = sqrt(z),
+    dH/dc = A T_(2m-1) and dH/db = -A T_(2m) / (2 sqrt(b)), with T_k the integral of
+    t^k exp(-u^2/2) du over the u interval of the series, summed from its moment
+    differences f. No dH/dz terms: ML regions meet where the likelihoods tie."""
+    value, parts = _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
     if parts is None:  # c = inf: no dependence; b = 0: Q(-c) times the mass
         d_c = 0.0 if math.isinf(c) else math.exp(-0.5 * c * c) / SQRT_2PI * (g_lo - g_hi)
-        return value, d_c, 0.0, q_lo, q_hi
+        return value, d_c, 0.0
     u_lo, u_hi, s, expo, f = parts
 
     # the two orders above the series, by parts: F_l = [-u^(l-1) e^(-u^2/2)] + (l-1) F_(l-2)
@@ -302,19 +297,19 @@ def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
             / (math.factorial(m - 1) * SQRT_2PI * math.sqrt(b * s)))
     d_c = lead * t_odd
     d_b = -lead * t_even / (2.0 * math.sqrt(b))
-    return value, d_c, d_b, q_lo, q_hi
+    return value, d_c, d_b
 
 
-def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper, reach):
-    """Add weight * dz/d(q, rho) for the endpoint z of region (y, i) that _region_bounds
-    gave. An endpoint in (0, inf) is the square of a ratio, of q_(y-1) + q_y over
-    rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1) (lower), or, where the reach region
-    binds, of q_y (upper) or q_(y-1) (lower) over rho_i."""
+def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper):
+    """Add weight * dz/d(q, rho) for the endpoint z in (0, inf) of the noiseless region
+    (y, i): the square of q_y (upper) or q_(y-1) (lower) over rho_i where the reach bound
+    binds, else of q_(y-1) + q_y over rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1)
+    (lower). The noisy SEP has none: ML regions meet where the likelihoods tie."""
     if not 0.0 < z < math.inf or weight == 0.0:
         return
     amps = c.amplitudes
     k = y if upper else y - 1
-    if reach and z == (q.boundary(k) / amps[i]) ** 2:
+    if z == (q.boundary(k) / amps[i]) ** 2:
         ks, js = (k,), (i,)
     else:
         ks, js = (y - 1, y), (i, i - 1 if upper else i + 1)
@@ -332,21 +327,21 @@ def sep_and_grad(c, q, ch, snr):
     i = 0..M/2-1), the amplitude derivatives at fixed sigma. At finite SNR (integer m
     only) it walks sep_closed_form's regions and series, so the value is bit for bit
     sep_closed_form's; with snr None it is the noiseless SEP (any m), which
-    sep_noiseless returns."""
+    sep_noiseless returns. The finite-SNR gradient has no region-endpoint terms: where
+    D_(y,i) meets D_(y,i-1), rho_i sqrt(z) and rho_(i-1) sqrt(z) lie symmetrically about
+    bin y's midpoint, so the ML likelihoods tie and the two regions' terms cancel."""
     grad_q, grad_rho = [0.0] * q.K, [0.0] * c.half_size
     m, omega, amps = ch.m, ch.omega, c.amplitudes
-    pdf = _log_gamma_pdf(m, omega)
     weight = -2.0 / c.M  # dSEP / dP(correct)
     if snr is None:
+        pdf = _log_gamma_pdf(m, omega)
         total = 0.0
         for y, i, lower, upper in _decision_regions(c, q, reach=True):
             hi = 1.0 if math.isinf(upper) else float(special.gammainc(m, m * upper / omega))
             lo = float(special.gammainc(m, m * lower / omega))
             total += hi - lo
-            _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i,
-                               True, True)
-            _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i,
-                               False, True)
+            _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i, True)
+            _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i, False)
         return _clamp_probability(1.0 - 2.0 / c.M * total), grad_q, grad_rho
 
     if not ch.integer_m:
@@ -357,20 +352,14 @@ def sep_and_grad(c, q, ch, snr):
     dc_dq = math.sqrt(2.0) / sigma
     terms = []
     for y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi in _series_regions(c, q, ch, sigma2):
-        h_hi, dc_hi, db_hi, qlo_hi, qhi_hi = _h_series_grad(m, omega, b_i, c_hi, lower, upper,
-                                                             g_lo, g_hi)
-        h_lo, dc_lo, db_lo, qlo_lo, qhi_lo = _h_series_grad(m, omega, b_i, c_lo, lower, upper,
-                                                             g_lo, g_hi)
+        h_hi, dc_hi, db_hi = _h_series_grad(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)
+        h_lo, dc_lo, db_lo = _h_series_grad(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi)
         terms.append(h_hi - h_lo)
         if y <= q.K:
             grad_q[y - 1] += weight * dc_hi * dc_dq
         if y >= 2:
             grad_q[y - 2] -= weight * dc_lo * dc_dq
         grad_rho[i] += weight * (db_hi - db_lo) * 4.0 * amps[i] / sigma2
-        _add_endpoint_grad(grad_q, grad_rho, weight * (qhi_hi - qhi_lo) * pdf(upper), upper,
-                           c, q, y, i, True, False)
-        _add_endpoint_grad(grad_q, grad_rho, -weight * (qlo_hi - qlo_lo) * pdf(lower), lower,
-                           c, q, y, i, False, False)
     return _clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), grad_q, grad_rho
 
 

@@ -36,12 +36,17 @@ def _geometric_boundary(q1, rho, y):
     return q1 / r if r > 0.0 else math.inf
 
 
+def _check_size(M):
+    """Reject a constellation size M that is not a power of 2, M >= 4."""
+    if M < 4 or M & (M - 1):
+        raise ValueError("M must be a power of 2, M >= 4")
+
+
 def _geometric_scale(rho, M):
     """C of the geometric constellation of ratio rho in (0, 1) and size M."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if M < 4 or M & (M - 1):
-        raise ValueError("M must be a power of 2, M >= 4")
+    _check_size(M)
     return 1.0 / math.sqrt(float(np.sum(rho ** (2 * np.arange(1, M // 2 + 1)))))
 
 
@@ -53,6 +58,7 @@ def _schedule_q1(rho, M, a):
 def _family_levels(M, bits, uniform):
     """Quantizer levels of the geometric design family, b >= 2: 2^b with matching-ratio
     boundaries, or 4 for the uniform step, derived for M = 4 only; more than M - 2."""
+    _check_size(M)
     if bits < 2:
         raise ValueError("bits must be >= 2")
     if uniform and M != 4:
@@ -114,8 +120,7 @@ class Constellation:
 
 def equidistant_constellation(M):
     """Standard equidistant M-PAM: amplitudes {2i+1}."""
-    if M < 4 or M & (M - 1):
-        raise ValueError("M must be a power of 2, M >= 4")
+    _check_size(M)
     return Constellation(tuple(2 * i + 1 for i in range(M // 2)))
 
 

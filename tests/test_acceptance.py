@@ -170,10 +170,7 @@ def test_criterion_05_boundary_ratio_structure():
 def test_criterion_06_floor_bit_scaling():
     slopes = {}
     for m in (1, 2):
-        slopes[m] = dq_metric(
-            lambda b: 2.0 ** optimal_floor_log2(m, b, "uniform"),
-            range(4, 11),
-        )
+        slopes[m] = dq_metric(lambda b: optimal_floor_log2(m, b, "uniform"), range(4, 11))
     inc = dq_successive_slopes(
         lambda b: optimal_floor_log2(1, b, "nonuniform"), range(2, 9)
     )

@@ -109,17 +109,20 @@ class TestDvoFit:
 
 class TestBitScaling:
     def test_synthetic_exponential(self):
-        assert dq_metric(lambda b: 2.0 ** (-3 * b), range(2, 10)) == pytest.approx(
-            3.0, abs=1e-9
-        )
+        assert dq_metric(lambda b: -3.0 * b, range(2, 10)) == pytest.approx(3.0, abs=1e-9)
 
     def test_uniform_floor_slope(self):
         for m in (1, 2):
-            slope = dq_metric(
-                lambda b: 2.0 ** optimal_floor_log2(m, b, "uniform"),
-                range(4, 11),
-            )
+            slope = dq_metric(lambda b: optimal_floor_log2(m, b, "uniform"), range(4, 11))
             assert slope == pytest.approx(2 * m, abs=0.3)
+
+    def test_floor_below_float_range(self):
+        # the non-uniform floor at b = 10 is below 2^-1074, so only its log2 has a value;
+        # over three equally spaced b the fitted slope is half the end-to-end drop
+        log2s = [optimal_floor_log2(1, b, "nonuniform") for b in range(8, 11)]
+        assert log2s[-1] < -1074
+        slope = dq_metric(lambda b: optimal_floor_log2(1, b, "nonuniform"), range(8, 11))
+        assert slope == pytest.approx((log2s[0] - log2s[-1]) / 2.0, rel=1e-12)
 
     def test_nonuniform_double_exponential_signature(self):
         inc = dq_successive_slopes(
@@ -198,6 +201,8 @@ class TestFloorSchedule:
                  "open interval", id="floor_schedule-uniform-a-at-M-2"),
     pytest.param(lambda: floor_schedule([0.3], 4.0, 3, 4, RAYLEIGH, uniform=True),
                  "open interval", id="floor_schedule-uniform-a-at-4"),
+    pytest.param(lambda: dvo_theory(1, 3, 6), "M must be a power of 2", id="dvo_theory-M6"),
+    pytest.param(lambda: dvo_theory(1, 4, 12), "M must be a power of 2", id="dvo_theory-M12"),
 ])
 def test_family_rejections(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,6 +1,7 @@
 """Figure recipes: every recipe under figures/ names a generator of
-demos/make_figures.py, and the Monte Carlo markers of the SEP-versus-SNR
-figure agree with its exact curve."""
+demos/make_figures.py, the Monte Carlo markers of the SEP-versus-SNR
+figure agree with its exact curve, and the committed CSVs of the quick
+recipes are what the generators write today."""
 import csv
 import importlib.util
 import json
@@ -39,6 +40,10 @@ def test_sep_nakagami_markers_on_exact_curve(make_figures, tmp_path, monkeypatch
     cfg["m_list"] = [1]
     monkeypatch.setattr(make_figures, "OUT", tmp_path)
     make_figures.sep_vs_snr_by_m(cfg)
+    rendered = (tmp_path / "fig_sep_nakagami.csv").read_bytes().splitlines(keepends=True)
+    committed = (ROOT / "figures" / "out" / "fig_sep_nakagami.csv").read_bytes()
+    header, *body = committed.splitlines(keepends=True)
+    assert rendered == [header] + [row for row in body if row.startswith(b"1.000000000000e+00,")]
     with open(tmp_path / "fig_sep_nakagami.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["m", "snr_db", "sep", "q1", "method"]
@@ -52,3 +57,13 @@ def test_sep_nakagami_markers_on_exact_curve(make_figures, tmp_path, monkeypatch
         p = float(curve["sep"])
         stderr = math.sqrt(p * (1.0 - p) / n)
         assert abs(float(marker["sep"]) - p) < 3.0 * stderr, marker["snr_db"]
+
+
+# fig_error_floor_shape is left out: it takes several seconds more than these two
+@pytest.mark.parametrize("figure", ["fig_sep_vs_c", "fig_error_floor_bits"])
+def test_committed_csv_is_current(make_figures, tmp_path, monkeypatch, figure):
+    cfg = json.loads((ROOT / "figures" / f"{figure}.json").read_text())
+    monkeypatch.setattr(make_figures, "OUT", tmp_path)
+    make_figures.KINDS[cfg["kind"]](cfg)
+    committed = ROOT / "figures" / "out" / f"{figure}.csv"
+    assert (tmp_path / f"{figure}.csv").read_bytes() == committed.read_bytes()
