@@ -38,6 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# the most points a start:step:stop --snr-db grid (one SEP value each) and a
+# --window grid (one joint design each) may hold
+_MAX_GRID_POINTS = 10_000
+_MAX_WINDOW_POINTS = 50
+
+
+def _arange(start, stop, step, flag, text, cap):
+    """np.arange(start, stop + 1e-9, step) as a list. Past cap points it
+    raises a ValidationError naming flag and its value text, before any
+    array is built."""
+    if (stop + 1e-9 - start) / step > cap:
+        raise ValidationError(f"{flag} {text!r} asks for more than {cap} points "
+                              f"at {step:g} dB steps")
+    return list(np.arange(start, stop + 1e-9, step))
+
+
 def _parse_grid(text):
     """SNR grid in dB: 'start:step:stop', a comma list, or one number."""
     if ":" in text:
@@ -47,7 +63,7 @@ def _parse_grid(text):
         start, step, stop = _finite_snrs(text, parts)
         if step <= 0:
             raise ValidationError("grid step must be positive")
-        return list(np.arange(start, stop + 1e-9, step))
+        return _arange(start, stop, step, "--snr-db", text, _MAX_GRID_POINTS)
     return _finite_snrs(text, text.split(","))
 
 
@@ -212,7 +228,7 @@ def _cmd_dvo(args):
     kind = "uniform" if args.uniform else "nonuniform"
     lo, hi = _parse_window(args.window)
     step = 2.5 if args.antennas == 1 else 5.0
-    grid = list(np.arange(lo, hi + 1e-9, step))
+    grid = _arange(lo, hi, step, "--window", args.window, _MAX_WINDOW_POINTS)
     est, theory = dvo_experiment(
         args.m, args.bits, args.mod, kind, args.antennas, grid,
         budget=10**6 if args.trials is None else args.trials, seed=args.seed,

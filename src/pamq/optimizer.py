@@ -15,7 +15,6 @@ from itertools import accumulate
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy.stats import qmc
 
 from .sep import sep_and_grad, sep_exact
 from .system import (Constellation, Quantizer, _boundary_count, _check_size,
@@ -200,14 +199,26 @@ def _objective(p, grad=False):
     return f
 
 
+def _latin_hypercube(dim, seed):
+    """The _SCHEDULE_SIZE x dim start schedule in the unit cube: scipy's
+    scrambled Latin hypercube, bit for bit
+    scipy.stats.qmc.LatinHypercube(d=dim, seed=seed).random(_SCHEDULE_SIZE),
+    drawn without importing scipy.stats."""
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(_SCHEDULE_SIZE, dim))
+    perms = np.tile(np.arange(1, _SCHEDULE_SIZE + 1), (dim, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - jitter) / _SCHEDULE_SIZE
+
+
 def _start_points(p):
     """The first n_starts points of a deterministic start schedule: the
     full schedule is always drawn, so its first n entries are the same
     for any requested start count with a fixed seed."""
     es = 2.0 / p.M if p.constellation is None else symbol_energy(p.constellation)
     scale = math.sqrt(p.channel.omega * es)
-    sampler = qmc.LatinHypercube(d=p.dim, seed=p.seed)
-    unit = sampler.random(_SCHEDULE_SIZE)
+    unit = _latin_hypercube(p.dim, p.seed)
     starts = []
     nb = p.n_boundary_vars
     for row in unit[: p.n_starts]:

@@ -209,6 +209,26 @@ class TestNonFiniteSnr:
         assert err == f"pamq: --snr-db must be finite, not {snr_db!r}\n"
 
 
+class TestGridSize:
+    @pytest.mark.parametrize("command", ["sep", "simulate", "compare-aqnm"])
+    def test_wide_grid_rejected_before_it_is_built(self, command, capsys, monkeypatch):
+        # 0:1e-9:100 would be 1e11 floats
+        monkeypatch.setattr(cli.np, "arange", lambda *a: pytest.fail("built the grid"))
+        code, stdout, err = run_cli([
+            command, "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "0:1e-9:100",
+        ] + (["--trials", "100"] if command == "simulate" else []), capsys)
+        assert code == 1 and stdout == ""
+        assert err == (f"pamq: --snr-db '0:1e-9:100' asks for more than "
+                       f"{cli._MAX_GRID_POINTS} points at 1e-09 dB steps\n")
+
+    def test_cap_is_inclusive(self):
+        n = cli._MAX_GRID_POINTS
+        assert len(cli._parse_grid(f"0:1:{n - 1}")) == n
+        with pytest.raises(cli.ValidationError, match="--snr-db"):
+            cli._parse_grid(f"0:1:{n}")
+
+
 class TestConfigAndErrors:
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -430,6 +450,17 @@ class TestConfigAndErrors:
                                    "--window", "20:60"], capsys)
         assert code == 0 and json.loads(stdout)["window"] == [20.0, 60.0]
         assert grids == [[20.0 + 2.5 * k for k in range(17)]]
+
+    @pytest.mark.parametrize("antennas,step", [("1", "2.5"), ("2", "5")])
+    def test_dvo_rejects_wide_window_before_designing(self, antennas, step, capsys,
+                                                       monkeypatch):
+        # 20:3000 would be 1 193 joint designs at 2.5 dB steps
+        monkeypatch.setattr(cli, "dvo_experiment", lambda *a, **k: pytest.fail("ran dvo"))
+        code, stdout, err = run_cli(["dvo", "--joint", "--m", "1", "--bits", "2",
+                                     "--antennas", antennas, "--window", "20:3000"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == (f"pamq: --window '20:3000' asks for more than {cli._MAX_WINDOW_POINTS}"
+                       f" points at {step} dB steps\n")
 
     @pytest.mark.parametrize("extra,flag", [
         (["--joint", "--constellation", "1,3", "--snr-db", "20"], "--constellation"),

@@ -4,7 +4,10 @@ in a module's ``__all__`` are re-exports and are exempt. And no private
 module-level function or class of the package goes unread in src/: tests
 alone do not keep one alive."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -75,3 +78,15 @@ def test_scanner_finds_unread_privates():
 def test_no_unread_private_code():
     package = sorted((ROOT / "src").rglob("*.py"))
     assert unread_privates({str(p.relative_to(ROOT)): p.read_text() for p in package}) == []
+
+
+def test_cold_import_leaves_out_scipy_stats():
+    # scipy.stats took 0.46-0.61 s of a cold `import pamq.cli` on a 2-CPU
+    # x86-64 host; pamq draws its start schedule in NumPy instead
+    code = ("import sys, pamq, pamq.cli\n"
+            "print([m for m in sys.modules if m == 'scipy.stats' "
+            "or m.startswith('scipy.stats.')])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from pamq import (
     ChannelModel,
@@ -196,6 +197,30 @@ class TestObjectiveBits:
     @pytest.mark.parametrize("kw,theta,expected", CASES)
     def test_pinned(self, kw, theta, expected):
         assert _objective(DesignProblem(**kw))(np.array(theta)).hex() == expected
+
+
+class TestStartSchedule:
+    """The start schedule is scipy's scrambled Latin hypercube, drawn in
+    NumPy: the same points bit for bit, so a seed keeps its starts."""
+
+    SEEDS = (0, 1, 2, 7, 12345, 2**40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_scipy_latin_hypercube(self, seed):
+        for d in range(1, 25):
+            expected = qmc.LatinHypercube(d=d, seed=seed).random(optimizer._SCHEDULE_SIZE)
+            assert np.array_equal(optimizer._latin_hypercube(d, seed), expected), d
+
+    @pytest.mark.parametrize("kw", [
+        dict(M=4, bits=3, variables="quantizer_only", constellation=C13),
+        dict(M=8, bits=3, variables="joint_nonuniform"),
+    ])
+    def test_prefix_is_independent_of_start_count(self, kw):
+        full = optimizer._start_points(DesignProblem(RAYLEIGH, n_starts=16, seed=7, **kw))
+        for n in (1, 5, 16):
+            starts = optimizer._start_points(DesignProblem(RAYLEIGH, n_starts=n, seed=7, **kw))
+            assert len(starts) == n
+            assert all(np.array_equal(a, b) for a, b in zip(starts, full[:n]))
 
 
 class TestFailedEvals:
