@@ -13,8 +13,8 @@ from scipy import optimize as sciopt
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
 from .sep import floor_geometric
-from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _family_levels,
-                     _schedule_q1)
+from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _check_shape,
+                     _family_levels, _schedule_q1)
 
 __all__ = [
     "DvoEstimate",
@@ -43,8 +43,10 @@ class DvoEstimate:
 def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
     """Exact decay exponent of the geometric design family as a rational number:
     m * n_r * (L - M + 2) / L with L = 2^b levels (nonuniform), or L = 4 for the
-    uniform step (M = 4, single antenna only), where it is m / 2.
+    uniform step (M = 4, single antenna only), where it is m / 2. The shape m is
+    held to ChannelModel's domain, finite m >= 1/2.
     """
+    _check_shape(m)
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
     if quantizer_kind not in ("nonuniform", "uniform"):

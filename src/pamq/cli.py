@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import dvo_experiment
 from .montecarlo import SimSpec, simulate, write_csv
-from .optimizer import DesignProblem, optimize
+from .optimizer import _SCHEDULE_SIZE, DesignProblem, optimize
 from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
 from .system import ChannelModel, Constellation, Quantizer
 from .table import write_table
@@ -189,6 +189,9 @@ def _cmd_optimize(args):
         if len(grid) != 1:
             raise ValidationError("optimize wants a single --snr-db point or --noiseless")
         snr = 10.0 ** (grid[0] / 10.0)
+    if not 1 <= args.starts <= _SCHEDULE_SIZE:
+        raise ValidationError(f"--starts must be 1 to {_SCHEDULE_SIZE}, the size of the start "
+                              f"schedule, not {args.starts}")
     problem = DesignProblem(
         channel=ch, M=M, bits=args.bits, variables=kind, snr=snr,
         constellation=cons, n_starts=args.starts, seed=args.seed,

@@ -1,24 +1,33 @@
 """Minimum-SEP design of quantizers and constellations.
 
 Multi-start L-BFGS-B over an unconstrained parameterization: ordered
-boundaries (and amplitudes) are running sums of softplus increments, decoded
-on Python floats with NumPy's rounding, and joint designs renormalize to unit
-energy, so every candidate is feasible; one that still fails scores 1.0 and
-is counted. The gradient is exact (sep_and_grad pulled back through the
-decode) for integer m and for noiseless designs; at finite SNR with
-non-integer m it is scipy's finite difference of the quadrature SEP. Each
+boundaries (and amplitudes) are running sums of softplus increments, and joint
+designs renormalize to unit energy. The gradient is exact (sep_and_grad pulled
+back through the decode) for integer m and for noiseless designs; at finite SNR
+with non-integer m it is scipy's finite difference of the quadrature SEP. Each
 start runs at most 1000*dim iterations and 4000*dim objective calls.
+
+The objective is planned once per DesignProblem: the variable split and K are
+cached on the problem, its channel and SNR bound once, and sep_and_grad keeps
+its constants per (m, omega). Each call decodes theta on Python floats with
+NumPy's rounding and runs only the checks a candidate can fail, the one rule
+of Quantizer and Constellation (positive, finite, strictly increasing); a
+softplus increment that underflows or a running sum that overflows breaks it,
+and the candidate scores 1.0 with a zero gradient and is counted as failed.
+A passing candidate is built into its Quantizer and Constellation unchecked.
 """
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from scipy import optimize as sciopt
 
 from .sep import sep_and_grad, sep_exact
-from .system import (Constellation, Quantizer, _boundary_count, _check_size,
-                     _geometric_boundary, symbol_energy)
+from .system import (Constellation, Quantizer, _boundary_count, _check_levels, _check_size,
+                     _geometric_boundary, _unchecked, _unit_energy, symbol_energy)
 
 __all__ = [
     "DesignProblem",
@@ -32,7 +41,8 @@ __all__ = [
 
 VARIABLE_KINDS = ("quantizer_only", "uniform_step_only", "joint_nonuniform", "joint_uniform")
 
-# fixed-size start schedule so that best-of-n is monotone in n for a seed
+# fixed-size start schedule so that best-of-n is monotone in n for a seed; it
+# bounds n_starts (an init_* start comes on top)
 _SCHEDULE_SIZE = 64
 # L-BFGS-B stops once a step lowers the SEP (at most 1) by no more than FTOL, or
 # once no gradient entry exceeds GTOL
@@ -66,27 +76,30 @@ class DesignProblem:
             raise ValueError("snr must be positive and finite (or None for noiseless)")
         _check_size(self.M)
         _boundary_count(self.bits)
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+        if not 1 <= self.n_starts <= _SCHEDULE_SIZE:
+            raise ValueError(f"n_starts must be 1 to {_SCHEDULE_SIZE}, the size of the "
+                             f"start schedule")
 
-    @property
+    # derived once per problem: the objective reads them on every call
+
+    @cached_property
     def K(self):
         return _boundary_count(self.bits)
 
-    @property
+    @cached_property
     def uniform(self):
         """True for the kinds whose quantizer is one uniform step."""
         return self.variables in ("uniform_step_only", "joint_uniform")
 
-    @property
+    @cached_property
     def n_boundary_vars(self):
         return 1 if self.uniform else self.K
 
-    @property
+    @cached_property
     def n_amp_vars(self):
         return self.M // 2 if self.variables.startswith("joint") else 0
 
-    @property
+    @cached_property
     def dim(self):
         return self.n_boundary_vars + self.n_amp_vars
 
@@ -126,19 +139,25 @@ def _softplus_inv(d):
 
 
 def _decode(p, theta):
-    """Unconstrained vector -> (Quantizer, Constellation)."""
+    """Unconstrained vector -> (Quantizer, Constellation): the floats of
+    Quantizer.uniform or of the running sums, and for joint kinds of
+    Constellation.normalized, held to the two types' one rule."""
     theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
-        quant = Quantizer.uniform(_softplus(theta[0]), p.bits)
+        step = _softplus(theta[0])
+        bounds = tuple(step * y for y in range(1, p.K + 1))
     else:
-        quant = Quantizer(tuple(accumulate(map(_softplus, theta[:nb]))), p.bits)
+        bounds = tuple(accumulate(map(_softplus, theta[:nb])))
+    _check_levels(bounds, "boundaries")
+    quant = _unchecked(Quantizer, positive_boundaries=bounds, bits=p.bits)
     if not p.n_amp_vars:
         return quant, p.constellation
-    amps = tuple(accumulate(map(_softplus, theta[nb:])))
-    if amps[0] <= 0.0 or not math.isfinite(amps[-1]):
-        raise ValueError("degenerate amplitude vector")
-    return quant, Constellation(amps).normalized()
+    # checking the rescaled sums is enough: a raw sum that is zero, repeated or not
+    # finite makes a rescaled one zero, repeated or NaN
+    amps = _unit_energy(tuple(accumulate(map(_softplus, theta[nb:]))))
+    _check_levels(amps, "amplitudes")
+    return quant, _unchecked(Constellation, amplitudes=amps)
 
 
 def _encode(p, quant, cons):
@@ -168,13 +187,13 @@ def _pullback(p, theta, cons, grad_q, grad_rho):
     theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
-        grad = [_sigmoid(theta[0]) * math.fsum(y * g for y, g in enumerate(grad_q, 1))]
+        grad = [_sigmoid(theta[0]) * math.fsum(map(mul, range(1, p.K + 1), grad_q))]
     else:
         grad = _through_sums(theta[:nb], grad_q)
     if p.n_amp_vars:
         rho = cons.amplitudes
         norm = math.sqrt(sum(a * a for a in accumulate(map(_softplus, theta[nb:]))))
-        dot = math.fsum(r * g for r, g in zip(rho, grad_rho))
+        dot = math.fsum(map(mul, rho, grad_rho))
         grad += _through_sums(theta[nb:], [(g - r * dot) / norm for r, g in zip(rho, grad_rho)])
     return np.array(grad)
 
@@ -183,17 +202,19 @@ def _objective(p, grad=False):
     """SEP of the decoded candidate, or with grad the pair (SEP, theta-gradient); a
     candidate that fails scores 1.0, with a zero gradient, and is counted in
     ``f.failed``. ``f.evals`` counts the calls."""
+    channel, snr, dim = p.channel, p.snr, p.dim
+
     def f(theta):
         f.evals += 1
         try:
             quant, cons = _decode(p, theta)
             if not grad:
-                return sep_exact(cons, quant, p.channel, p.snr).value
-            value, grad_q, grad_rho = sep_and_grad(cons, quant, p.channel, p.snr)
+                return sep_exact(cons, quant, channel, snr).value
+            value, grad_q, grad_rho = sep_and_grad(cons, quant, channel, snr)
             return value, _pullback(p, theta, cons, grad_q, grad_rho)
         except (ArithmeticError, ValueError):
             f.failed += 1
-            return (1.0, np.zeros(p.dim)) if grad else 1.0
+            return (1.0, np.zeros(dim)) if grad else 1.0
 
     f.failed = f.evals = 0
     return f

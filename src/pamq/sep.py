@@ -6,7 +6,9 @@ and the closed-form noiseless limit, plus error-floor bounds and the AQNM
 linearized baseline. Every engine walks the decision regions that can be
 non-empty, planned once per (M/2, K), on Python floats. The noisy engines
 share one region walk (_series_regions), the series SEP and its gradient one
-series (_h_series), and the noiseless SEP is its gradient routine's value.
+series (_h_series), and the noiseless SEP is its gradient routine's value. The
+gradient's constants that depend on the channel alone (_grad_plan, and the
+Gamma density) are built once per (m, omega).
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -20,9 +22,10 @@ import numpy as np
 from scipy import integrate, special
 
 from .detector import _region_bounds
-from .specfun import SQRT_2PI, lower_gamma_reg, moment_primitive, q_func, upper_gamma_reg
-from .system import (Constellation, _boundary_count, _family_levels, _geometric_boundary,
-                     sigma2_from_snr, symbol_energy)
+from .specfun import (SQRT_2PI, _q_float, lower_gamma_reg, moment_primitive, q_func,
+                      upper_gamma_reg)
+from .system import (Constellation, _boundary_count, _check_shape, _family_levels,
+                     _geometric_boundary, sigma2_from_snr, symbol_energy)
 
 __all__ = [
     "SepResult",
@@ -108,21 +111,20 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
     if math.isinf(c):
         return g_lo - g_hi, None
     if b == 0.0:
-        return float(q_func(-c)) * (g_lo - g_hi), None
+        return _q_float(-c) * (g_lo - g_hi), None
 
-    boundary = float(q_func(-c + math.sqrt(b * z_lo))) * g_lo
-    if not math.isinf(z_hi):
-        boundary -= float(q_func(-c + math.sqrt(b * z_hi))) * g_hi
-
+    t_lo = math.sqrt(b * z_lo)
+    boundary = _q_float(-c + t_lo) * g_lo
     alpha = 2.0 * m / (omega * b)
     s = alpha + 1.0
-
-    def u_of(z):
-        if math.isinf(z):
-            return math.inf
-        return (-c + s * math.sqrt(b * z)) / math.sqrt(s)
-
-    u_hi, u_lo = u_of(z_hi), u_of(z_lo)
+    root_s = math.sqrt(s)
+    u_lo = (-c + s * t_lo) / root_s
+    if math.isinf(z_hi):
+        u_hi = math.inf
+    else:
+        t_hi = math.sqrt(b * z_hi)
+        boundary -= _q_float(-c + t_hi) * g_hi
+        u_hi = (-c + s * t_hi) / root_s
     # f[l]: integral of u^l exp(-u^2/2) over (u_lo, u_hi)
     f = [moment_primitive(u_hi, l) - moment_primitive(u_lo, l) for l in range(2 * m - 1)]
     expo = math.exp(-0.5 * c * c * alpha / s)
@@ -152,7 +154,9 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
     return boundary - math.fsum(terms), (u_lo, u_hi, s, expo, f)
 
 
+@functools.lru_cache(maxsize=64)
 def _log_gamma_pdf(m, omega):
+    """The Gamma(m, omega/m) density of z as a function of a float, built once per (m, omega)."""
     lg = special.gammaln(m)
     lead = m * math.log(m / omega)
 
@@ -170,8 +174,7 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi):
     Returns (value, abs_error_estimate). The integration interval is split
     at the transition point z = c^2 / b of the Q factor.
     """
-    if m < 0.5:
-        raise ValueError("m must be >= 1/2")
+    _check_shape(m)
     if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
         raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
     if z_lo == z_hi:
@@ -269,11 +272,22 @@ def sep_exact(c, q, ch, snr):
     return sep_quadrature(c, q, ch, snr)
 
 
-def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
-    """_h_series' value with dH/dc and dH/db: (value, d_c, d_b). In t = sqrt(z),
-    dH/dc = A T_(2m-1) and dH/db = -A T_(2m) / (2 sqrt(b)), with T_k the integral of
-    t^k exp(-u^2/2) du over the u interval of the series, summed from its moment
-    differences f. No dH/dz terms: ML regions meet where the likelihoods tie."""
+@functools.lru_cache(maxsize=64)
+def _grad_plan(m, omega):
+    """_h_series_grad's constants for integer m and omega: (m, omega, 2 (m/omega)^m,
+    (m-1)! sqrt(2 pi), and the binomial rows of 2m - 1 and 2m)."""
+    return (m, omega, 2.0 * (m / omega) ** m, math.factorial(m - 1) * SQRT_2PI,
+            tuple(math.comb(2 * m - 1, l) for l in range(2 * m)),
+            tuple(math.comb(2 * m, l) for l in range(2 * m + 1)))
+
+
+def _h_series_grad(plan, b, c, z_lo, z_hi, g_lo, g_hi):
+    """_h_series' value with dH/dc and dH/db: (value, d_c, d_b), with m and omega
+    from plan = _grad_plan(m, omega). In t = sqrt(z), dH/dc = A T_(2m-1) and
+    dH/db = -A T_(2m) / (2 sqrt(b)), with T_k the integral of t^k exp(-u^2/2) du over
+    the u interval of the series, summed from its moment differences f. No dH/dz
+    terms: ML regions meet where the likelihoods tie."""
+    m, omega, lead_num, lead_den, odd_row, even_row = plan
     value, parts = _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
     if parts is None:  # c = inf: no dependence; b = 0: Q(-c) times the mass
         d_c = 0.0 if math.isinf(c) else math.exp(-0.5 * c * c) / SQRT_2PI * (g_lo - g_hi)
@@ -287,25 +301,26 @@ def _h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
         edges = u_lo ** k * e_lo - (u_hi ** k * e_hi if e_hi else 0.0)
         f.append(edges + k * f[k - 1] if k else edges)
     # T_k: t^k against exp(-u^2/2) du, where t = sqrt(z) = r_c + r_u u
-    r_c, r_u = c / (s * math.sqrt(b)), 1.0 / math.sqrt(b * s)
+    root_b, root_bs = math.sqrt(b), math.sqrt(b * s)
+    r_c, r_u = c / (s * root_b), 1.0 / root_bs
     t_odd = t_even = 0.0
-    for l in range(2 * m):
-        t_odd += math.comb(2 * m - 1, l) * r_c ** (2 * m - 1 - l) * r_u ** l * f[l]
-    for l in range(2 * m + 1):
-        t_even += math.comb(2 * m, l) * r_c ** (2 * m - l) * r_u ** l * f[l]
-    lead = (2.0 * (m / omega) ** m * expo
-            / (math.factorial(m - 1) * SQRT_2PI * math.sqrt(b * s)))
-    d_c = lead * t_odd
-    d_b = -lead * t_even / (2.0 * math.sqrt(b))
-    return value, d_c, d_b
+    top = 2 * m - 1
+    for l, n in enumerate(odd_row):
+        t_odd += n * r_c ** (top - l) * r_u ** l * f[l]
+    top += 1
+    for l, n in enumerate(even_row):
+        t_even += n * r_c ** (top - l) * r_u ** l * f[l]
+    lead = lead_num * expo / (lead_den * root_bs)
+    return value, lead * t_odd, -lead * t_even / (2.0 * root_b)
 
 
 def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper):
     """Add weight * dz/d(q, rho) for the endpoint z in (0, inf) of the noiseless region
     (y, i): the square of q_y (upper) or q_(y-1) (lower) over rho_i where the reach bound
     binds, else of q_(y-1) + q_y over rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1)
-    (lower). The noisy SEP has none: ML regions meet where the likelihoods tie."""
-    if not 0.0 < z < math.inf or weight == 0.0:
+    (lower). The ends 0 and inf move with nothing. The noisy SEP has none: ML regions
+    meet where the likelihoods tie."""
+    if weight == 0.0:
         return
     amps = c.amplitudes
     k = y if upper else y - 1
@@ -330,32 +345,37 @@ def sep_and_grad(c, q, ch, snr):
     sep_noiseless returns. The finite-SNR gradient has no region-endpoint terms: where
     D_(y,i) meets D_(y,i-1), rho_i sqrt(z) and rho_(i-1) sqrt(z) lie symmetrically about
     bin y's midpoint, so the ML likelihoods tie and the two regions' terms cancel."""
-    grad_q, grad_rho = [0.0] * q.K, [0.0] * c.half_size
+    k = q.K
+    grad_q, grad_rho = [0.0] * k, [0.0] * c.half_size
     m, omega, amps = ch.m, ch.omega, c.amplitudes
     weight = -2.0 / c.M  # dSEP / dP(correct)
     if snr is None:
         pdf = _log_gamma_pdf(m, omega)
+        cdf = {0.0: 0.0, math.inf: 1.0}  # P(Z <= z) at each region end, computed once
         total = 0.0
         for y, i, lower, upper in _decision_regions(c, q, reach=True):
-            hi = 1.0 if math.isinf(upper) else float(special.gammainc(m, m * upper / omega))
-            lo = float(special.gammainc(m, m * lower / omega))
-            total += hi - lo
-            _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i, True)
-            _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i, False)
+            for z in (lower, upper):
+                if z not in cdf:
+                    cdf[z] = float(special.gammainc(m, m * z / omega))
+            total += cdf[upper] - cdf[lower]
+            if upper < math.inf:
+                _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i, True)
+            if lower > 0.0:
+                _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i,
+                                   False)
         return _clamp_probability(1.0 - 2.0 / c.M * total), grad_q, grad_rho
 
     if not ch.integer_m:
         raise ValueError("the noisy gradient requires integer m")
-    m = int(m)
+    plan = _grad_plan(int(m), omega)
     sigma2 = sigma2_from_snr(c, snr)
-    sigma = math.sqrt(sigma2)
-    dc_dq = math.sqrt(2.0) / sigma
+    dc_dq = math.sqrt(2.0) / math.sqrt(sigma2)
     terms = []
     for y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi in _series_regions(c, q, ch, sigma2):
-        h_hi, dc_hi, db_hi = _h_series_grad(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)
-        h_lo, dc_lo, db_lo = _h_series_grad(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi)
+        h_hi, dc_hi, db_hi = _h_series_grad(plan, b_i, c_hi, lower, upper, g_lo, g_hi)
+        h_lo, dc_lo, db_lo = _h_series_grad(plan, b_i, c_lo, lower, upper, g_lo, g_hi)
         terms.append(h_hi - h_lo)
-        if y <= q.K:
+        if y <= k:
             grad_q[y - 1] += weight * dc_hi * dc_dq
         if y >= 2:
             grad_q[y - 2] -= weight * dc_lo * dc_dq

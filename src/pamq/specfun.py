@@ -30,6 +30,12 @@ def q_func(x):
     return 0.5 * special.erfc(x / SQRT2)
 
 
+def _q_float(x):
+    """q_func(x) of a Python float as a Python float, bit for bit, without a NumPy
+    scalar in between; unchecked."""
+    return 0.5 * float(special.erfc(x / SQRT2))
+
+
 def upper_gamma_reg(m, x):
     """Regularized upper incomplete gamma Gamma(m, x) / Gamma(m).
 

@@ -42,6 +42,12 @@ def _check_size(M):
         raise ValueError("M must be a power of 2, M >= 4")
 
 
+def _check_shape(m):
+    """Reject a Nakagami shape m that is not finite and >= 1/2."""
+    if not 0.5 <= m < math.inf:
+        raise ValueError("Nakagami shape m must be finite and >= 1/2")
+
+
 def _geometric_scale(rho, M):
     """C of the geometric constellation of ratio rho in (0, 1) and size M."""
     if not 0.0 < rho < 1.0:
@@ -73,12 +79,32 @@ def _as_tuple(values):
     return tuple(float(v) for v in values)
 
 
+def _check_levels(values, name):
+    """Reject positive levels (amplitudes or boundaries) that are not positive,
+    finite and strictly increasing: the rule of Constellation and Quantizer."""
+    if values[0] <= 0:
+        raise ValueError(f"{name} must be positive")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+    for a, b in zip(values, values[1:]):
+        if a >= b:
+            raise ValueError(f"{name} must be strictly increasing")
+
+
+def _unchecked(cls, **fields):
+    """An instance of Constellation or Quantizer holding fields as given, without
+    __post_init__: for float tuples that have passed _check_levels already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Positive half of a symmetric M-PAM constellation {+-rho_i}.
 
-    ``amplitudes`` holds the M/2 positive amplitudes in strictly increasing
-    order; the full constellation is the union with its mirror image.
+    ``amplitudes`` holds the M/2 positive finite amplitudes in strictly
+    increasing order; the full constellation is the union with its mirror image.
     """
 
     amplitudes: tuple = field()
@@ -91,11 +117,7 @@ class Constellation:
         m = 2 * len(amps)
         if m & (m - 1):
             raise ValueError("M = 2 * len(amplitudes) must be a power of 2")
-        if amps[0] <= 0:
-            raise ValueError("amplitudes must be positive")
-        for a, b in zip(amps, amps[1:]):
-            if a >= b:
-                raise ValueError("amplitudes must be strictly increasing")
+        _check_levels(amps, "amplitudes")
 
     @property
     def M(self):
@@ -107,8 +129,7 @@ class Constellation:
 
     def normalized(self):
         """Rescaled copy with unit total energy (sum of rho_i^2 = 1)."""
-        norm = math.sqrt(_sum_squares(self.amplitudes))
-        return Constellation(tuple(a / norm for a in self.amplitudes))
+        return Constellation(_unit_energy(self.amplitudes))
 
     @classmethod
     def geometric(cls, rho, M):
@@ -141,13 +162,7 @@ class Quantizer:
         k = _boundary_count(self.bits)
         if len(bounds) != k:
             raise ValueError(f"expected {k} boundaries for {self.bits} bits")
-        if bounds[0] <= 0:
-            raise ValueError("boundaries must be positive")
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError("boundaries must be finite")
-        for a, b in zip(bounds, bounds[1:]):
-            if a >= b:
-                raise ValueError("boundaries must be strictly increasing")
+        _check_levels(bounds, "boundaries")
 
     @classmethod
     def uniform(cls, step, bits):
@@ -179,8 +194,7 @@ class ChannelModel:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.m < 0.5:
-            raise ValueError("Nakagami shape m must be >= 1/2")
+        _check_shape(self.m)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
@@ -194,6 +208,12 @@ def _sum_squares(values):
     if len(values) >= 8:
         return float(np.sum(np.asarray(values) ** 2))
     return functools.reduce(lambda total, v: total + v * v, values, 0.0)
+
+
+def _unit_energy(amps):
+    """amps over the square root of their sum of squares: normalized()'s floats."""
+    norm = math.sqrt(_sum_squares(amps))
+    return tuple(a / norm for a in amps)
 
 
 def symbol_energy(c):

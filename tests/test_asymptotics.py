@@ -44,6 +44,17 @@ class TestDvoTheory:
             with pytest.raises(ValueError):
                 dvo_theory(1, 2, 4, "nonuniform", n_r)
 
+    @pytest.mark.parametrize("m", [-1, 0, 0.25, 0.4999, math.inf, math.nan])
+    def test_shape_domain(self, m):
+        # ChannelModel's rule: a finite m >= 1/2
+        with pytest.raises(ValueError, match="Nakagami shape m"):
+            dvo_theory(m, 3, 4)
+        with pytest.raises(ValueError, match="Nakagami shape m"):
+            ChannelModel(m)
+
+    def test_shape_domain_edge(self):
+        assert dvo_theory(0.5, 3, 4) == Fraction(3, 8)
+
     def test_strictly_below_full_diversity(self):
         for m in (1, 2, 3):
             for M in (4, 8):

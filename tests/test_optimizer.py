@@ -114,6 +114,14 @@ class TestStructure:
         with pytest.raises(ValueError, match="snr must be positive and finite"):
             quantizer_problem(snr=snr)
 
+    @pytest.mark.parametrize("n_starts", [0, optimizer._SCHEDULE_SIZE + 1])
+    def test_start_count_within_schedule(self, n_starts):
+        # the start schedule has 64 points: more starts would be cut to 64
+        with pytest.raises(ValueError, match="n_starts must be 1 to 64"):
+            quantizer_problem(n_starts=n_starts)
+        p = quantizer_problem(n_starts=optimizer._SCHEDULE_SIZE)
+        assert len(optimizer._start_points(p)) == optimizer._SCHEDULE_SIZE
+
     @pytest.mark.parametrize("kind", ["quantizer_only", "uniform_step_only"])
     def test_M_must_match_fixed_constellation(self, kind):
         with pytest.raises(ValueError, match="disagrees"):
@@ -165,12 +173,13 @@ class TestSweep:
 
 
 class TestObjectiveBits:
-    """float.hex of one objective evaluation per case, equal to a decode
-    through np.logaddexp, np.cumsum and np.sum: any change to the decode,
-    the energy sum or the SEP arithmetic shows here. Non-integer m runs the
-    quadrature, snr None the noiseless engine; M = 16 has 8 amplitudes, where
-    NumPy's sum turns pairwise, and its theta gives another last bit if the
-    squares are added in order."""
+    """float.hex of one objective evaluation per case, and of each entry of its
+    theta-gradient, equal to a decode through np.logaddexp, np.cumsum and np.sum:
+    any change to the decode, the energy sum, the SEP arithmetic or the pull-back
+    shows here. Non-integer m runs the quadrature, snr None the noiseless engine;
+    M = 16 has 8 amplitudes, where NumPy's sum turns pairwise, and its theta gives
+    another last bit if the squares are added in order. With grad, non-integer m
+    at finite SNR has no exact gradient and scores as a failed candidate."""
 
     CASES = [
         (dict(channel=ChannelModel(1), M=4, bits=3, variables="quantizer_only", snr=100.0,
@@ -192,11 +201,46 @@ class TestObjectiveBits:
         # softplus(-800) is 0.0: the smallest amplitude vanishes
         (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
          [0.0, -800.0, 0.0], "0x1.0000000000000p+0"),
+        # M = 16 again, at a theta where the pull-back's in-order norm of the 8 amplitudes
+        # and normalized()'s pairwise one differ after the square root: a shared norm
+        # moves gradient bits here
+        (dict(channel=RAYLEIGH, M=16, bits=3, variables="joint_nonuniform", snr=1e4),
+         [0.3, -0.2, 0.1, -0.4, 2.0, 0.6, 0.7, -0.5, -1.6, 0.2, 0.1], "0x1.bc2ceca73af8fp-1"),
+    ]
+    # the theta-gradient of each case; None where the candidate fails with grad
+    GRADIENTS = [
+        ["0x1.28311c1a4a1acp-5", "-0x1.6a34cf936e0b0p-10", "-0x1.4bccbef52a63ap-8"],
+        ["0x1.1957c94777c4fp-2"],
+        ["0x1.bf6f8f30df1cbp-3", "0x1.c2d5472319b97p-6", "-0x1.63b5a3d23a720p-6"],
+        ["0x1.993428efda8d8p-5", "0x1.61763552ea30bp-3", "-0x1.8d5b12cd731eep-3"],
+        ["0x1.8b88723e32c86p-6", "0x1.46335fdd8ed7bp-13", "0x1.3ec8702eae79bp-28",
+         "0x1.66e63cc0d7e82p-11", "0x1.5da64a9e878fdp-10", "0x1.137f78e5935fep-10",
+         "0x1.96263e0cc2ad9p-11", "0x1.a8540e0ef2e24p-14", "-0x1.5ca63c788d9a4p-11",
+         "-0x1.6107b0f1c804ep-10", "-0x1.04bbf132fa671p-9"],
+        None,
+        ["0x1.803c07ab01e01p-6", "0x1.e6b389c15e1d5p-5", "0x1.5e0c5cca471e3p-5"],
+        None,
+        ["0x1.d2176cd5d5bf0p-6", "0x1.7c238708be4bfp-13", "0x1.2d9d5a8cff009p-27",
+         "0x1.954e3bdd1f4c3p-11", "0x1.a208151f81da6p-10", "0x1.9b0f85ff12f99p-11",
+         "0x1.0cf75c176b287p-12", "-0x1.1367dadd1f5f6p-12", "-0x1.4b8d0b0746748p-12",
+         "-0x1.c0538fb1e89ecp-10", "-0x1.36f0ed457e95dp-9"],
     ]
 
     @pytest.mark.parametrize("kw,theta,expected", CASES)
     def test_pinned(self, kw, theta, expected):
         assert _objective(DesignProblem(**kw))(np.array(theta)).hex() == expected
+
+    @pytest.mark.parametrize("case,expected_grad", list(zip(CASES, GRADIENTS)))
+    def test_pinned_gradient(self, case, expected_grad):
+        kw, theta, expected = case
+        f = _objective(DesignProblem(**kw), grad=True)
+        value, grad = f(np.array(theta))
+        if expected_grad is None:  # a failed candidate: 1.0 with a zero gradient
+            assert (value, f.failed) == (1.0, 1)
+            expected_grad = ["0x0.0p+0"] * len(theta)
+        else:
+            assert value.hex() == expected
+        assert [g.hex() for g in grad.tolist()] == expected_grad
 
 
 class TestStartSchedule:
@@ -232,6 +276,32 @@ class TestFailedEvals:
             f(np.array(theta))
         assert f.failed == 2
         assert f.evals == 3
+
+    # candidates that break the rule of Quantizer and Constellation (positive, finite,
+    # strictly increasing) only in the decode's float arithmetic: softplus(-800) is
+    # 0.0, so a boundary or an amplitude repeats, and 1e308 + 1e308 is inf
+    DECODE_FAILURES = [
+        (dict(M=4, bits=3, variables="quantizer_only", constellation=C13), [0.3, -800.0, 0.5]),
+        (dict(M=8, bits=2, variables="joint_nonuniform"), [0.2, 0.1, 0.3, -800.0, 0.4]),
+        (dict(M=4, bits=3, variables="quantizer_only", constellation=C13), [0.3, 1e308, 1e308]),
+        (dict(M=4, bits=2, variables="joint_nonuniform"), [0.1, 1e308, 1e308]),
+        (dict(M=4, bits=3, variables="joint_uniform"), [1e308, 0.1, 0.2]),
+    ]
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("kw,theta", DECODE_FAILURES)
+    def test_decode_failures_score_one(self, kw, theta, grad):
+        p = DesignProblem(channel=RAYLEIGH, snr=1000.0, **kw)
+        with pytest.raises(ValueError):
+            optimizer._decode(p, np.array(theta))
+        f = _objective(p, grad=grad)
+        if grad:
+            value, gradient = f(np.array(theta))
+            assert gradient.tolist() == [0.0] * p.dim
+        else:
+            value = f(np.array(theta))
+        assert value == 1.0
+        assert (f.failed, f.evals) == (1, 1)
 
     def test_reported_by_optimize(self, monkeypatch):
         # candidates with q1 > 2 fail to evaluate; the returned best one does not

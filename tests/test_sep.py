@@ -264,7 +264,8 @@ class TestSepAndGrad:
             value, parts = sep._h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
             assert value == h_function(m, omega, b, c, z_lo, z_hi)
             assert (parts is None) == (math.isinf(c) or b == 0.0)
-            got, d_c, d_b = sep._h_series_grad(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
+            got, d_c, d_b = sep._h_series_grad(sep._grad_plan(m, omega), b, c, z_lo, z_hi,
+                                               g_lo, g_hi)
             assert got == value
             if math.isinf(c):
                 assert d_c == d_b == 0.0

@@ -13,6 +13,7 @@ from pamq import (
     f_integral,
     lower_gamma_reg,
     q_func,
+    specfun,
     upper_gamma_reg,
 )
 
@@ -38,6 +39,14 @@ class TestQFunc:
     def test_symmetry(self):
         for x in (0.3, 1.7, 4.2):
             assert q_func(x) + q_func(-x) == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_float_form_has_the_same_bits(self, x):
+        # the SEP series calls the Python-float form; it must be q_func, bit for bit
+        got, want = specfun._q_float(x), float(q_func(x))
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 class TestIncompleteGamma:

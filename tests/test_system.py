@@ -28,6 +28,12 @@ class TestConstellation:
         with pytest.raises(ValueError):
             Constellation((-1.0, 3.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_finite_enforced(self, bad):
+        # Quantizer's rule: positive, finite, strictly increasing
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            Constellation((1.0, bad))
+
     def test_power_of_two(self):
         with pytest.raises(ValueError):
             Constellation((1.0, 2.0, 3.0))
@@ -137,6 +143,7 @@ class TestChannelAndSnr:
             sigma2_from_snr(Constellation((1.0, 3.0)), snr)
 
     def test_shape_domain(self):
-        with pytest.raises(ValueError):
-            ChannelModel(0.4, 1.0)
+        for m in (0.4, math.inf, math.nan):
+            with pytest.raises(ValueError, match="Nakagami shape m must be finite and >= 1/2"):
+                ChannelModel(m, 1.0)
         ChannelModel(0.5, 1.0)  # boundary value allowed

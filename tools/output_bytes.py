@@ -3,22 +3,29 @@
 
 Usage:
     PYTHONPATH=src python3 tools/output_bytes.py
+    PYTHONPATH=src python3 tools/output_bytes.py --write tools/output_bytes.md
+    PYTHONPATH=src python3 tools/output_bytes.py --check tools/output_bytes.md
 
 Each invocation runs in-process through pamq.cli.main twice: once to
 stdout, and once with --out to a temporary file. The script prints a
 Markdown table of the exit code, the MD5 of what the first run wrote to
 stdout and the MD5 of the file the second run wrote. The exit column
-reads "a/b" when the two runs exit differently. Run it at two commits and
-compare the tables to see which outputs a change moved.
+reads "a/b" when the two runs exit differently. With --write FILE the
+table also goes to FILE; with --check FILE each row is compared with the
+row of the same invocation in FILE, and the script exits 1 and lists the
+rows that differ. The committed table is tools/output_bytes.md.
 
-The invocations are the six README examples, acceptance criteria 9 and 10
-and the seven calls of the perfbench `design` workload, copied here.
+The invocations are the six README examples, acceptance criteria 9 and 10,
+the seven calls of the perfbench `design` workload and the 2-antenna
+1-worker call of the `mc` workload at seed 1, copied here.
 """
+import argparse
 import contextlib
 import hashlib
 import io
 import math
 import pathlib
+import sys
 import tempfile
 
 from pamq.cli import main
@@ -60,6 +67,9 @@ INVOCATIONS = [
     ("design.optimize.joint3", ["optimize", "--joint", "--bits", "3", "--snr-db", "30",
                                 "--starts", "4", *_DESIGN]),
     ("design.dvo.joint2", ["dvo", "--joint", "--bits", "2", "--window", "20:50", *_DESIGN]),
+    ("mc.simo_w1", ["simulate", "--m", "1", "--bits", "2", "--mod", "4", "--constellation",
+                    "1.0,3.0", "--q", "1.3084411832661798", "--snr-db", "5.0,10.0,15.0,20.0,25.0",
+                    "--trials", "400000", "--antennas", "2", "--threads", "1", "--seed", "1"]),
 ]
 
 
@@ -77,15 +87,50 @@ def output_bytes(argv, out_path):
     return code, out_code, _md5(buf.getvalue().encode()), out_md5
 
 
-def print_table():
-    print("| Invocation | Exit | stdout MD5 | `--out` MD5 |")
-    print("|---|---|---|---|")
+HEADER = ["| Invocation | Exit | stdout MD5 | `--out` MD5 |", "|---|---|---|---|"]
+
+
+def _by_name(rows):
+    """Table rows keyed by invocation name."""
+    return {row.split("|")[1].strip(" `"): row for row in rows}
+
+
+def table_rows():
+    """One Markdown row per invocation, printed as it is made."""
     with tempfile.TemporaryDirectory() as tmp:
         for k, (name, argv) in enumerate(INVOCATIONS):
             code, out_code, std_md5, out_md5 = output_bytes(argv, pathlib.Path(tmp) / f"{k}.out")
             exit_text = str(code) if code == out_code else f"{code}/{out_code}"
-            print(f"| `{name}` | {exit_text} | `{std_md5}` | `{out_md5}` |", flush=True)
+            row = f"| `{name}` | {exit_text} | `{std_md5}` | `{out_md5}` |"
+            print(row, flush=True)
+            yield row
+
+
+def run(argv=None):
+    """Print the table; write it to --write FILE, or compare it with --check FILE.
+    Returns the exit code: 1 when a row differs from the checked table."""
+    parser = argparse.ArgumentParser(description="MD5s of the pamq CLI's output bytes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="FILE", help="also save the table to FILE")
+    mode.add_argument("--check", metavar="FILE", help="compare the table with FILE")
+    args = parser.parse_args(argv)
+    if args.check:
+        expected = _by_name(pathlib.Path(args.check).read_text().splitlines()[2:])
+    print("\n".join(HEADER))
+    rows = list(table_rows())
+    if args.write:
+        pathlib.Path(args.write).write_text("\n".join(HEADER + rows) + "\n")
+        return 0
+    if args.check:
+        actual = _by_name(rows)
+        differ = [name for name in actual.keys() | expected.keys()
+                  if actual.get(name) != expected.get(name)]
+        for name in sorted(differ):
+            print(f"differs: {name}\n  expected {expected.get(name, '(no row)')}\n"
+                  f"  actual   {actual.get(name, '(no row)')}", file=sys.stderr)
+        return 1 if differ else 0
+    return 0
 
 
 if __name__ == "__main__":
-    print_table()
+    sys.exit(run())
