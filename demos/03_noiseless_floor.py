@@ -8,6 +8,8 @@ receiver with amplitudes {1, 3} over Rayleigh fading the floor is
     0.5 * (1 + exp(-q^2) - exp(-q^2 / 9)),
 minimized at q = sqrt(9/8 * ln 9) ~ 1.5722. This demo recovers both
 numerically and shows the analytic floor bounds are tight (exact at M=4).
+The DesignProblem is given the constellation, so it designs the quantizer
+boundary alone.
 """
 import math
 
@@ -24,8 +26,7 @@ cons = Constellation((1.0, 3.0))
 ch = ChannelModel(1, omega=1.0)
 
 problem = DesignProblem(
-    channel=ch, M=4, bits=2, variables="quantizer_only",
-    snr=None, constellation=cons, n_starts=8, seed=0,
+    channel=ch, M=4, bits=2, snr=None, constellation=cons, n_starts=8, seed=0,
 )
 result = optimize(problem)
 

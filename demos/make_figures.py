@@ -13,6 +13,12 @@ Per-SNR designs come from one optimize_sweep per curve. sep_vs_snr_by_m
 writes each point's q1 (the paper's q1* panel) and simulates every fifth
 point as a Monte Carlo marker with that point's own design, seeded
 seed + marker index. simo_mc designs once for all of its antenna counts.
+
+A recipe names its quantizer structure by the strings "nonuniform" and
+"uniform" (keys quantizer_kind, quantizer_kinds and each diversity_order
+case's quantizer_kind); they become the uniform= flag of the library calls
+before anything is computed, any other string is an error naming its key, and
+the string itself is written to the CSV's quantizer column.
 """
 import argparse
 import json
@@ -53,6 +59,14 @@ def _cons(text):
     return Constellation(tuple(float(p) for p in text.split(",")))
 
 
+def _uniform(key, kind):
+    """The uniform= flag of a recipe's quantizer kind string, read from key."""
+    if kind not in ("nonuniform", "uniform"):
+        raise ValueError(f"recipe key {key}: unknown quantizer kind {kind!r}, "
+                         f"want 'nonuniform' or 'uniform'")
+    return kind == "uniform"
+
+
 def _write(name, header, rows):
     OUT.mkdir(parents=True, exist_ok=True)
     path = OUT / f"{name}.csv"
@@ -80,8 +94,8 @@ def sep_vs_snr_by_m(cfg):
     for m in cfg["m_list"]:
         ch = ChannelModel(m, cfg["omega"])
         p = DesignProblem(
-            channel=ch, M=cons.M, bits=cfg["bits"], variables="quantizer_only",
-            constellation=cons, n_starts=6, seed=cfg["seed"],
+            channel=ch, M=cons.M, bits=cfg["bits"], constellation=cons,
+            n_starts=6, seed=cfg["seed"],
         )
         designs = optimize_sweep(p, grid)
         for sdb, r in zip(grid, designs):
@@ -103,8 +117,8 @@ def exact_vs_aqnm_by_bits(cfg):
     rows = []
     for bits in cfg["bits_list"]:
         p = DesignProblem(
-            channel=ch, M=cons.M, bits=bits, variables="quantizer_only",
-            constellation=cons, n_starts=6, seed=cfg["seed"],
+            channel=ch, M=cons.M, bits=bits, constellation=cons,
+            n_starts=6, seed=cfg["seed"],
         )
         for sdb, r in zip(grid, optimize_sweep(p, grid)):
             aq = sep_aqnm(cons, 10.0 ** (sdb / 10.0), default_alpha(bits)).value
@@ -114,20 +128,22 @@ def exact_vs_aqnm_by_bits(cfg):
 
 def floor_vs_bits(cfg):
     lo, hi = cfg["bits_range"]
+    kinds = [(kind, _uniform("quantizer_kinds", kind)) for kind in cfg["quantizer_kinds"]]
     rows = []
     for m in cfg["m_list"]:
-        for kind in cfg["quantizer_kinds"]:
+        for kind, uniform in kinds:
             for b in range(lo, hi + 1):
-                val = optimal_floor_log2(m, b, kind, cfg["omega"])
+                val = optimal_floor_log2(m, b, uniform=uniform, omega=cfg["omega"])
                 rows.append((m, kind, b, val))
     _write(cfg["figure"], ["m", "quantizer", "bits", "log2_floor"], rows)
 
 
 def floor_vs_shape(cfg):
+    uniform = _uniform("quantizer_kind", cfg["quantizer_kind"])
     rows = []
     for bits in cfg["bits_list"]:
         for m in _grid(cfg["m_grid"]):
-            val = optimal_floor_log2(m, bits, cfg["quantizer_kind"], cfg["omega"])
+            val = optimal_floor_log2(m, bits, uniform=uniform, omega=cfg["omega"])
             rows.append((bits, m, val))
     _write(cfg["figure"], ["bits", "m", "log2_floor"], rows)
 
@@ -135,11 +151,13 @@ def floor_vs_shape(cfg):
 def diversity_order(cfg):
     lo, hi = (float(p) for p in cfg["window"].split(":"))
     grid = list(np.arange(lo, hi + 1e-9, 2.5))
+    uniform = [_uniform("cases[].quantizer_kind", case["quantizer_kind"])
+               for case in cfg["cases"]]
     rows = []
-    for case in cfg["cases"]:
+    for case, case_uniform in zip(cfg["cases"], uniform):
         est, theory = dvo_experiment(
-            case["m"], case["bits"], case["mod"], case["quantizer_kind"],
-            1, grid, seed=cfg["seed"],
+            case["m"], case["bits"], case["mod"], 1, grid, uniform=case_uniform,
+            seed=cfg["seed"],
         )
         rows.append((
             case["m"], case["bits"], case["quantizer_kind"],
@@ -153,8 +171,7 @@ def simo_mc(cfg):
     ch = ChannelModel(cfg["m"], 1.0)
     grid = _grid(cfg["snr_db"])
     p = DesignProblem(
-        channel=ch, M=cfg["mod"], bits=cfg["bits"], variables="joint_nonuniform",
-        n_starts=6, seed=cfg["seed"],
+        channel=ch, M=cfg["mod"], bits=cfg["bits"], n_starts=6, seed=cfg["seed"],
     )
     designs = optimize_sweep(p, grid)
     rows = []

@@ -40,18 +40,15 @@ class DvoEstimate:
     points_used: int
 
 
-def dvo_theory(m, b, M, quantizer_kind="nonuniform", n_r=1):
+def dvo_theory(m, b, M, *, uniform=False, n_r=1):
     """Exact decay exponent of the geometric design family as a rational number:
-    m * n_r * (L - M + 2) / L with L = 2^b levels (nonuniform), or L = 4 for the
-    uniform step (M = 4, single antenna only), where it is m / 2. The shape m is
-    held to ChannelModel's domain, finite m >= 1/2.
+    m * n_r * (L - M + 2) / L with L = 2^b levels (non-uniform), or L = 4 for the
+    uniform step (uniform=True; M = 4, single antenna only), where it is m / 2.
+    The shape m is held to ChannelModel's domain, finite m >= 1/2.
     """
     _check_shape(m)
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    if quantizer_kind not in ("nonuniform", "uniform"):
-        raise ValueError(f"unknown quantizer kind {quantizer_kind!r}")
-    uniform = quantizer_kind == "uniform"
     if uniform and n_r != 1:
         raise ValueError("uniform decay exponent is single-antenna only")
     levels = _family_levels(M, b, uniform)
@@ -92,17 +89,16 @@ def _warm_start(m, bits, M, snr, uniform):
     return xg_design(rho, q1, M, bits)
 
 
-def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed=0):
-    """Empirical decay exponent of jointly-optimized designs.
+def dvo_experiment(m, b, M, n_r, snr_db_grid, *, uniform=False, budget=10**6, seed=0):
+    """Empirical decay exponent of jointly-optimized designs, with a non-uniform
+    quantizer or with the uniform step (uniform=True).
 
     Per SNR point the constellation and quantizer are re-optimized with a
     continuation warm start; the SEP is evaluated in closed form (n_r = 1)
     or by Monte Carlo with the optimized single-antenna design (n_r > 1).
     Returns (DvoEstimate, theory_value).
     """
-    theory = dvo_theory(m, b, M, quantizer_kind, n_r)
-    uniform = quantizer_kind == "uniform"
-    kind = "joint_uniform" if uniform else "joint_nonuniform"
+    theory = dvo_theory(m, b, M, uniform=uniform, n_r=n_r)
     ch = ChannelModel(m, 1.0)
     snr_db_grid = list(snr_db_grid)
     # the fit can only drop points, so a short grid fails before any design
@@ -110,7 +106,7 @@ def dvo_experiment(m, b, M, quantizer_kind, n_r, snr_db_grid, budget=10**6, seed
         raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
     init_c, init_q = _warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform)
     designs = optimize_sweep(DesignProblem(
-        channel=ch, M=M, bits=b, variables=kind, n_starts=6, seed=seed,
+        channel=ch, M=M, bits=b, uniform=uniform, n_starts=6, seed=seed,
         init_quantizer=init_q, init_constellation=init_c,
     ), snr_db_grid)
 
@@ -149,21 +145,23 @@ def dq_successive_slopes(log2_floor_fn, b_range):
     ]
 
 
-def optimal_floor_log2(m, bits, quantizer_kind="nonuniform", omega=1.0):
+def optimal_floor_log2(m, bits, *, uniform=False, omega=1.0):
     """log2 of the minimum noiseless SEP of a 4-PAM receiver with
     constellation {+-1, +-3}, optimized over the single free quantizer
-    parameter (q_1 with ratio-3 boundaries, or the uniform step).
+    parameter (q_1 with ratio-3 boundaries, or with uniform=True the step).
 
     For M = 4 both structures make the floor exactly
     0.5 * [P(Z < q_1^2/9) + P(Z > q_K^2)]; evaluated in high precision so
-    double-exponentially small floors stay representable.
+    double-exponentially small floors stay representable. m and omega are held
+    to ChannelModel's domain.
     """
+    ChannelModel(m, omega)
     k = _boundary_count(bits, max_bits=math.inf)
     mp_m = mpmath.mpf(m)
 
     def log2_floor(log_q1):
         q1 = mpmath.e**mpmath.mpf(log_q1)
-        if quantizer_kind == "uniform":
+        if uniform:
             qk = k * q1
         else:
             qk = q1 * mpmath.mpf(3) ** (k - 1)
@@ -179,7 +177,7 @@ def optimal_floor_log2(m, bits, quantizer_kind="nonuniform", omega=1.0):
         return log2_floor(res.x)
 
 
-def floor_schedule(rho_grid, a, b, M, ch, uniform=False):
+def floor_schedule(rho_grid, a, b, M, ch, *, uniform=False):
     """Vanishing-floor construction: evaluate the geometric floor bound
     along q_1(rho) = sqrt(C^2 rho^a).
 

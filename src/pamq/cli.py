@@ -103,6 +103,10 @@ def _load_config(path, sub):
     unknown = set(cfg) - set(vars(sub.parse_args([])))
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {sorted(unknown)}")
+    # a switch takes a JSON boolean, so that "false" is not read as set
+    for k, v in cfg.items():
+        if _FLAGS.get(k, {}).get("action") == "store_true" and not isinstance(v, bool):
+            raise ValidationError(f"{path}: {k} must be true or false, not {v!r}")
     # a typed flag's value goes through its type as on the command line
     sub.set_defaults(**{k: v if v is None or "type" not in _FLAGS.get(k, {}) else str(v)
                         for k, v in cfg.items()})
@@ -174,11 +178,9 @@ def _cmd_optimize(args):
     _require(args, "bits")
     if args.joint:
         _reject(args, ("constellation", "geometric"), "--joint")
-        kind = "joint_uniform" if args.uniform else "joint_nonuniform"
         cons = None
         M = 4 if args.mod is None else args.mod
     else:
-        kind = "uniform_step_only" if args.uniform else "quantizer_only"
         cons = _constellation(args)
         M = cons.M
     snr = None
@@ -193,8 +195,8 @@ def _cmd_optimize(args):
         raise ValidationError(f"--starts must be 1 to {_SCHEDULE_SIZE}, the size of the start "
                               f"schedule, not {args.starts}")
     problem = DesignProblem(
-        channel=ch, M=M, bits=args.bits, variables=kind, snr=snr,
-        constellation=cons, n_starts=args.starts, seed=args.seed,
+        channel=ch, M=M, bits=args.bits, snr=snr, constellation=cons,
+        uniform=args.uniform, n_starts=args.starts, seed=args.seed,
     )
     result = optimize(problem)
     _write_json(args.out, {
@@ -228,12 +230,11 @@ def _cmd_dvo(args):
     _require(args, "m", "bits")
     if args.antennas == 1:
         _reject(args, ("trials",), "--antennas 1")
-    kind = "uniform" if args.uniform else "nonuniform"
     lo, hi = _parse_window(args.window)
     step = 2.5 if args.antennas == 1 else 5.0
     grid = _arange(lo, hi, step, "--window", args.window, _MAX_WINDOW_POINTS)
     est, theory = dvo_experiment(
-        args.m, args.bits, args.mod, kind, args.antennas, grid,
+        args.m, args.bits, args.mod, args.antennas, grid, uniform=args.uniform,
         budget=10**6 if args.trials is None else args.trials, seed=args.seed,
     )
     _write_json(args.out, {

@@ -1,5 +1,9 @@
 """Minimum-SEP design of quantizers and constellations.
 
+A DesignProblem designs the quantizer for the constellation it is given, or
+jointly with the amplitudes when it is given none. With uniform=True the
+quantizer is one uniform step, q_y = y * step; otherwise its boundaries are free.
+
 Multi-start L-BFGS-B over an unconstrained parameterization: ordered
 boundaries (and amplitudes) are running sums of softplus increments, and joint
 designs renormalize to unit energy. The gradient is exact (sep_and_grad pulled
@@ -17,7 +21,7 @@ and the candidate scores 1.0 with a zero gradient and is counted as failed.
 A passing candidate is built into its Quantizer and Constellation unchecked.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
@@ -39,8 +43,6 @@ __all__ = [
     "xg_design",
 ]
 
-VARIABLE_KINDS = ("quantizer_only", "uniform_step_only", "joint_nonuniform", "joint_uniform")
-
 # fixed-size start schedule so that best-of-n is monotone in n for a seed; it
 # bounds n_starts (an init_* start comes on top)
 _SCHEDULE_SIZE = 64
@@ -55,23 +57,19 @@ class DesignProblem:
     channel: object
     M: int
     bits: int
-    variables: str
+    _: KW_ONLY
     snr: float = None  # linear; None means noiseless design
-    constellation: Constellation = None  # fixed constellation for *_only kinds
+    constellation: Constellation = None  # fixed; None designs the amplitudes too
+    uniform: bool = False  # the quantizer is one uniform step
     n_starts: int = 16
     seed: int = 0
     init_quantizer: Quantizer = None
     init_constellation: Constellation = None
 
     def __post_init__(self):
-        if self.variables not in VARIABLE_KINDS:
-            raise ValueError(f"unknown variables kind {self.variables!r}")
-        if self.variables in ("quantizer_only", "uniform_step_only"):
-            if self.constellation is None:
-                raise ValueError("fixed constellation required for this kind")
-            if self.constellation.M != self.M:
-                raise ValueError(f"M {self.M} disagrees with constellation size "
-                                 f"{self.constellation.M}")
+        if self.constellation is not None and self.constellation.M != self.M:
+            raise ValueError(f"M {self.M} disagrees with constellation size "
+                             f"{self.constellation.M}")
         if self.snr is not None and not 0 < self.snr < math.inf:
             raise ValueError("snr must be positive and finite (or None for noiseless)")
         _check_size(self.M)
@@ -87,17 +85,12 @@ class DesignProblem:
         return _boundary_count(self.bits)
 
     @cached_property
-    def uniform(self):
-        """True for the kinds whose quantizer is one uniform step."""
-        return self.variables in ("uniform_step_only", "joint_uniform")
-
-    @cached_property
     def n_boundary_vars(self):
         return 1 if self.uniform else self.K
 
     @cached_property
     def n_amp_vars(self):
-        return self.M // 2 if self.variables.startswith("joint") else 0
+        return self.M // 2 if self.constellation is None else 0
 
     @cached_property
     def dim(self):
@@ -140,7 +133,7 @@ def _softplus_inv(d):
 
 def _decode(p, theta):
     """Unconstrained vector -> (Quantizer, Constellation): the floats of
-    Quantizer.uniform or of the running sums, and for joint kinds of
+    Quantizer.uniform or of the running sums, and for joint designs of
     Constellation.normalized, held to the two types' one rule."""
     theta = theta.tolist()
     nb = p.n_boundary_vars
@@ -182,7 +175,7 @@ def _through_sums(theta, grad):
 
 def _pullback(p, theta, cons, grad_q, grad_rho):
     """The theta-gradient of the objective from dSEP/dq and dSEP/drho: through the
-    running sums of softplus increments, or q_y = y * step, and for joint kinds the
+    running sums of softplus increments, or q_y = y * step, and for joint designs the
     unit-energy normalization rho = a / |a|, on which sigma is constant."""
     theta = theta.tolist()
     nb = p.n_boundary_vars

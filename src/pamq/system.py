@@ -195,8 +195,8 @@ class ChannelModel:
 
     def __post_init__(self):
         _check_shape(self.m)
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     @property
     def integer_m(self):

@@ -103,8 +103,7 @@ def test_criterion_03_omega_invariance():
     for omega in (0.5, 1.0, 2.0):
         ch = ChannelModel(1, omega)
         p = DesignProblem(
-            channel=ch, M=4, bits=2, variables="quantizer_only",
-            snr=10.0 / omega, constellation=C13, n_starts=8, seed=0,
+            channel=ch, M=4, bits=2, snr=10.0 / omega, constellation=C13, n_starts=8, seed=0,
         )
         r = optimize(p)
         results.append((omega, r.quantizer.positive_boundaries[0], r.sep))
@@ -123,8 +122,7 @@ def test_criterion_03_omega_invariance():
 
 def test_criterion_04_noiseless_optimum():
     p = DesignProblem(
-        channel=RAYLEIGH, M=4, bits=2, variables="quantizer_only",
-        snr=None, constellation=C13, n_starts=8, seed=0,
+        channel=RAYLEIGH, M=4, bits=2, snr=None, constellation=C13, n_starts=8, seed=0,
     )
     r = optimize(p)
     q1 = r.quantizer.positive_boundaries[0]
@@ -146,14 +144,13 @@ def test_criterion_04_noiseless_optimum():
 
 def test_criterion_05_boundary_ratio_structure():
     p = DesignProblem(
-        channel=RAYLEIGH, M=8, bits=3, variables="quantizer_only",
-        snr=None, constellation=Constellation.geometric(0.4, 8), n_starts=10, seed=0,
+        channel=RAYLEIGH, M=8, bits=3, snr=None, constellation=Constellation.geometric(0.4, 8),
+        n_starts=10, seed=0,
     )
     _, dev_g = check_prop2(optimize(p), 0.4)
 
     p = DesignProblem(
-        channel=RAYLEIGH, M=4, bits=3, variables="quantizer_only",
-        snr=1e6, constellation=C13, n_starts=10, seed=0,
+        channel=RAYLEIGH, M=4, bits=3, snr=1e6, constellation=C13, n_starts=10, seed=0,
     )
     r = optimize(p)
     q = r.quantizer.positive_boundaries
@@ -170,10 +167,8 @@ def test_criterion_05_boundary_ratio_structure():
 def test_criterion_06_floor_bit_scaling():
     slopes = {}
     for m in (1, 2):
-        slopes[m] = dq_metric(lambda b: optimal_floor_log2(m, b, "uniform"), range(4, 11))
-    inc = dq_successive_slopes(
-        lambda b: optimal_floor_log2(1, b, "nonuniform"), range(2, 9)
-    )
+        slopes[m] = dq_metric(lambda b: optimal_floor_log2(m, b, uniform=True), range(4, 11))
+    inc = dq_successive_slopes(lambda b: optimal_floor_log2(1, b), range(2, 9))
     increasing = all(a < b for a, b in zip(inc, inc[1:]))
     ok = all(abs(slopes[m] - 2 * m) < 0.3 for m in (1, 2)) and increasing
     report(
@@ -210,22 +205,16 @@ def test_criterion_07_vanishing_floor_schedule():
 
 def test_criterion_08_decay_exponents():
     grid = list(np.arange(20.0, 50.0 + 1e-9, 2.5))
-    cases = [
-        ((1, 2, 4, "nonuniform", 1, grid), 0.5, 0.1),
-        ((1, 3, 4, "nonuniform", 1, grid), 0.75, 0.1),
-        ((1, 3, 4, "uniform", 1, grid), 0.5, 0.1),
-    ]
+    cases = [(2, False, 0.5), (3, False, 0.75), (3, True, 0.5)]  # bits, uniform, theory
     details, ok = [], True
-    for args, target, tol in cases:
-        est, theory = dvo_experiment(*args, seed=0)
+    for bits, uniform, target in cases:
+        est, theory = dvo_experiment(1, bits, 4, 1, grid, uniform=uniform, seed=0)
         assert float(theory) == target
-        details.append(f"{args[1]}-bit {args[3]}: {est.slope:.3f}")
-        ok = ok and abs(est.slope - target) < tol
+        details.append(f"{bits}-bit {'uniform' if uniform else 'nonuniform'}: {est.slope:.3f}")
+        ok = ok and abs(est.slope - target) < 0.1
 
     simo_grid = list(np.arange(15.0, 35.0 + 1e-9, 5.0))
-    est, theory = dvo_experiment(
-        1, 2, 4, "nonuniform", 2, simo_grid, budget=4 * 10**6, seed=3
-    )
+    est, theory = dvo_experiment(1, 2, 4, 2, simo_grid, budget=4 * 10**6, seed=3)
     details.append(f"SIMO 2-antenna MC: {est.slope:.3f}")
     ok = ok and abs(est.slope - 1.0) < 0.15
     report("8 decay exponents of optimized designs", ok, "; ".join(details))

@@ -13,6 +13,7 @@ from pamq import (
     Quantizer,
     dq_metric,
     dq_successive_slopes,
+    dvo_experiment,
     dvo_fit,
     dvo_theory,
     floor_geometric,
@@ -29,20 +30,21 @@ class TestDvoTheory:
     def test_pinned_values(self):
         assert dvo_theory(1, 2, 4) == Fraction(1, 2)
         assert dvo_theory(1, 3, 4) == Fraction(3, 4)
-        assert dvo_theory(2, 2, 4, "nonuniform", n_r=3) == Fraction(3)
-        assert dvo_theory(1, 3, 4, "uniform") == Fraction(1, 2)
-        assert dvo_theory(1.5, 3, 4, "uniform") == Fraction(3, 4)  # float shape, as the CLI passes
+        assert dvo_theory(2, 2, 4, n_r=3) == Fraction(3)
+        assert dvo_theory(1, 3, 4, uniform=True) == Fraction(1, 2)
+        # a float shape, as the CLI passes
+        assert dvo_theory(1.5, 3, 4, uniform=True) == Fraction(3, 4)
 
     def test_regime_errors(self):
         with pytest.raises(ValueError):
             dvo_theory(1, 2, 8)  # 2^b <= M - 2
         with pytest.raises(ValueError):
-            dvo_theory(1, 3, 8, "uniform")  # uniform derived for M = 4
+            dvo_theory(1, 3, 8, uniform=True)  # uniform derived for M = 4
         with pytest.raises(ValueError):
-            dvo_theory(1, 3, 4, "uniform", n_r=2)  # uniform is SISO-only
+            dvo_theory(1, 3, 4, uniform=True, n_r=2)  # uniform is SISO-only
         for n_r in (0, -1):
             with pytest.raises(ValueError):
-                dvo_theory(1, 2, 4, "nonuniform", n_r)
+                dvo_theory(1, 2, 4, n_r=n_r)
 
     @pytest.mark.parametrize("m", [-1, 0, 0.25, 0.4999, math.inf, math.nan])
     def test_shape_domain(self, m):
@@ -69,9 +71,7 @@ class TestDvoTheory:
 
     def test_simo_cumulation_exact(self):
         for n_r in (1, 2, 3, 5):
-            assert dvo_theory(2, 3, 4, "nonuniform", n_r) == n_r * dvo_theory(
-                2, 3, 4, "nonuniform", 1
-            )
+            assert dvo_theory(2, 3, 4, n_r=n_r) == n_r * dvo_theory(2, 3, 4)
 
 
 class TestDvoFit:
@@ -124,28 +124,33 @@ class TestBitScaling:
 
     def test_uniform_floor_slope(self):
         for m in (1, 2):
-            slope = dq_metric(lambda b: optimal_floor_log2(m, b, "uniform"), range(4, 11))
+            slope = dq_metric(lambda b: optimal_floor_log2(m, b, uniform=True), range(4, 11))
             assert slope == pytest.approx(2 * m, abs=0.3)
 
     def test_floor_below_float_range(self):
         # the non-uniform floor at b = 10 is below 2^-1074, so only its log2 has a value;
         # over three equally spaced b the fitted slope is half the end-to-end drop
-        log2s = [optimal_floor_log2(1, b, "nonuniform") for b in range(8, 11)]
+        log2s = [optimal_floor_log2(1, b) for b in range(8, 11)]
         assert log2s[-1] < -1074
-        slope = dq_metric(lambda b: optimal_floor_log2(1, b, "nonuniform"), range(8, 11))
+        slope = dq_metric(lambda b: optimal_floor_log2(1, b), range(8, 11))
         assert slope == pytest.approx((log2s[0] - log2s[-1]) / 2.0, rel=1e-12)
 
     def test_nonuniform_double_exponential_signature(self):
         inc = dq_successive_slopes(
-            lambda b: optimal_floor_log2(1, b, "nonuniform"), range(2, 9)
+            lambda b: optimal_floor_log2(1, b), range(2, 9)
         )
         assert all(a < b for a, b in zip(inc, inc[1:]))
 
+    @pytest.mark.parametrize("m,omega", [(0.25, 1.0), (-1, 1.0), (math.nan, 1.0),
+                                         (1, 0.0), (1, -1.0), (1, math.nan), (1, math.inf)])
+    def test_channel_domain(self, m, omega):
+        # ChannelModel's rule; m = -1 once gave -inf and omega = -1 a RecursionError
+        with pytest.raises(ValueError, match="Nakagami shape m|omega must be positive"):
+            optimal_floor_log2(m, 3, omega=omega)
+
     def test_nonuniform_beats_uniform(self):
         for b in (3, 4, 5):
-            assert optimal_floor_log2(1, b, "nonuniform") < optimal_floor_log2(
-                1, b, "uniform"
-            )
+            assert optimal_floor_log2(1, b) < optimal_floor_log2(1, b, uniform=True)
 
 
 class TestFloorSchedule:
@@ -180,7 +185,7 @@ class TestFloorSchedule:
 
 # every input the geometric design family rejects, at each function that takes one
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: dvo_theory(1, 3, 8, "uniform"), "derived for M = 4",
+    pytest.param(lambda: dvo_theory(1, 3, 8, uniform=True), "derived for M = 4",
                  id="dvo_theory-uniform-M8"),
     pytest.param(lambda: floor_geometric(0.3, 8, 0.1, RAYLEIGH, 3, uniform=True),
                  "derived for M = 4", id="floor_geometric-uniform-M8"),
@@ -192,7 +197,7 @@ class TestFloorSchedule:
     pytest.param(lambda: floor_schedule([0.3], 6.5, 2, 8, RAYLEIGH), "2^b > M - 2",
                  id="floor_schedule-levels"),
     pytest.param(lambda: dvo_theory(1, 1, 4), "bits must be >= 2", id="dvo_theory-b1"),
-    pytest.param(lambda: dvo_theory(1, 1, 4, "uniform"), "bits must be >= 2",
+    pytest.param(lambda: dvo_theory(1, 1, 4, uniform=True), "bits must be >= 2",
                  id="dvo_theory-b1-uniform"),
     pytest.param(lambda: floor_geometric(0.3, 4, 0.1, RAYLEIGH, 1), "bits must be >= 2",
                  id="floor_geometric-b1"),
@@ -202,7 +207,7 @@ class TestFloorSchedule:
                  id="floor_schedule-b1"),
     pytest.param(lambda: floor_schedule([0.3], 2.5, 1, 4, RAYLEIGH, uniform=True),
                  "bits must be >= 2", id="floor_schedule-b1-uniform"),
-    pytest.param(lambda: dvo_theory(1, 3, 4, "uniform", n_r=2), "single-antenna",
+    pytest.param(lambda: dvo_theory(1, 3, 4, uniform=True, n_r=2), "single-antenna",
                  id="dvo_theory-uniform-nr2"),
     pytest.param(lambda: floor_schedule([0.3], 2.0, 3, 4, RAYLEIGH), "open interval",
                  id="floor_schedule-a-at-M-2"),
@@ -217,6 +222,24 @@ class TestFloorSchedule:
 ])
 def test_family_rejections(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+# a quantizer kind passed by position, as the functions once took it, raises
+# TypeError: uniform is keyword-only, so a kind string is never read as a flag
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: dvo_theory(1, 3, 4, "uniform"), id="dvo_theory"),
+    pytest.param(lambda: dvo_theory(1, 2, 4, "nonuniform", 1), id="dvo_theory-n_r"),
+    pytest.param(lambda: dvo_experiment(1, 3, 4, "uniform", 1, [20.0, 22.5, 25.0, 27.5]),
+                 id="dvo_experiment"),
+    pytest.param(lambda: optimal_floor_log2(1, 3, "unifrom"), id="optimal_floor_log2"),
+    pytest.param(lambda: optimal_floor_log2(1, 3, "uniform", 1.0),
+                 id="optimal_floor_log2-omega"),
+    pytest.param(lambda: floor_schedule([0.3], 3.0, 3, 4, RAYLEIGH, "uniform"),
+                 id="floor_schedule"),
+])
+def test_positional_kind_string_raises(call):
+    with pytest.raises(TypeError, match="positional argument"):
         call()
 
 

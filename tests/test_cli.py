@@ -229,6 +229,17 @@ class TestNonFiniteSnr:
         assert err == f"pamq: --snr-db must be finite, not {snr_db!r}\n"
 
 
+class TestNonFiniteOmega:
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_rejected_with_omega_named(self, omega, capsys):
+        code, stdout, err = run_cli([
+            "sep", "--m", "1", "--omega", omega, "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "10",
+        ], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "pamq: omega must be positive and finite\n"
+
+
 class TestGridSize:
     @pytest.mark.parametrize("command", ["sep", "simulate", "compare-aqnm"])
     def test_wide_grid_rejected_before_it_is_built(self, command, capsys, monkeypatch):
@@ -259,6 +270,29 @@ class TestConfigAndErrors:
         code, stdout, _ = run_cli(["sep", "--config", str(cfg)], capsys)
         assert code == 0
         assert len(stdout.splitlines()) == 4
+
+    @pytest.mark.parametrize("key,value", [
+        ("uniform", "false"), ("noiseless", "no"), ("joint", 0), ("uniform", None),
+    ])
+    def test_config_switch_wants_boolean(self, tmp_path, capsys, monkeypatch, key, value):
+        # "false" is a truthy string: read as set, it once chose the uniform step
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: pytest.fail("designed"))
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"m": 1, "bits": 2, "constellation": "1,3", key: value}))
+        code, stdout, err = run_cli(["optimize", "--config", str(cfg), "--snr-db", "20"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: {cfg}: {key} must be true or false, not {value!r}\n"
+
+    def test_config_switch_applies(self, tmp_path, capsys):
+        argv = ["optimize", "--m", "1", "--bits", "3", "--constellation", "1,3",
+                "--snr-db", "20", "--starts", "2"]
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"uniform": True}))
+        _, from_flag, _ = run_cli(argv + ["--uniform"], capsys)
+        _, from_config, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert from_config == from_flag
+        q = json.loads(from_config)["boundaries"]
+        assert q[1] == pytest.approx(2 * q[0], rel=1e-15)
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -369,12 +403,14 @@ class TestConfigAndErrors:
         ["optimize", "--noiseless", "--starts", "0"],
     ])
     def test_explicit_zero_rejected(self, argv, capsys):
-        system = ["--m", "1", "--bits", "2", "--constellation", "1,3", "--snr-db", "10"]
+        system = ["--m", "1", "--bits", "2", "--constellation", "1,3"]
         if argv[0] == "simulate":
-            system += ["--q", "1.5"]
-        code, stdout, _ = run_cli(argv + system, capsys)
+            system += ["--q", "1.5", "--snr-db", "10"]
+        code, stdout, err = run_cli(argv + system, capsys)
         assert code == 1
         assert stdout == ""
+        if argv[0] == "optimize":  # the zero, not a flag --noiseless does not read
+            assert "--starts" in err
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--joint", "--bits", "2", "--snr-db", "20"],
@@ -461,7 +497,7 @@ class TestConfigAndErrors:
     def test_dvo_finite_window_grid(self, capsys, monkeypatch):
         grids = []
 
-        def fake(m, b, M, kind, n_r, grid, **kwargs):
+        def fake(m, b, M, n_r, grid, **kwargs):
             grids.append(grid)
             return DvoEstimate(1.0, (grid[0], grid[-1]), 1.0, len(grid)), Fraction(1, 2)
 

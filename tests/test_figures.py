@@ -1,12 +1,14 @@
 """Figure recipes: every recipe under figures/ names a generator of
 demos/make_figures.py, the Monte Carlo markers of the SEP-versus-SNR
-figure agree with its exact curve, and the committed CSVs of the quick
-recipes are what the generators write today."""
+figure agree with its exact curve, the committed CSVs of the quick
+recipes are what the generators write today, and a recipe's quantizer kind
+is one of the two strings the generators know."""
 import csv
 import importlib.util
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -67,3 +69,24 @@ def test_committed_csv_is_current(make_figures, tmp_path, monkeypatch, figure):
     make_figures.KINDS[cfg["kind"]](cfg)
     committed = ROOT / "figures" / "out" / f"{figure}.csv"
     assert (tmp_path / f"{figure}.csv").read_bytes() == committed.read_bytes()
+
+
+# a recipe's quantizer kind string becomes the library's uniform= flag; a misspelt one
+# is an error naming its key, raised before anything is computed
+@pytest.mark.parametrize("figure,key,misspell", [
+    ("fig_error_floor_bits", "quantizer_kinds",
+     lambda cfg: cfg["quantizer_kinds"].append("unifrom")),
+    ("fig_error_floor_shape", "quantizer_kind",
+     lambda cfg: cfg.update(quantizer_kind="unifrom")),
+    ("fig_div_order", "cases[].quantizer_kind",
+     lambda cfg: cfg["cases"][-1].update(quantizer_kind="unifrom")),
+])
+def test_unknown_quantizer_kind_names_its_key(make_figures, monkeypatch, figure, key,
+                                              misspell):
+    cfg = json.loads((ROOT / "figures" / f"{figure}.json").read_text())
+    misspell(cfg)
+    for name in ("optimal_floor_log2", "dvo_experiment"):
+        monkeypatch.setattr(make_figures, name, lambda *a, **k: pytest.fail("computed"))
+    with pytest.raises(ValueError, match=re.escape(f"recipe key {key}: unknown quantizer "
+                                                   f"kind 'unifrom'")):
+        make_figures.KINDS[cfg["kind"]](cfg)

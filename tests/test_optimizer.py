@@ -33,8 +33,7 @@ FLOOR_STAR = 0.1622952508215144
 
 def quantizer_problem(**kw):
     base = dict(
-        channel=RAYLEIGH, M=4, bits=2, variables="quantizer_only",
-        snr=None, constellation=C13, n_starts=8, seed=0,
+        channel=RAYLEIGH, M=4, bits=2, snr=None, constellation=C13, n_starts=8, seed=0,
     )
     base.update(kw)
     return DesignProblem(**base)
@@ -65,8 +64,7 @@ class TestKnownOptima:
 class TestStructure:
     def test_joint_unit_energy_and_ordering(self):
         p = DesignProblem(
-            channel=RAYLEIGH, M=4, bits=3, variables="joint_nonuniform",
-            snr=100.0, n_starts=6, seed=1,
+            channel=RAYLEIGH, M=4, bits=3, snr=100.0, n_starts=6, seed=1,
         )
         r = optimize(p)
         amps = r.constellation.amplitudes
@@ -102,7 +100,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("bad", [
         dict(n_starts=0), dict(bits=1), dict(M=6), dict(M=2), dict(bits=MAX_BITS + 1),
-        dict(bits=MAX_BITS + 1, variables="joint_nonuniform"),
+        dict(bits=MAX_BITS + 1, constellation=None),
     ])
     def test_size_validation(self, bad):
         with pytest.raises(ValueError):
@@ -122,19 +120,35 @@ class TestStructure:
         p = quantizer_problem(n_starts=optimizer._SCHEDULE_SIZE)
         assert len(optimizer._start_points(p)) == optimizer._SCHEDULE_SIZE
 
-    @pytest.mark.parametrize("kind", ["quantizer_only", "uniform_step_only"])
-    def test_M_must_match_fixed_constellation(self, kind):
+    @pytest.mark.parametrize("uniform", [False, True],
+                             ids=["quantizer_only", "uniform_step_only"])
+    def test_M_must_match_fixed_constellation(self, uniform):
         with pytest.raises(ValueError, match="disagrees"):
-            quantizer_problem(M=16, variables=kind)
+            quantizer_problem(M=16, uniform=uniform)
 
     def test_variable_kind_validation(self):
-        with pytest.raises(ValueError):
-            quantizer_problem(variables="nope")
-        with pytest.raises(ValueError):
-            DesignProblem(
-                channel=RAYLEIGH, M=4, bits=2, variables="quantizer_only",
-                snr=10.0, constellation=None,
-            )
+        # what a design varies follows from its inputs: a kind string is no input
+        with pytest.raises(TypeError, match="variables"):
+            quantizer_problem(variables="quantizer_only")
+        with pytest.raises(TypeError, match="positional argument"):
+            DesignProblem(RAYLEIGH, 4, 2, "quantizer_only")
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_constellation_given_means_quantizer_only(self, uniform):
+        fixed = quantizer_problem(bits=3, uniform=uniform)
+        joint = quantizer_problem(bits=3, uniform=uniform, constellation=None)
+        assert fixed.n_boundary_vars == joint.n_boundary_vars == (1 if uniform else 3)
+        assert fixed.dim == fixed.n_boundary_vars
+        assert joint.dim == joint.n_boundary_vars + joint.M // 2
+
+    def test_given_constellation_is_kept(self):
+        # 2 bits at 30 dB from 2 starts: without a constellation the amplitudes are
+        # designed; a given one is the design's, not a scale for joint starts
+        joint = optimize(quantizer_problem(snr=1e3, n_starts=2, constellation=None))
+        fixed = optimize(quantizer_problem(snr=1e3, n_starts=2,
+                                           constellation=Constellation((10.0, 30.0))))
+        assert joint.sep < 0.03
+        assert fixed.constellation == Constellation((10.0, 30.0))
 
 
 def _continuation(p, snr_db_grid):
@@ -144,8 +158,8 @@ def _continuation(p, snr_db_grid):
     for sdb in snr_db_grid:
         snr = 10.0 ** (sdb / 10.0)
         point = DesignProblem(
-            channel=p.channel, M=p.M, bits=p.bits, variables=p.variables, snr=snr,
-            constellation=p.constellation, n_starts=p.n_starts, seed=p.seed,
+            channel=p.channel, M=p.M, bits=p.bits, snr=snr,
+            constellation=p.constellation, uniform=p.uniform, n_starts=p.n_starts, seed=p.seed,
             init_quantizer=init_q, init_constellation=init_c,
         )
         r = optimize(point)
@@ -164,7 +178,7 @@ class TestSweep:
     def test_joint_matches_continuation_loop(self):
         cons, quant = xg_design(0.3, 0.05, M=4, bits=2)
         p = DesignProblem(
-            channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", n_starts=2,
+            channel=RAYLEIGH, M=4, bits=2, n_starts=2,
             seed=1, init_quantizer=quant, init_constellation=cons,
         )
         designs = optimize_sweep(p, self.GRID)
@@ -182,29 +196,29 @@ class TestObjectiveBits:
     at finite SNR has no exact gradient and scores as a failed candidate."""
 
     CASES = [
-        (dict(channel=ChannelModel(1), M=4, bits=3, variables="quantizer_only", snr=100.0,
+        (dict(channel=ChannelModel(1), M=4, bits=3, snr=100.0,
               constellation=C13), [0.3, -0.2, 0.5], "0x1.781ca43f755e0p-5"),
-        (dict(channel=ChannelModel(2), M=8, bits=3, variables="uniform_step_only", snr=1000.0,
+        (dict(channel=ChannelModel(2), M=8, bits=3, uniform=True, snr=1000.0,
               constellation=equidistant_constellation(8).normalized()),
          [-0.4], "0x1.0cea2dfa5619ep-1"),
-        (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
+        (dict(channel=RAYLEIGH, M=4, bits=2, snr=1000.0),
          [0.1, -0.3, 0.7], "0x1.db5b92cb6a4bcp-3"),
-        (dict(channel=ChannelModel(3, 2.0), M=4, bits=3, variables="joint_uniform", snr=316.0),
+        (dict(channel=ChannelModel(3, 2.0), M=4, bits=3, uniform=True, snr=316.0),
          [0.2, 0.4, -0.1], "0x1.3a70cc66e4e10p-3"),
-        (dict(channel=RAYLEIGH, M=16, bits=3, variables="joint_nonuniform", snr=1e4),
+        (dict(channel=RAYLEIGH, M=16, bits=3, snr=1e4),
          [0.5, -0.1, 0.3, -1.0, 0.2, 0.1, 0.4, -0.3, 0.6, 0.0, -0.28], "0x1.bcc85437d78c6p-1"),
-        (dict(channel=ChannelModel(1.5), M=4, bits=2, variables="quantizer_only", snr=30.0,
+        (dict(channel=ChannelModel(1.5), M=4, bits=2, snr=30.0,
               constellation=C13), [0.8], "0x1.8eaad6be75920p-3"),
-        (dict(channel=ChannelModel(2), M=8, bits=3, variables="quantizer_only", snr=None,
+        (dict(channel=ChannelModel(2), M=8, bits=3, snr=None,
               constellation=Constellation.geometric(0.4, 8)),
          [-2.0, -1.0, 0.5], "0x1.07e6de5872a10p-2"),
         # softplus(-800) is 0.0: the smallest amplitude vanishes
-        (dict(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform", snr=1000.0),
+        (dict(channel=RAYLEIGH, M=4, bits=2, snr=1000.0),
          [0.0, -800.0, 0.0], "0x1.0000000000000p+0"),
         # M = 16 again, at a theta where the pull-back's in-order norm of the 8 amplitudes
         # and normalized()'s pairwise one differ after the square root: a shared norm
         # moves gradient bits here
-        (dict(channel=RAYLEIGH, M=16, bits=3, variables="joint_nonuniform", snr=1e4),
+        (dict(channel=RAYLEIGH, M=16, bits=3, snr=1e4),
          [0.3, -0.2, 0.1, -0.4, 2.0, 0.6, 0.7, -0.5, -1.6, 0.2, 0.1], "0x1.bc2ceca73af8fp-1"),
     ]
     # the theta-gradient of each case; None where the candidate fails with grad
@@ -256,8 +270,8 @@ class TestStartSchedule:
             assert np.array_equal(optimizer._latin_hypercube(d, seed), expected), d
 
     @pytest.mark.parametrize("kw", [
-        dict(M=4, bits=3, variables="quantizer_only", constellation=C13),
-        dict(M=8, bits=3, variables="joint_nonuniform"),
+        dict(M=4, bits=3, constellation=C13),
+        dict(M=8, bits=3),
     ])
     def test_prefix_is_independent_of_start_count(self, kw):
         full = optimizer._start_points(DesignProblem(RAYLEIGH, n_starts=16, seed=7, **kw))
@@ -269,8 +283,7 @@ class TestStartSchedule:
 
 class TestFailedEvals:
     def test_counts_degenerate_candidates(self):
-        p = DesignProblem(channel=RAYLEIGH, M=4, bits=2, variables="joint_nonuniform",
-                          snr=1000.0)
+        p = DesignProblem(channel=RAYLEIGH, M=4, bits=2, snr=1000.0)
         f = _objective(p)
         for theta in ([0.0, -800.0, 0.0], [0.1, -0.3, 0.7], [-800.0, 0.0, 0.0]):
             f(np.array(theta))
@@ -281,11 +294,11 @@ class TestFailedEvals:
     # strictly increasing) only in the decode's float arithmetic: softplus(-800) is
     # 0.0, so a boundary or an amplitude repeats, and 1e308 + 1e308 is inf
     DECODE_FAILURES = [
-        (dict(M=4, bits=3, variables="quantizer_only", constellation=C13), [0.3, -800.0, 0.5]),
-        (dict(M=8, bits=2, variables="joint_nonuniform"), [0.2, 0.1, 0.3, -800.0, 0.4]),
-        (dict(M=4, bits=3, variables="quantizer_only", constellation=C13), [0.3, 1e308, 1e308]),
-        (dict(M=4, bits=2, variables="joint_nonuniform"), [0.1, 1e308, 1e308]),
-        (dict(M=4, bits=3, variables="joint_uniform"), [1e308, 0.1, 0.2]),
+        (dict(M=4, bits=3, constellation=C13), [0.3, -800.0, 0.5]),
+        (dict(M=8, bits=2), [0.2, 0.1, 0.3, -800.0, 0.4]),
+        (dict(M=4, bits=3, constellation=C13), [0.3, 1e308, 1e308]),
+        (dict(M=4, bits=2), [0.1, 1e308, 1e308]),
+        (dict(M=4, bits=3, uniform=True), [1e308, 0.1, 0.2]),
     ]
 
     @pytest.mark.parametrize("grad", [False, True])
@@ -344,7 +357,7 @@ class TestFailedEvals:
 
 class TestObjectiveGradient:
     """The theta-gradient of the objective against a four-point central difference of
-    its value, for every variable kind, at finite SNR and noiseless; a failed
+    its value, for every kind of design, at finite SNR and noiseless; a failed
     candidate has a zero gradient."""
 
     H = 1e-5
@@ -352,9 +365,9 @@ class TestObjectiveGradient:
     # TestObjectiveBits' cases that have an exact gradient, and two more noiseless ones
     CASES = [(kw, theta) for kw, theta, _ in TestObjectiveBits.CASES
              if kw["snr"] is None or float(kw["channel"].m).is_integer()] + [
-        (dict(channel=ChannelModel(1.5), M=4, bits=3, variables="quantizer_only", snr=None,
+        (dict(channel=ChannelModel(1.5), M=4, bits=3, snr=None,
               constellation=C13), [0.3, -0.2, 0.5]),
-        (dict(channel=ChannelModel(2), M=4, bits=2, variables="joint_nonuniform", snr=None),
+        (dict(channel=ChannelModel(2), M=4, bits=2, snr=None),
          [0.1, -0.3, 0.7]),
     ]
 
@@ -379,7 +392,7 @@ class TestGradientDesign:
     package used before, at start seed 0: the same or a lower SEP with at
     least 5x fewer objective calls (Nelder-Mead took 642 and 2831)."""
 
-    JOINT3 = dict(channel=RAYLEIGH, M=4, bits=3, variables="joint_nonuniform", n_starts=4,
+    JOINT3 = dict(channel=RAYLEIGH, M=4, bits=3, n_starts=4,
                   seed=0)
 
     def test_two_bit_quantizer_at_10_db(self):
@@ -402,8 +415,8 @@ class TestGradientDesign:
 class TestProp2Diagnostics:
     def test_geometric_fixed_point(self):
         p = DesignProblem(
-            channel=RAYLEIGH, M=8, bits=3, variables="quantizer_only",
-            snr=None, constellation=Constellation.geometric(0.4, 8), n_starts=10, seed=0,
+            channel=RAYLEIGH, M=8, bits=3, snr=None, constellation=Constellation.geometric(0.4, 8),
+        n_starts=10, seed=0,
         )
         ratios, dev = check_prop2(optimize(p), 0.4)
         assert len(ratios) == 2

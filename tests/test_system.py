@@ -147,3 +147,9 @@ class TestChannelAndSnr:
             with pytest.raises(ValueError, match="Nakagami shape m must be finite and >= 1/2"):
                 ChannelModel(m, 1.0)
         ChannelModel(0.5, 1.0)  # boundary value allowed
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    def test_omega_positive_and_finite(self, omega):
+        # NaN and +inf once passed the check omega <= 0 and failed in the SEP engines
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            ChannelModel(1, omega)

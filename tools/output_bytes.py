@@ -16,8 +16,9 @@ row of the same invocation in FILE, and the script exits 1 and lists the
 rows that differ. The committed table is tools/output_bytes.md.
 
 The invocations are the six README examples, acceptance criteria 9 and 10,
-the seven calls of the perfbench `design` workload and the 2-antenna
-1-worker call of the `mc` workload at seed 1, copied here.
+the seven calls of the perfbench `design` workload, three designs with the
+uniform-step quantizer (fixed and joint `optimize`, joint `dvo`) and the
+2-antenna 1-worker call of the `mc` workload at seed 1, copied here.
 """
 import argparse
 import contextlib
@@ -67,6 +68,12 @@ INVOCATIONS = [
     ("design.optimize.joint3", ["optimize", "--joint", "--bits", "3", "--snr-db", "30",
                                 "--starts", "4", *_DESIGN]),
     ("design.dvo.joint2", ["dvo", "--joint", "--bits", "2", "--window", "20:50", *_DESIGN]),
+    ("uniform.optimize.fixed3", ["optimize", "--uniform", "--bits", "3", "--constellation", "1,3",
+                                 "--snr-db", "20", "--starts", "4", *_DESIGN]),
+    ("uniform.optimize.joint3", ["optimize", "--joint", "--uniform", "--bits", "3",
+                                 "--snr-db", "30", "--starts", "4", *_DESIGN]),
+    ("uniform.dvo.joint3", ["dvo", "--joint", "--bits", "3", "--uniform", "--window", "20:30",
+                            *_DESIGN]),
     ("mc.simo_w1", ["simulate", "--m", "1", "--bits", "2", "--mod", "4", "--constellation",
                     "1.0,3.0", "--q", "1.3084411832661798", "--snr-db", "5.0,10.0,15.0,20.0,25.0",
                     "--trials", "400000", "--antennas", "2", "--threads", "1", "--seed", "1"]),
