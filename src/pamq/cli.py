@@ -335,6 +335,9 @@ def run(argv):
             args.seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"PAMQ_SEED must be an integer, not {env_seed!r}")
+    if "seed" in vars(args) and args.seed < 0:
+        source = "--seed" if env_seed is None else "PAMQ_SEED"
+        raise ValidationError(f"{source} must be >= 0, not {args.seed}")
     return _COMMANDS[args.command][0](args)
 
 

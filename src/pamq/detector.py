@@ -7,10 +7,15 @@ symbol; this keeps single-antenna and SIMO detectors comparable.
 Each rule has one vectorized kernel (``quantize_batch``,
 ``midpoint_batch``, ``simo_batch``) over arrays of observations, and
 there are no scalar wrappers: a single observation is a one-row call.
-``simo_batch`` takes its rows in fixed blocks and evaluates the lower-edge
-``ndtr`` only for bins with two finite edges; its decisions and
-log-likelihoods are the same floats as a plain per-symbol evaluation of
-every bin.
+``simo_batch`` takes its rows in fixed blocks. A row whose outputs all
+share one sign scores only that sign's M/2 symbols, and a per-row
+Chernoff bound on the other half (``_opposite_bound``) sends every row
+it cannot clear (mixed signs, ties, zero gains, floored factors) to the
+full M-symbol evaluation. One likelihood routine serves both: it
+evaluates the lower-edge ``ndtr`` only for bins with two finite edges and
+adds the antennas in NumPy's row-sum order (``_row_sums``). Its
+decisions and log-likelihoods are the same floats as a plain per-symbol
+evaluation of every bin followed by a row sum and an argmax.
 The region geometry of Theorem 1 lives once in ``_region_bounds``;
 ``decision_region`` and ``noiseless_region`` are its checked forms.
 """
@@ -23,6 +28,7 @@ __all__ = ["decision_region", "noiseless_region"]
 
 # natural-log underflow floor for per-factor likelihoods
 LOG_FLOOR = -745.0
+_LN2 = math.log(2.0)
 
 # rows per block of simo_batch
 _BLOCK_ROWS = 8192
@@ -30,9 +36,13 @@ _BLOCK_ROWS = 8192
 
 def quantize_batch(bounds, r):
     """Signed output indices of the inputs r (any shape) for the sorted
-    positive boundaries; a boundary belongs to the upper region."""
-    mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
-    return np.where(r >= 0.0, mag, -mag)
+    positive boundaries; a boundary belongs to the upper region, and an
+    input that is not >= 0 (negative or NaN) gets a negative index."""
+    mag = np.asarray(np.searchsorted(bounds, np.abs(r), side="right"))
+    # in place: no batch-sized temporaries beyond the one result
+    mag += 1
+    np.negative(mag, out=mag, where=~np.greater_equal(r, 0.0))
+    return mag
 
 
 def midpoint_batch(amps, bounds, h, y):
@@ -56,41 +66,120 @@ def simo_batch(amps, bounds, h, y, sigma2):
     """Product-likelihood ML rule; h and y have shape (n, n_r).
 
     Works in the log domain with a per-factor floor; a symbol whose every
-    factor underflows loses to any symbol with a finite factor. The rows
-    run in blocks of _BLOCK_ROWS, so that the temporaries stay in cache.
+    factor underflows loses to any symbol with a finite factor, and ties
+    go to the lowest symbol. The rows run in blocks of _BLOCK_ROWS, so
+    that the temporaries stay in cache.
+
+    Sign halves: a row whose outputs all have one sign scores only that
+    sign's M/2 symbols. For y < 0 and symbol -rho the mean (-h)(-rho) is
+    the float h*rho, so the half runs on |y| and +rho.
+    Guard: with x_k = (h_k rho_1)/s, every opposite-sign symbol scores at
+    most U = sum_k max(-x_k^2/2 - ln 2, LOG_FLOOR) (_opposite_bound):
+      1. its mean puts the bin's near edge at a >= x_k, in floats too;
+      2. the mirrored upper end is b' <= -a, so the factor is <= ndtr(-x_k);
+      3. Phi(-x) <= exp(-x^2/2)/2 for x >= 0 (Chernoff).
+    Fallback: a row keeps its half's winner only when that beats
+    U + 1e-9 (1 + |U|). Mixed-sign rows and the rest (ties, zero gains,
+    every factor floored, NaN) score all M symbols.
+    Sum order: both paths add the antennas in the order of NumPy's row sum
+    (_row_sums), so every log-likelihood and decision is the float that a
+    plain per-symbol evaluation, row sum and argmax give.
     """
     s = math.sqrt(sigma2 / 2.0)
+    half = len(amps)
     symbols = np.concatenate([-amps[::-1], amps])  # ascending
-    ids = np.concatenate(
-        [-np.arange(len(amps), 0, -1), np.arange(1, len(amps) + 1)]
-    )
+    ids = np.concatenate([-np.arange(half, 0, -1), np.arange(1, half + 1)])
     edges = np.concatenate([[0.0], bounds, [np.inf]])
     decided = np.empty(h.shape[0], dtype=ids.dtype)
     for start in range(0, h.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        ll = _log_likelihoods(symbols, edges, h[rows], y[rows], s)
-        # argmax keeps the first maximum: ties go to the lowest symbol
-        decided[rows] = ids[np.argmax(ll, axis=1)]
+        # antennas along the first axis: each is a contiguous row of the block
+        h_blk, y_blk = np.ascontiguousarray(h[rows].T), np.ascontiguousarray(y[rows].T)
+        pos, neg = y_blk[0] > 0, y_blk[0] < 0
+        for yk in y_blk[1:]:
+            pos &= yk > 0
+            neg &= yk < 0
+        n_pos = np.count_nonzero(pos)
+        same = np.concatenate([np.flatnonzero(pos), np.flatnonzero(neg)])
+        h_same = h_blk.take(same, axis=1)
+        ll = _log_likelihoods(amps, edges, h_same, np.abs(y_blk.take(same, axis=1)), s)
+        # the first maximum in ascending symbol order; for the negative
+        # rows that order runs from the last amplitude down
+        best_pos, arg_pos = _first_max(ll[:, :n_pos])
+        best_neg, arg_neg = _first_max(ll[::-1, n_pos:])
+        best = np.concatenate([best_pos, best_neg])
+        bound = _opposite_bound(h_same, amps[0], s)
+        kept = best > bound + 1e-9 * (1.0 + np.abs(bound))
+        out = decided[rows]
+        out[same[kept]] = np.concatenate([arg_pos + 1, arg_neg - half])[kept]
+        full = np.concatenate([np.flatnonzero(~(pos | neg)), same[~kept]])
+        y_full, h_full = y_blk.take(full, axis=1), h_blk.take(full, axis=1)
+        # bin -y at mean mu is bin y at mean -mu mirrored: fold sign(y) into h
+        ll = _log_likelihoods(symbols, edges, np.where(y_full > 0, h_full, -h_full),
+                              np.abs(y_full), s)
+        out[full] = ids[_first_max(ll)[1]]
     return decided
 
 
-def _log_likelihoods(symbols, edges, h, y, s):
-    """Log-likelihood of each symbol (columns) for each row of gains h and
-    outputs y: the sum over antennas of max(log P(y | h * symbol), LOG_FLOOR)
-    at noise deviation s."""
-    ay = np.abs(y).ravel()
-    inner = ay < len(edges) - 1  # both edges finite
+def _opposite_bound(h, rho_1, s):
+    """U >= the log-likelihood of every symbol of the sign opposite to all
+    of a row's outputs (see simo_batch), for gains h (n_r, n), smallest
+    amplitude rho_1 and noise deviation s. A factor is <= 1 at any gain,
+    so a negative x_k adds 0, and a NaN one makes U NaN, which no row
+    beats; the terms add in the likelihoods' order."""
+    x = h * rho_1 / s
+    return _row_sums(np.where(x < 0.0, 0.0, np.maximum(-0.5 * x * x - _LN2, LOG_FLOOR)))
+
+
+def _first_max(ll):
+    """(maximum, index of its first row) of each column of ll."""
+    best = ll[0].copy()
+    arg = np.zeros(ll.shape[1], dtype=np.intp)
+    for j in range(1, len(ll)):
+        np.copyto(arg, j, where=ll[j] > best)
+        np.maximum(best, ll[j], out=best)
+    return best, arg
+
+
+def _row_sums(lp):
+    """Sum over the first axis of lp, in the order of NumPy's pairwise row
+    sum ``lp.T.sum(axis=1)`` of a C-contiguous array: in turn below 8
+    terms, in 8 strided partial sums up to 128, halved above."""
+    n = len(lp)
+    if n < 8:
+        total = lp[0].copy()
+        for part in lp[1:]:
+            total += part
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        acc = lp[:8].copy()
+        for i in range(8, stop, 8):
+            acc += lp[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for part in lp[stop:]:
+            total += part
+        return total
+    mid = n // 2 - (n // 2) % 8
+    return _row_sums(lp[:mid]) + _row_sums(lp[mid:])
+
+
+def _log_likelihoods(symbols, edges, hy, ay, s):
+    """Log-likelihood of each symbol (rows) for each column of sign-folded
+    gains hy and output magnitudes ay, both (n_r, n): the sum over antennas
+    of max(log P(ay | hy * symbol), LOG_FLOOR) at noise deviation s."""
+    flat = ay.ravel()
+    inner = flat < len(edges) - 1  # both edges finite
     # inner factors first, so that the ndtr of their lower edge is one slice
     order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
     n_in = np.count_nonzero(inner)
-    ay = ay[order]
-    lo, hi = edges[ay - 1], edges[ay[:n_in]]
-    # bin -y at mean mu is bin y at mean -mu mirrored: fold sign(y) into h
-    hy = np.where(y > 0, h, -h).ravel()[order]
+    flat = flat[order]
+    lo, hi = edges[flat - 1], edges[flat[:n_in]]
+    hy = hy.ravel()[order]
     mean, a, p = (np.empty(order.size) for _ in range(3))
     b = np.empty(n_in)
-    lp = np.empty(y.shape)
-    ll = np.empty((y.shape[0], len(symbols)))
+    lp = np.empty(ay.shape)
+    ll = np.empty((len(symbols), ay.shape[1]))
     for j, sym in enumerate(symbols):
         np.multiply(hy, sym, out=mean)
         np.divide(np.subtract(lo, mean, out=a), s, out=a)
@@ -108,7 +197,7 @@ def _log_likelihoods(symbols, edges, h, y, s):
         with np.errstate(divide="ignore", invalid="ignore"):
             np.fmax(np.log(p, out=p), LOG_FLOOR, out=p)
         lp.reshape(-1)[order] = p
-        ll[:, j] = lp.sum(axis=1)
+        ll[j] = _row_sums(lp)
     return ll
 
 

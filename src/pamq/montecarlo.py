@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detector import midpoint_batch, quantize_batch, simo_batch
-from .system import sigma2_from_snr
+from .system import _check_count, sigma2_from_snr
 from .table import write_table
 
 __all__ = ["SimSpec", "SimEstimate", "simulate", "simulate_noiseless", "write_csv"]
@@ -31,12 +31,8 @@ class SimSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n_r < 1:
-            raise ValueError("n_r must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("trials", 1), ("n_r", 1), ("batch_size", 1), ("seed", 0)):
+            _check_count(getattr(self, name), name, low)
 
 
 @dataclass(frozen=True)

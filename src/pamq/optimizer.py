@@ -30,8 +30,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .sep import sep_and_grad, sep_exact
-from .system import (Constellation, Quantizer, _boundary_count, _check_levels, _check_size,
-                     _geometric_boundary, _unchecked, _unit_energy, symbol_energy)
+from .system import (Constellation, Quantizer, _boundary_count, _check_count, _check_levels,
+                     _check_size, _geometric_boundary, _unchecked, _unit_energy, symbol_energy)
 
 __all__ = [
     "DesignProblem",
@@ -77,6 +77,8 @@ class DesignProblem:
         if not 1 <= self.n_starts <= _SCHEDULE_SIZE:
             raise ValueError(f"n_starts must be 1 to {_SCHEDULE_SIZE}, the size of the "
                              f"start schedule")
+        _check_count(self.n_starts, "n_starts", 1)
+        _check_count(self.seed, "seed", 0)
 
     # derived once per problem: the objective reads them on every call
 

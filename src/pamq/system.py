@@ -7,6 +7,7 @@ dataclasses and safe to share between workers.
 """
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,15 @@ def _check_size(M):
     """Reject a constellation size M that is not a power of 2, M >= 4."""
     if M < 4 or M & (M - 1):
         raise ValueError("M must be a power of 2, M >= 4")
+
+
+def _check_count(value, name, low):
+    """Reject a count or seed that is not an integer >= low; a bool is not
+    a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def _check_shape(m):

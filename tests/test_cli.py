@@ -127,6 +127,29 @@ class TestStartsRange:
         assert json.loads(stdout)["starts_used"] == 64
 
 
+class TestSeedRange:
+    """A negative seed exits 1 naming where it came from, before any work."""
+
+    SYSTEM = ["--m", "1", "--bits", "2", "--constellation", "1,3"]
+    ARGVS = [
+        ["simulate", *SYSTEM, "--q", "1.5", "--snr-db", "10", "--trials", "1000"],
+        ["optimize", *SYSTEM, "--snr-db", "10", "--starts", "2"],
+        ["dvo", "--joint", "--m", "1", "--bits", "2", "--window", "20:30"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["simulate", "optimize", "dvo"])
+    def test_flag_named(self, argv, capsys):
+        code, stdout, err = run_cli(argv + ["--seed", "-1"], capsys)
+        assert code == 1 and stdout == ""
+        assert "--seed must be >= 0" in err
+
+    def test_env_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("PAMQ_SEED", "-1")
+        code, stdout, err = run_cli(self.ARGVS[0] + ["--seed", "3"], capsys)
+        assert code == 1 and stdout == ""
+        assert "PAMQ_SEED must be >= 0" in err
+
+
 class TestFloorCommand:
     def test_floor_bounds_collapse(self, capsys):
         code, stdout, _ = run_cli([

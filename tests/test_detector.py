@@ -16,6 +16,8 @@ from pamq.detector import (
     LOG_FLOOR,
     _BLOCK_ROWS,
     _log_likelihoods,
+    _opposite_bound,
+    _row_sums,
     midpoint_batch,
     quantize_batch,
     simo_batch,
@@ -68,14 +70,38 @@ def reference_simo(amps, bounds, h, y, sigma2):
     return ids[np.argmax(ll, axis=1)], ll
 
 
-def blocked_log_likelihoods(amps, bounds, h, y, sigma2):
-    """simo_batch's log-likelihoods, block by block as it computes them."""
+def kernel_log_likelihoods(amps, bounds, h, y, sigma2):
+    """The log-likelihoods simo_batch computes, as (full, half), each with
+    the reference's (n, M) columns. full is the all-symbol evaluation on
+    every row; half is the own-sign evaluation of each same-sign row,
+    NaN wherever it does not evaluate."""
+    s = math.sqrt(sigma2 / 2.0)
+    half_size = len(amps)
     symbols = np.concatenate([-amps[::-1], amps])
     edges = np.concatenate([[0.0], bounds, [np.inf]])
-    s = math.sqrt(sigma2 / 2.0)
-    blocks = [_log_likelihoods(symbols, edges, h[i:i + _BLOCK_ROWS], y[i:i + _BLOCK_ROWS], s)
-              for i in range(0, h.shape[0], _BLOCK_ROWS)]
-    return np.concatenate(blocks) if blocks else np.empty((0, len(symbols)))
+    full = _log_likelihoods(symbols, edges, np.where(y > 0, h, -h).T, np.abs(y).T, s).T
+    half = np.full(full.shape, np.nan)
+    # amplitude i is reference column half_size + i, and its negative is
+    # column half_size - 1 - i
+    for rows, cols in (((y > 0).all(axis=1), np.arange(half_size, 2 * half_size)),
+                       ((y < 0).all(axis=1), np.arange(half_size - 1, -1, -1))):
+        half[np.ix_(rows, cols)] = _log_likelihoods(amps, edges, h[rows].T,
+                                                    np.abs(y[rows]).T, s).T
+    return full, half
+
+
+def assert_matches_reference(amps, bounds, h, y, sigma2):
+    """simo_batch's decisions, and every log-likelihood it can evaluate,
+    equal the frozen reference's; returns the reference's (decisions, ll)."""
+    want, want_ll = reference_simo(amps, bounds, h, y, sigma2)
+    got = simo_batch(amps, bounds, h, y, sigma2)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    full, half = kernel_log_likelihoods(amps, bounds, h, y, sigma2)
+    assert np.array_equal(full, want_ll)
+    scored = ~np.isnan(half)
+    assert np.array_equal(half[scored], want_ll[scored])
+    return want, want_ll
 
 
 def faded_observations(M, bits, n, n_r, sigma2, seed):
@@ -133,6 +159,19 @@ class TestQuantize:
 
     def test_zero_goes_to_first_positive(self):
         assert quantize(Q2, 0.0) == 1
+
+    def test_batch_matches_signed_search(self):
+        # the in-place kernel against the plain two-branch form, edges and
+        # non-finite inputs included
+        bounds = np.asarray(Q3.positive_boundaries)
+        r = np.concatenate([np.random.default_rng(3).normal(0.0, 1.5, 5000),
+                            [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, np.inf, -np.inf, np.nan]])
+        mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
+        want = np.where(r >= 0.0, mag, -mag)
+        got = quantize_batch(bounds, r.reshape(-1, 1))
+        assert got.dtype == want.dtype and got.shape == (r.size, 1)
+        assert np.array_equal(got[:, 0], want)
+        assert quantize_batch(bounds, np.nan) == -(Q3.K + 1)
 
 
 class TestMidpointRule:
@@ -282,40 +321,98 @@ class TestSimoRule:
 
 
 class TestSimoOracle:
-    """The blocked kernel against the frozen unblocked one: the same
-    decisions and the same log-likelihood floats."""
+    """The kernel against the frozen one: the same decisions, and the same
+    log-likelihood floats in every column it evaluates, on the own-sign
+    half and on the full evaluation alike."""
 
     @pytest.mark.parametrize("M,bits", [(4, 2), (8, 3), (8, 4), (16, 4)])
-    @pytest.mark.parametrize("n_r", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 4, 8, 9])
     def test_matches_reference(self, M, bits, n_r):
         for seed, sigma2 in enumerate([1e-6, 1e-3, 0.1, 1.0, 30.0]):
             amps, bounds, h, y = faded_observations(M, bits, 1500, n_r, sigma2, seed)
-            want, want_ll = reference_simo(amps, bounds, h, y, sigma2)
-            assert np.array_equal(simo_batch(amps, bounds, h, y, sigma2), want)
-            assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, sigma2), want_ll)
+            assert_matches_reference(amps, bounds, h, y, sigma2)
 
     @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 77, _BLOCK_ROWS - 1, 0])
     def test_block_edges(self, n):
         amps, bounds, h, y = faded_observations(4, 2, n, 2, 0.5, 7)
-        got = simo_batch(amps, bounds, h, y, 0.5)
-        want, want_ll = reference_simo(amps, bounds, h, y, 0.5)
-        assert got.shape == (n,) and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, 0.5), want_ll)
+        assert_matches_reference(amps, bounds, h, y, 0.5)
 
     def test_structural_ties(self):
         amps = np.asarray(C13.amplitudes)
         bounds = np.asarray(Q2.positive_boundaries)
         h = np.array([[100.0, 100.0], [100.0, 100.0], [100.0, 100.0], [0.0, 0.0], [0.0, 0.0]])
         y = np.array([[1, 1], [-1, 1], [2, 2], [1, 1], [-2, 1]])
-        sigma2 = 1e-6
-        got = simo_batch(amps, bounds, h, y, sigma2)
-        want, want_ll = reference_simo(amps, bounds, h, y, sigma2)
-        assert np.array_equal(got, want)
-        assert np.array_equal(blocked_log_likelihoods(amps, bounds, h, y, sigma2), want_ll)
+        want, want_ll = assert_matches_reference(amps, bounds, h, y, 1e-6)
         # rows 0-1: every factor of every symbol floored, so the lowest
         # symbol wins; row 2: p = 1 for both positive symbols, so the
         # lower of them wins; rows 3-4: a zero gain ties all four symbols
         assert np.all(want_ll[:2] == 2 * LOG_FLOOR)
         assert want_ll[2, 2] == want_ll[2, 3] == 0.0
-        assert got.tolist() == [-2, -2, 1, -2, -2]
+        assert want.tolist() == [-2, -2, 1, -2, -2]
+
+    def test_fallback_rows(self):
+        # same-sign rows that the own-sign half cannot decide: a zero gain
+        # ties all symbols, and a row with every factor floored ties them at
+        # the floor; both go to the lowest symbol, of the opposite sign
+        amps = np.asarray(C13.amplitudes)
+        bounds = np.asarray(Q2.positive_boundaries)
+        h = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0], [100.0, 100.0], [100.0, 100.0]])
+        y = np.array([[1, 1], [2, 2], [1, 1], [-1, -1], [-2, -2]])
+        want, want_ll = assert_matches_reference(amps, bounds, h, y, 1e-6)
+        assert np.all(want_ll[2:4] == 2 * LOG_FLOOR)
+        # the last row ties the two negative symbols at p = 1: the lower
+        # of them, -3, wins on the own-sign half
+        assert want_ll[4, 0] == want_ll[4, 1] == 0.0
+        assert want.tolist() == [-2, -2, -2, -2, -2]
+
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-3])
+    def test_negative_and_nan_gains(self, sigma2):
+        # outside the gains a channel draws, the bound still holds: a
+        # negative gain bounds its factor by 1, a NaN one sends the row on
+        amps = np.asarray(C13.amplitudes)
+        bounds = np.asarray(Q2.positive_boundaries)
+        h = np.array([[np.nan, 1.0], [-1.0, -2.0], [-1.0, 2.0], [0.5, np.nan], [-3.0, -3.0]])
+        y = np.array([[1, 1], [1, 2], [-1, -1], [-2, -2], [2, 2]])
+        assert_matches_reference(amps, bounds, h, y, sigma2)
+
+    @pytest.mark.parametrize("n_r", [8, 9])
+    def test_fallback_rows_many_antennas(self, n_r):
+        # mixed-sign and zero-gain rows at 8 and 9 antennas, where NumPy's
+        # row sum stops adding in turn
+        amps, bounds, h, y = faded_observations(8, 3, 400, n_r, 2.0, 5)
+        h[::7] = 0.0
+        y[::7] = np.abs(y[::7])
+        assert_matches_reference(amps, bounds, h, y, 2.0)
+        assert np.all(simo_batch(amps, bounds, h[::7], y[::7], 2.0) == -len(amps))
+
+    @pytest.mark.parametrize("n", [*range(1, 20), 127, 128, 129, 130, 136, 257, 300])
+    def test_row_sums_keep_numpy_order(self, n):
+        rng = np.random.default_rng(n)
+        lp = -np.exp(rng.normal(0.0, 6.0, size=(200, n))) * rng.choice([1e-9, 1.0, 1e9], (200, n))
+        assert np.array_equal(_row_sums(np.ascontiguousarray(lp.T)), lp.sum(axis=1))
+
+
+class TestSimoGuard:
+    """_opposite_bound is an upper bound on the reference log-likelihood of
+    every symbol whose sign is opposite to all of a row's outputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        M=st.sampled_from([4, 8, 16]),
+        bits=st.integers(1, 5),
+        data=st.data(),
+        sigma2=st.floats(1e-12, 100.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_bound_covers_opposite_symbols(self, M, bits, data, sigma2, sign):
+        n_r = data.draw(st.integers(1, 9))
+        h = np.array([data.draw(st.lists(st.floats(0.0, 50.0), min_size=n_r, max_size=n_r))])
+        amps = np.arange(1.0, M, 2.0) / math.sqrt(np.sum(np.arange(1.0, M, 2.0) ** 2))
+        k = 2 ** (bits - 1) - 1
+        bounds = np.arange(1, k + 1) * (amps[-1] / k) if k else np.empty(0)
+        y = sign * np.array([data.draw(st.lists(st.integers(1, k + 1), min_size=n_r,
+                                                max_size=n_r))])
+        _, ll = reference_simo(amps, bounds, h, y, sigma2)
+        opposite = ll[0, : M // 2] if sign > 0 else ll[0, M // 2:]
+        bound = _opposite_bound(h.T, amps[0], math.sqrt(sigma2 / 2.0))
+        assert bound[0] >= opposite.max()

@@ -77,6 +77,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             make_spec(**{field: value})
 
+    def test_rejects_negative_seed(self):
+        # once accepted here, then refused by NumPy inside the first batch
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_spec(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 1000.5), ("batch_size", 300.5), ("n_r", 2.5), ("seed", 1.0),
+        ("trials", True), ("n_r", True),
+    ])
+    def test_rejects_non_integer(self, field, value):
+        # trials=True once ran one trial and wrote True in the CSV
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            make_spec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = make_spec(trials=np.int64(1000), n_r=np.int32(2), seed=np.uint8(3))
+        assert simulate(spec)[0].trials == 1000
+
 
 class TestPoolSize:
     @pytest.fixture

@@ -112,6 +112,18 @@ class TestStructure:
         with pytest.raises(ValueError, match="snr must be positive and finite"):
             quantizer_problem(snr=snr)
 
+    def test_seed_non_negative(self):
+        # once accepted here, then refused by NumPy inside the design
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            quantizer_problem(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", True), ("n_starts", 2.5), ("n_starts", True),
+    ])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            quantizer_problem(**{field: value})
+
     @pytest.mark.parametrize("n_starts", [0, optimizer._SCHEDULE_SIZE + 1])
     def test_start_count_within_schedule(self, n_starts):
         # the start schedule has 64 points: more starts would be cut to 64

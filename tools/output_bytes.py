@@ -17,8 +17,10 @@ rows that differ. The committed table is tools/output_bytes.md.
 
 The invocations are the six README examples, acceptance criteria 9 and 10,
 the seven calls of the perfbench `design` workload, three designs with the
-uniform-step quantizer (fixed and joint `optimize`, joint `dvo`) and the
-2-antenna 1-worker call of the `mc` workload at seed 1, copied here.
+uniform-step quantizer (fixed and joint `optimize`, joint `dvo`), the
+2-antenna 1-worker call of the `mc` workload at seed 1, copied here, and
+two more multi-antenna calls: 8-PAM at 3 antennas, and 4-PAM at 2
+antennas from -5 dB, where many rows mix output signs.
 """
 import argparse
 import contextlib
@@ -77,6 +79,12 @@ INVOCATIONS = [
     ("mc.simo_w1", ["simulate", "--m", "1", "--bits", "2", "--mod", "4", "--constellation",
                     "1.0,3.0", "--q", "1.3084411832661798", "--snr-db", "5.0,10.0,15.0,20.0,25.0",
                     "--trials", "400000", "--antennas", "2", "--threads", "1", "--seed", "1"]),
+    ("simo.r3_mod8", ["simulate", "--m", "1", "--antennas", "3", "--mod", "8", "--bits", "3",
+                      "--constellation", "1,3,5,7", "--q", "2,4,6", "--snr-db", "0:10:20",
+                      "--trials", "100000", "--seed", "3"]),
+    ("simo.r2_low_snr", ["simulate", "--m", "1", "--antennas", "2", "--bits", "2",
+                         "--constellation", "1,3", "--q", "1.5", "--snr-db=-5:5:5",
+                         "--trials", "100000", "--seed", "3"]),
 ]
 
 
