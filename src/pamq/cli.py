@@ -338,6 +338,9 @@ def run(argv):
     if "seed" in vars(args) and args.seed < 0:
         source = "--seed" if env_seed is None else "PAMQ_SEED"
         raise ValidationError(f"{source} must be >= 0, not {args.seed}")
+    for dest in ("antennas", "threads"):
+        if dest in vars(args) and getattr(args, dest) < 1:
+            raise ValidationError(f"--{dest} must be >= 1, not {getattr(args, dest)}")
     return _COMMANDS[args.command][0](args)
 
 

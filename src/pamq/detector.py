@@ -7,7 +7,14 @@ symbol; this keeps single-antenna and SIMO detectors comparable.
 Each rule has one vectorized kernel (``quantize_batch``,
 ``midpoint_batch``, ``simo_batch``) over arrays of observations, and
 there are no scalar wrappers: a single observation is a one-row call.
-``simo_batch`` takes its rows in fixed blocks. A row whose outputs all
+The quantizer and the midpoint rule run no masked pass and no binary
+search call, whose branches mispredict on random data. Both count sorted
+entries with ``_sorted_count``: a fixed number of halving passes of
+compares and adds, equal to ``np.searchsorted`` with a NaN counted above
+every entry. Both apply signs by two's complement, (v ^ n) - n with
+n = -1 where negative (``_negate_where``).
+``simo_batch`` takes its rows in fixed blocks, which work in views of
+one set of fixed-capacity buffers (``_Buffers``). A row whose outputs all
 share one sign scores only that sign's M/2 symbols, and a per-row
 Chernoff bound on the other half (``_opposite_bound``) sends every row
 it cannot clear (mixed signs, ties, zero gains, floored factors) to the
@@ -15,7 +22,9 @@ full M-symbol evaluation. One likelihood routine serves both: it
 evaluates the lower-edge ``ndtr`` only for bins with two finite edges and
 adds the antennas in NumPy's row-sum order (``_row_sums``). Its
 decisions and log-likelihoods are the same floats as a plain per-symbol
-evaluation of every bin followed by a row sum and an argmax.
+evaluation of every bin followed by a row sum and an argmax. The first
+maximum, the bound and the sign fold use arithmetic, not masked copies
+or selects.
 The region geometry of Theorem 1 lives once in ``_region_bounds``;
 ``decision_region`` and ``noiseless_region`` are its checked forms.
 """
@@ -34,32 +43,68 @@ _LN2 = math.log(2.0)
 _BLOCK_ROWS = 8192
 
 
+def _sorted_count(table, a, strict=False):
+    """Entries of the ascending table at or below each element of a (below,
+    when strict): ``np.searchsorted(table, a, side="right")`` (``"left"``),
+    with a NaN counted above every entry. Branch-free: the table is padded
+    with +inf to 2^j - 1 entries, and each of j halving passes adds its
+    step where the probed entry is not above a (``~(edge > a)``, which also
+    holds for a NaN); the count is clipped to len(table) at the end, for
+    a NaN or +inf a that passed the padding."""
+    k = len(table)
+    step = 1 << (k.bit_length() - 1)
+    padded = np.full(2 * step - 1, np.inf)
+    padded[:k] = table
+    above = np.greater_equal if strict else np.greater
+    count = np.empty(np.shape(a), dtype=np.intp)
+    # the first probe is one entry for every element
+    np.multiply(~above(padded[step - 1], a), step, out=count)
+    while step > 1:
+        step >>= 1
+        count += step * ~above(padded.take(count + (step - 1)), a)
+    np.minimum(count, k, out=count)
+    return count
+
+
+def _negate_where(mag, negative):
+    """mag with the elements where the boolean negative holds negated, in
+    place, by two's complement: (mag ^ n) - n with n = -negative."""
+    n = np.negative(negative.view(np.int8))
+    mag ^= n
+    mag -= n
+    return mag
+
+
 def quantize_batch(bounds, r):
     """Signed output indices of the inputs r (any shape) for the sorted
     positive boundaries; a boundary belongs to the upper region, and an
     input that is not >= 0 (negative or NaN) gets a negative index."""
-    mag = np.asarray(np.searchsorted(bounds, np.abs(r), side="right"))
-    # in place: no batch-sized temporaries beyond the one result
+    mag = _sorted_count(bounds, np.abs(r))
     mag += 1
-    np.negative(mag, out=mag, where=~np.greater_equal(r, 0.0))
-    return mag
+    return _negate_where(mag, ~np.greater_equal(r, 0.0))
 
 
 def midpoint_batch(amps, bounds, h, y):
-    """Midpoint ML rule over equal-shape arrays of gains h and outputs y:
-    decode to the sign-matched symbol whose faded amplitude is closest to
-    the midpoint of the quantization region. The saturation region
-    |y| = K+1 has no finite midpoint; there the rule picks the largest
-    symbol."""
+    """Midpoint ML rule over equal-shape arrays of gains h and outputs
+    y in +-[1 .. K+1]: decode to the sign-matched symbol whose faded
+    amplitude is closest to the midpoint of the quantization region. The
+    saturation region |y| = K+1 has no finite midpoint; there the rule
+    picks the largest symbol."""
     k = len(bounds)
     ay = np.abs(y)
     rho_mids = 0.5 * (amps[:-1] + amps[1:])
     edges = np.concatenate([[0.0], bounds])
-    mids = 0.5 * (edges[np.minimum(ay, k) - 1] + edges[np.minimum(ay, k)])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    # indexed by |y|; the entries at 0 and at the saturation region K+1
+    # are placeholders, and the max below overrides the latter
+    mids = np.concatenate([mids[:1], mids, mids[-1:]])
+    ratio = mids.take(ay)
+    ratio /= h
     # ties between two amplitudes go to the lower index
-    idx = np.searchsorted(rho_mids, mids / h, side="left")
-    idx = np.where(ay == k + 1, len(amps) - 1, idx)
-    return np.sign(y) * (idx + 1)
+    idx = _sorted_count(rho_mids, ratio, strict=True)
+    np.maximum(idx, (len(amps) - 1) * (ay > k), out=idx)
+    idx += 1
+    return _negate_where(idx, y < 0)
 
 
 def simo_batch(amps, bounds, h, y, sigma2):
@@ -90,96 +135,145 @@ def simo_batch(amps, bounds, h, y, sigma2):
     symbols = np.concatenate([-amps[::-1], amps])  # ascending
     ids = np.concatenate([-np.arange(half, 0, -1), np.arange(1, half + 1)])
     edges = np.concatenate([[0.0], bounds, [np.inf]])
-    decided = np.empty(h.shape[0], dtype=ids.dtype)
-    for start in range(0, h.shape[0], _BLOCK_ROWS):
+    n, n_r = h.shape
+    buf = _Buffers(max(n_r, len(symbols)) * min(n, _BLOCK_ROWS))
+    decided = np.empty(n, dtype=ids.dtype)
+    for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
+        k = min(_BLOCK_ROWS, n - start)
         # antennas along the first axis: each is a contiguous row of the block
-        h_blk, y_blk = np.ascontiguousarray(h[rows].T), np.ascontiguousarray(y[rows].T)
+        h_blk, y_blk = buf("h_blk", (n_r, k)), buf("y_blk", (n_r, k), y.dtype)
+        np.copyto(h_blk, h[rows].T)
+        np.copyto(y_blk, y[rows].T)
         pos, neg = y_blk[0] > 0, y_blk[0] < 0
         for yk in y_blk[1:]:
             pos &= yk > 0
             neg &= yk < 0
         n_pos = np.count_nonzero(pos)
         same = np.concatenate([np.flatnonzero(pos), np.flatnonzero(neg)])
-        h_same = h_blk.take(same, axis=1)
-        ll = _log_likelihoods(amps, edges, h_same, np.abs(y_blk.take(same, axis=1)), s)
+        h_same, ay_same = buf.take("h_sel", h_blk, same), buf.take("y_sel", y_blk, same)
+        ll = _log_likelihoods(amps, edges, h_same, np.abs(ay_same, out=ay_same), s, buf)
         # the first maximum in ascending symbol order; for the negative
         # rows that order runs from the last amplitude down
         best_pos, arg_pos = _first_max(ll[:, :n_pos])
         best_neg, arg_neg = _first_max(ll[::-1, n_pos:])
         best = np.concatenate([best_pos, best_neg])
-        bound = _opposite_bound(h_same, amps[0], s)
+        bound = _opposite_bound(h_same, amps[0], s, buf)
         kept = best > bound + 1e-9 * (1.0 + np.abs(bound))
         out = decided[rows]
-        out[same[kept]] = np.concatenate([arg_pos + 1, arg_neg - half])[kept]
+        # the full evaluation below overwrites the rows that the half leaves
+        out[same] = np.concatenate([arg_pos + 1, arg_neg - half])
         full = np.concatenate([np.flatnonzero(~(pos | neg)), same[~kept]])
-        y_full, h_full = y_blk.take(full, axis=1), h_blk.take(full, axis=1)
+        h_full, y_full = buf.take("h_sel", h_blk, full), buf.take("y_sel", y_blk, full)
         # bin -y at mean mu is bin y at mean -mu mirrored: fold sign(y) into h
-        ll = _log_likelihoods(symbols, edges, np.where(y_full > 0, h_full, -h_full),
-                              np.abs(y_full), s)
+        h_full *= np.sign(y_full)
+        ll = _log_likelihoods(symbols, edges, h_full, np.abs(y_full, out=y_full), s, buf)
         out[full] = ids[_first_max(ll)[1]]
     return decided
 
 
-def _opposite_bound(h, rho_1, s):
+class _Buffers:
+    """Flat arrays of one capacity, each allocated on first use under its
+    name; callers work in views of their leading entries. simo_batch keeps
+    one set for all its blocks, so that no temporary's size varies with a
+    block's counts of same-sign and fallback rows."""
+
+    def __init__(self, capacity):
+        self._capacity = capacity
+        self._arrays = {}
+
+    def __call__(self, name, shape, dtype=float):
+        arr = self._arrays.get(name)
+        if arr is None:
+            arr = self._arrays[name] = np.empty(self._capacity, dtype)
+        return arr[:math.prod(shape)].reshape(shape)
+
+    def take(self, name, a, cols):
+        """The columns cols of the 2-d a, into the buffer name; the
+        indices are in range by construction, which mode="clip" trusts."""
+        return np.take(a, cols, axis=1, out=self(name, (len(a), len(cols)), a.dtype),
+                       mode="clip")
+
+
+def _opposite_bound(h, rho_1, s, buf=None):
     """U >= the log-likelihood of every symbol of the sign opposite to all
     of a row's outputs (see simo_batch), for gains h (n_r, n), smallest
     amplitude rho_1 and noise deviation s. A factor is <= 1 at any gain,
     so a negative x_k adds 0, and a NaN one makes U NaN, which no row
     beats; the terms add in the likelihoods' order."""
-    x = h * rho_1 / s
-    return _row_sums(np.where(x < 0.0, 0.0, np.maximum(-0.5 * x * x - _LN2, LOG_FLOOR)))
+    buf = buf or _Buffers(h.size)
+    x = np.multiply(h, rho_1, out=buf("x", h.shape))
+    x /= s
+    t = np.multiply(x, -0.5, out=buf("t", h.shape))
+    t *= x
+    t -= _LN2
+    np.maximum(t, LOG_FLOOR, out=t)
+    # t is finite where x < 0, so t - t is +0.0 there; elsewhere t - (-0.0) is t
+    t -= np.multiply(t, x < 0.0, out=x)
+    return _row_sums(t)
 
 
 def _first_max(ll):
-    """(maximum, index of its first row) of each column of ll."""
+    """(maximum, index of its first row) of each column of ll. The index
+    is the last row that raised the running maximum, the largest of the
+    j * (ll[j] > best) terms."""
     best = ll[0].copy()
     arg = np.zeros(ll.shape[1], dtype=np.intp)
     for j in range(1, len(ll)):
-        np.copyto(arg, j, where=ll[j] > best)
+        np.maximum(arg, j * (ll[j] > best), out=arg)
         np.maximum(best, ll[j], out=best)
     return best, arg
 
 
-def _row_sums(lp):
+def _row_sums(lp, out=None):
     """Sum over the first axis of lp, in the order of NumPy's pairwise row
     sum ``lp.T.sum(axis=1)`` of a C-contiguous array: in turn below 8
     terms, in 8 strided partial sums up to 128, halved above."""
     n = len(lp)
+    if out is None:
+        out = np.empty(lp.shape[1:])
     if n < 8:
-        total = lp[0].copy()
+        np.copyto(out, lp[0])
         for part in lp[1:]:
-            total += part
-        return total
+            out += part
+        return out
     if n <= 128:
         stop = n - n % 8
         acc = lp[:8].copy()
         for i in range(8, stop, 8):
             acc += lp[i:i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        np.add((acc[0] + acc[1]) + (acc[2] + acc[3]), (acc[4] + acc[5]) + (acc[6] + acc[7]),
+               out=out)
         for part in lp[stop:]:
-            total += part
-        return total
+            out += part
+        return out
     mid = n // 2 - (n // 2) % 8
-    return _row_sums(lp[:mid]) + _row_sums(lp[mid:])
+    return np.add(_row_sums(lp[:mid]), _row_sums(lp[mid:]), out=out)
 
 
-def _log_likelihoods(symbols, edges, hy, ay, s):
+def _log_likelihoods(symbols, edges, hy, ay, s, buf=None):
     """Log-likelihood of each symbol (rows) for each column of sign-folded
     gains hy and output magnitudes ay, both (n_r, n): the sum over antennas
-    of max(log P(ay | hy * symbol), LOG_FLOOR) at noise deviation s."""
-    flat = ay.ravel()
+    of max(log P(ay | hy * symbol), LOG_FLOOR) at noise deviation s. The
+    result is a view into buf's "ll" buffer."""
+    n_r, n = ay.shape
+    size = ay.size
+    buf = buf or _Buffers(max(n_r, len(symbols)) * n)
+    flat = ay.reshape(-1)
     inner = flat < len(edges) - 1  # both edges finite
     # inner factors first, so that the ndtr of their lower edge is one slice
     order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
     n_in = np.count_nonzero(inner)
-    flat = flat[order]
-    lo, hi = edges[flat - 1], edges[flat[:n_in]]
-    hy = hy.ravel()[order]
-    mean, a, p = (np.empty(order.size) for _ in range(3))
-    b = np.empty(n_in)
-    lp = np.empty(ay.shape)
-    ll = np.empty((len(symbols), ay.shape[1]))
+    bins = np.take(flat, order, out=buf("bins", (size,), flat.dtype), mode="clip")
+    # edges[bins - 1], and edges[bins] of the inner bins
+    lo = np.take(np.concatenate([edges[-1:], edges[:-1]]), bins, out=buf("lo", (size,)),
+                 mode="clip")
+    hi = np.take(edges, bins[:n_in], out=buf("hi", (n_in,)), mode="clip")
+    hy = np.take(hy.reshape(-1), order, out=buf("hy", (size,)), mode="clip")
+    mean, a, p = buf("mean", (size,)), buf("a", (size,)), buf("p", (size,))
+    b = buf("b", (n_in,))
+    lp = buf("lp", (n_r, n))
+    ll = buf("ll", (len(symbols), n))
     for j, sym in enumerate(symbols):
         np.multiply(hy, sym, out=mean)
         np.divide(np.subtract(lo, mean, out=a), s, out=a)
@@ -197,7 +291,7 @@ def _log_likelihoods(symbols, edges, hy, ay, s):
         with np.errstate(divide="ignore", invalid="ignore"):
             np.fmax(np.log(p, out=p), LOG_FLOOR, out=p)
         lp.reshape(-1)[order] = p
-        ll[j] = _row_sums(lp)
+        _row_sums(lp, out=ll[j])
     return ll
 
 

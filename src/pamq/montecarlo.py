@@ -4,6 +4,12 @@ Reproducibility contract: the stream for (snr point p, batch j) is
 Philox seeded by SeedSequence(master_seed, spawn_key=(p, j)). Batch
 results are summed by index, so for a fixed spec (including batch_size)
 the estimate is identical at any worker count.
+
+A batch of n draws, in this order: n symbol magnitudes
+``integers(1, M/2 + 1)``; n signs ``integers(0, 2) * 2 - 1``, which are
+the values of ``choice([-1, 1])`` and leave the stream where it does; an
+(n, n_r) array of gamma fades; and, when the noise variance is positive,
+an (n, n_r) array of normals.
 """
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -52,18 +58,37 @@ class SimEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+def _draw(rng, amps, m, omega, sigma2, n, n_r):
+    """(signed symbol ids, gains (n, n_r), detector inputs (n, n_r)) of one
+    batch, drawn in the stream order of the module docstring. Temporaries
+    are released before the next draw, to keep a batch's peak memory low."""
+    sym_id = rng.integers(1, len(amps) + 1, size=n)
+    # the stream and values of rng.choice([-1, 1], size=n)
+    sgn = rng.integers(0, 2, size=n)
+    sgn *= 2
+    sgn -= 1
+    x = amps.take(sym_id - 1)
+    x *= sgn
+    sym_id *= sgn
+    del sgn
+    h = rng.standard_gamma(m, size=(n, n_r))
+    h *= omega / m
+    np.sqrt(h, out=h)
+    if sigma2 > 0.0:
+        r = rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
+        r += h * x[:, None]
+    else:
+        r = h * x[:, None]
+    return sym_id, h, r
+
+
 def _run_batch(args):
     amps, bounds, m, omega, sigma2, n, n_r, seed, point, batch = args
     ss = np.random.SeedSequence(seed, spawn_key=(point, batch))
     rng = np.random.Generator(np.random.Philox(ss))
-    half = len(amps)
-    sym_id = rng.integers(1, half + 1, size=n) * rng.choice([-1, 1], size=n)
-    x = np.sign(sym_id) * amps[np.abs(sym_id) - 1]
-    h = np.sqrt(rng.standard_gamma(m, size=(n, n_r)) * (omega / m))
-    r = h * x[:, None]
-    if sigma2 > 0.0:
-        r = r + rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
+    sym_id, h, r = _draw(rng, amps, m, omega, sigma2, n, n_r)
     yq = quantize_batch(bounds, r)
+    del r  # released before the detectors run, as in _draw
     if n_r > 1:
         decided = simo_batch(amps, bounds, h, yq, sigma2)
     else:

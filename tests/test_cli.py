@@ -150,6 +150,17 @@ class TestSeedRange:
         assert "PAMQ_SEED must be >= 0" in err
 
 
+class TestCountFlags:
+    """simulate exits 1 naming the flag when an antenna or worker count is
+    below 1 (dvo's --antennas: TestConfigAndErrors)."""
+
+    @pytest.mark.parametrize("flag", ["--antennas", "--threads"])
+    def test_flag_named(self, flag, capsys):
+        code, stdout, err = run_cli(TestSeedRange.ARGVS[0] + [flag, "0"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: {flag} must be >= 1, not 0\n"
+
+
 class TestFloorCommand:
     def test_floor_bounds_collapse(self, capsys):
         code, stdout, _ = run_cli([
@@ -466,7 +477,7 @@ class TestConfigAndErrors:
             ["dvo", "--joint", "--m", "1", "--bits", "2", "--antennas", "0"], capsys
         )
         assert code == 1 and stdout == ""
-        assert "n_r" in err
+        assert err == "pamq: --antennas must be >= 1, not 0\n"
         assert calls == []
 
     def test_dvo_rejects_short_window_before_designing(self, capsys, monkeypatch):

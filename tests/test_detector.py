@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from pamq import Constellation, Quantizer, decision_region, noiseless_region
+from pamq.system import MAX_BITS
 from pamq.detector import (
     LOG_FLOOR,
     _BLOCK_ROWS,
     _log_likelihoods,
     _opposite_bound,
     _row_sums,
+    _sorted_count,
     midpoint_batch,
     quantize_batch,
     simo_batch,
@@ -161,17 +163,114 @@ class TestQuantize:
         assert quantize(Q2, 0.0) == 1
 
     def test_batch_matches_signed_search(self):
-        # the in-place kernel against the plain two-branch form, edges and
-        # non-finite inputs included
-        bounds = np.asarray(Q3.positive_boundaries)
-        r = np.concatenate([np.random.default_rng(3).normal(0.0, 1.5, 5000),
-                            [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, np.inf, -np.inf, np.nan]])
-        mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
-        want = np.where(r >= 0.0, mag, -mag)
-        got = quantize_batch(bounds, r.reshape(-1, 1))
-        assert got.dtype == want.dtype and got.shape == (r.size, 1)
-        assert np.array_equal(got[:, 0], want)
-        assert quantize_batch(bounds, np.nan) == -(Q3.K + 1)
+        # the branch-free kernel against the plain two-branch form, edges
+        # and non-finite inputs included, from 2 to MAX_BITS bits
+        for bits in (2, 3, 5, 8, MAX_BITS):
+            step = 3.0 / 2 ** (bits - 1)
+            bounds = np.asarray(Quantizer.uniform(step, bits).positive_boundaries)
+            edges = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 9.0)])
+            r = np.concatenate([np.random.default_rng(3).normal(0.0, 1.5, 5000), edges, -edges,
+                                [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+            mag = np.searchsorted(bounds, np.abs(r), side="right") + 1
+            want = np.where(r >= 0.0, mag, -mag)
+            got = quantize_batch(bounds, r.reshape(-1, 1))
+            assert got.dtype == want.dtype and got.shape == (r.size, 1)
+            assert np.array_equal(got[:, 0], want)
+            assert quantize_batch(bounds, np.nan) == -(len(bounds) + 1)
+            assert quantize_batch(bounds, -0.0) == 1
+
+
+class TestSortedCount:
+    """The branch-free count against np.searchsorted on both sides, at table
+    sizes up to a MAX_BITS quantizer's 2^15 - 1 boundaries."""
+
+    SIZES = [1, 2, 3, 5, 7, 15, 31, 127, 1023, 2 ** (MAX_BITS - 1) - 1]
+
+    @staticmethod
+    def inputs(table, rng):
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        return np.concatenate([rng.uniform(table[0] - 1.0, table[-1] + 1.0, 4000), table,
+                               np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
+                               specials])
+
+    @pytest.mark.parametrize("k", SIZES)
+    @pytest.mark.parametrize("strict,side", [(False, "right"), (True, "left")])
+    def test_matches_searchsorted(self, k, strict, side):
+        rng = np.random.default_rng(k)
+        for table in (np.sort(rng.normal(0.0, 2.0, k)), np.arange(1.0, k + 1), np.arange(-k, 0.0)):
+            a = self.inputs(table, rng)
+            want = np.searchsorted(table, a, side=side)
+            got = _sorted_count(table, a[:, None], strict)[:, 0]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_zero_dim(self, k):
+        table = np.arange(1.0, k + 1)
+        for strict, side in ((False, "right"), (True, "left")):
+            for a in (np.nan, np.inf, -np.inf, 0.0, 1.0, float(k), k + 0.5):
+                got = _sorted_count(table, np.float64(a), strict)
+                assert np.shape(got) == ()
+                assert got == np.searchsorted(table, a, side=side)
+
+
+def reference_midpoint(amps, bounds, h, y):
+    """The midpoint kernel frozen as it was with np.searchsorted and
+    masked selection; midpoint_batch must reproduce it exactly."""
+    k = len(bounds)
+    ay = np.abs(y)
+    rho_mids = 0.5 * (amps[:-1] + amps[1:])
+    edges = np.concatenate([[0.0], bounds])
+    mids = 0.5 * (edges[np.minimum(ay, k) - 1] + edges[np.minimum(ay, k)])
+    idx = np.searchsorted(rho_mids, mids / h, side="left")
+    idx = np.where(ay == k + 1, len(amps) - 1, idx)
+    return np.sign(y) * (idx + 1)
+
+
+class TestMidpointFrozen:
+    """midpoint_batch against the frozen kernel, output for output."""
+
+    @staticmethod
+    def check(amps, bounds, h, y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = reference_midpoint(amps, bounds, h, y)
+            got = midpoint_batch(amps, bounds, h, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 64])
+    @pytest.mark.parametrize("bits", [2, 3, 5, 9])
+    def test_random(self, M, bits):
+        rng = np.random.default_rng(M * 100 + bits)
+        amps = np.cumsum(rng.uniform(0.2, 2.0, M // 2))
+        bounds = np.cumsum(rng.uniform(0.05, 1.0, 2 ** (bits - 1) - 1))
+        k = len(bounds)
+        n = 20_000
+        y = rng.integers(1, k + 2, n) * rng.choice([-1, 1], n)
+        h = rng.exponential(1.0, n)
+        h[::97] = 0.0
+        h[1::97] = np.inf
+        h[2::97] = np.nan
+        h[3::97] = 1e-300
+        self.check(amps, bounds, h, y)
+
+    def test_ties_at_amplitude_midpoints(self):
+        # a region midpoint over h lands exactly on a rho_mid: the lower symbol wins
+        amps = np.array([1.0, 3.0, 5.0, 7.0])  # rho_mids 2, 4, 6
+        bounds = np.arange(1.0, 8.0)  # region midpoints 0.5, 1.5, ..., 6.5
+        # (y, h, symbol): 0.5/0.25 = 2, 0.5/0.125 = 4, 1.5/0.75 = 2, 1.5/0.25 = 6, 2.5/0.625 = 4
+        cases = [(1, 0.25, 1), (1, 0.125, 2), (2, 0.75, 1), (2, 0.25, 3), (3, 0.625, 2)]
+        y, h, want = (np.array(col) for col in zip(*cases))
+        y, h, want = np.concatenate([y, -y]), np.concatenate([h, h]), np.concatenate([want, -want])
+        assert np.array_equal(midpoint_batch(amps, bounds, h, y), want)
+        self.check(amps, bounds, h, y)
+
+    def test_saturation_and_edge_gains(self):
+        amps = np.array([1.0, 3.0])
+        bounds = np.array([1.5])
+        h = np.array([0.0, np.inf, np.nan, 1.0, -0.0, 0.5, 0.0, np.inf, np.nan])
+        y = np.array([2, -2, 2, -2, 1, -1, -1, 1, -1])
+        self.check(amps, bounds, h, y)
 
 
 class TestMidpointRule:

@@ -69,6 +69,63 @@ class TestDeterminism:
         assert a[0].errors != b[0].errors
 
 
+class TestPinnedCounts:
+    """Error counts of fixed specs, captured when the batch used
+    rng.choice, np.searchsorted and masked selection. They hold the whole
+    chain (draw order, quantizer, both detectors, reduction) to the same
+    counts bit for bit."""
+
+    C8 = Constellation((1.0, 3.0, 5.0, 7.0))
+    Q3 = Quantizer((0.8, 1.6, 2.4), bits=3)
+    Q5 = Quantizer.uniform(0.25, 5)
+    Q8_4 = Quantizer(tuple(float(v) for v in range(1, 8)), bits=4)
+    SYSTEMS = {
+        "siso_b2": dict(),
+        "siso_b3": dict(quantizer=Q3),
+        "siso_b5": dict(quantizer=Q5, channel=ChannelModel(2, 1.0)),
+        "siso_mod8_b4": dict(constellation=C8, quantizer=Q8_4),
+        "siso_m1_5_omega2": dict(quantizer=Q3, channel=ChannelModel(1.5, 2.0)),
+        "simo_r2_b2": dict(n_r=2),
+        "simo_r3_mod8": dict(constellation=C8, quantizer=Quantizer((2.0, 4.0, 6.0), bits=3),
+                             n_r=3),
+    }
+    SIMULATE = {
+        "siso_b2": [28498, 14227, 10125, 9911],
+        "siso_b3": [27282, 9462, 2759, 2205],
+        "siso_b5": [25246, 5323, 182, 9],
+        "siso_mod8_b4": [41811, 25095, 9717, 6431],
+        "siso_m1_5_omega2": [21532, 5601, 1544, 1328],
+        "simo_r2_b2": [22189, 6649, 3400, 3085],
+        "simo_r3_mod8": [33854, 12991, 3804, 2884],
+    }
+    NOISELESS = {"siso_b3": 2174, "siso_mod8_b4": 6265, "siso_b5": 2}
+
+    @pytest.mark.parametrize("name", list(SIMULATE))
+    def test_simulate(self, name):
+        # 60 000 trials in batches of 25 000: the last batch is partial
+        spec = make_spec(snr_db=(0.0, 10.0, 20.0, 30.0), trials=60_000, seed=21,
+                         batch_size=25_000, **self.SYSTEMS[name])
+        assert [e.errors for e in simulate(spec)] == self.SIMULATE[name]
+
+    @pytest.mark.parametrize("name", list(NOISELESS))
+    def test_noiseless(self, name):
+        spec = make_spec(snr_db=(0.0,), trials=60_000, seed=22, batch_size=25_000,
+                         **self.SYSTEMS[name])
+        assert simulate_noiseless(spec).errors == self.NOISELESS[name]
+
+    def test_sign_draw_is_choice_stream(self):
+        # the batch draws signs as integers(0, 2) * 2 - 1; this must stay
+        # the values and stream position of choice([-1, 1])
+        ss = np.random.SeedSequence(5, spawn_key=(1, 2))
+        a, b = (np.random.Generator(np.random.Philox(ss)) for _ in range(2))
+        for n in (1, 7, 1000, 200_001):
+            want = a.choice([-1, 1], size=n)
+            got = b.integers(0, 2, size=n) * 2 - 1
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("field,value", [
         ("trials", 0), ("n_r", 0), ("batch_size", 0), ("batch_size", -5),

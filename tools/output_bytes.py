@@ -20,7 +20,11 @@ the seven calls of the perfbench `design` workload, three designs with the
 uniform-step quantizer (fixed and joint `optimize`, joint `dvo`), the
 2-antenna 1-worker call of the `mc` workload at seed 1, copied here, and
 two more multi-antenna calls: 8-PAM at 3 antennas, and 4-PAM at 2
-antennas from -5 dB, where many rows mix output signs.
+antennas from -5 dB, where many rows mix output signs. Four single-antenna
+`simulate` calls reach the quantizer and midpoint rule at more sizes:
+8-PAM at 4 bits (three amplitude midpoints, seven boundaries), 5 bits,
+non-integer m with omega 2, and one run on two workers. Last, a joint
+`dvo` at 2 antennas, whose slope comes from the multi-antenna simulation.
 """
 import argparse
 import contextlib
@@ -85,6 +89,20 @@ INVOCATIONS = [
     ("simo.r2_low_snr", ["simulate", "--m", "1", "--antennas", "2", "--bits", "2",
                          "--constellation", "1,3", "--q", "1.5", "--snr-db=-5:5:5",
                          "--trials", "100000", "--seed", "3"]),
+    ("siso.mod8_b4", ["simulate", "--m", "1", "--mod", "8", "--bits", "4",
+                      "--constellation", "1,3,5,7", "--q", "1,2,3,4,5,6,7",
+                      "--snr-db", "10:10:30", "--trials", "200000", "--seed", "5"]),
+    ("siso.b5", ["simulate", "--m", "2", "--bits", "5", "--constellation", "1,3",
+                 "--uniform-step", "0.25", "--snr-db", "0:10:40", "--trials", "200000",
+                 "--seed", "6"]),
+    ("siso.m1_5_omega2", ["simulate", "--m", "1.5", "--omega", "2", "--bits", "3",
+                          "--constellation", "1,3", "--q", "0.8,1.6,2.4",
+                          "--snr-db", "0:10:30", "--trials", "200000", "--seed", "8"]),
+    ("siso.threads2", ["simulate", "--m", "1", "--bits", "3", "--constellation", "1,3",
+                       "--q", "0.8,1.6,2.4", "--snr-db", "5:10:25", "--trials", "500000",
+                       "--seed", "9", "--threads", "2"]),
+    ("simo.dvo_r2", ["dvo", "--joint", "--m", "1", "--bits", "2", "--antennas", "2",
+                     "--window", "15:35", "--trials", "400000", "--seed", "3"]),
 ]
 
 
