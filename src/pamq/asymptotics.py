@@ -104,10 +104,9 @@ def dvo_experiment(m, b, M, n_r, snr_db_grid, *, uniform=False, budget=10**6, se
     # the fit can only drop points, so a short grid fails before any design
     if len(snr_db_grid) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
-    init_c, init_q = _warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform)
     designs = optimize_sweep(DesignProblem(
         channel=ch, M=M, bits=b, uniform=uniform, n_starts=6, seed=seed,
-        init_quantizer=init_q, init_constellation=init_c,
+        init=_warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform),
     ), snr_db_grid)
 
     window = (min(snr_db_grid), max(snr_db_grid))

@@ -45,13 +45,16 @@ _MAX_WINDOW_POINTS = 50
 
 
 def _arange(start, stop, step, flag, text, cap):
-    """np.arange(start, stop + 1e-9, step) as a list. Past cap points it
-    raises a ValidationError naming flag and its value text, before any
-    array is built."""
+    """np.arange(start, stop + 1e-9, step) as a list. With no point, or past
+    cap points, it raises a ValidationError naming flag and its value text;
+    past cap, before any array is built."""
     if (stop + 1e-9 - start) / step > cap:
         raise ValidationError(f"{flag} {text!r} asks for more than {cap} points "
                               f"at {step:g} dB steps")
-    return list(np.arange(start, stop + 1e-9, step))
+    grid = list(np.arange(start, stop + 1e-9, step))
+    if not grid:
+        raise ValidationError(f"{flag} {text!r} holds no point: its stop is below its start")
+    return grid
 
 
 def _parse_grid(text):

@@ -44,25 +44,24 @@ _BLOCK_ROWS = 8192
 
 
 def _sorted_count(table, a, strict=False):
-    """Entries of the ascending table at or below each element of a (below,
+    """Entries of the ascending array table at or below each element of a (below,
     when strict): ``np.searchsorted(table, a, side="right")`` (``"left"``),
-    with a NaN counted above every entry. Branch-free: the table is padded
-    with +inf to 2^j - 1 entries, and each of j halving passes adds its
-    step where the probed entry is not above a (``~(edge > a)``, which also
-    holds for a NaN); the count is clipped to len(table) at the end, for
-    a NaN or +inf a that passed the padding."""
+    with a NaN counted above every entry. The table holds 2^j - 1 entries,
+    as a quantizer's boundaries and a constellation's amplitude midpoints
+    do. Branch-free: each of j halving passes adds its step where the probed
+    entry is not above a (``~(edge > a)``, which also holds for a NaN), and
+    the steps sum to len(table)."""
     k = len(table)
-    step = 1 << (k.bit_length() - 1)
-    padded = np.full(2 * step - 1, np.inf)
-    padded[:k] = table
+    if k < 1 or k & (k + 1):
+        raise ValueError(f"a sorted-count table holds 2^j - 1 entries, not {k}")
+    step = (k + 1) >> 1
     above = np.greater_equal if strict else np.greater
     count = np.empty(np.shape(a), dtype=np.intp)
     # the first probe is one entry for every element
-    np.multiply(~above(padded[step - 1], a), step, out=count)
+    np.multiply(~above(table[step - 1], a), step, out=count)
     while step > 1:
         step >>= 1
-        count += step * ~above(padded.take(count + (step - 1)), a)
-    np.minimum(count, k, out=count)
+        count += step * ~above(table.take(count + (step - 1)), a)
     return count
 
 

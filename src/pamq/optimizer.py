@@ -3,13 +3,15 @@
 A DesignProblem designs the quantizer for the constellation it is given, or
 jointly with the amplitudes when it is given none. With uniform=True the
 quantizer is one uniform step, q_y = y * step; otherwise its boundaries are free.
+Its init, a checked (Constellation, Quantizer) pair, is one more start, run first.
 
 Multi-start L-BFGS-B over an unconstrained parameterization: ordered
 boundaries (and amplitudes) are running sums of softplus increments, and joint
 designs renormalize to unit energy. The gradient is exact (sep_and_grad pulled
 back through the decode) for integer m and for noiseless designs; at finite SNR
 with non-integer m it is scipy's finite difference of the quadrature SEP. Each
-start runs at most 1000*dim iterations and 4000*dim objective calls.
+start runs at most 1000*dim iterations and 4000*dim objective calls. The reported
+SEP is the objective's value at the winning start's end point, not a re-evaluation.
 
 The objective is planned once per DesignProblem: the variable split and K are
 cached on the problem, its channel and SNR bound once, and sep_and_grad keeps
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 # fixed-size start schedule so that best-of-n is monotone in n for a seed; it
-# bounds n_starts (an init_* start comes on top)
+# bounds n_starts (an init start comes on top)
 _SCHEDULE_SIZE = 64
 # L-BFGS-B stops once a step lowers the SEP (at most 1) by no more than FTOL, or
 # once no gradient entry exceeds GTOL
@@ -63,8 +65,7 @@ class DesignProblem:
     uniform: bool = False  # the quantizer is one uniform step
     n_starts: int = 16
     seed: int = 0
-    init_quantizer: Quantizer = None
-    init_constellation: Constellation = None
+    init: tuple = None  # (Constellation, Quantizer): one more start, tried first
 
     def __post_init__(self):
         if self.constellation is not None and self.constellation.M != self.M:
@@ -79,6 +80,17 @@ class DesignProblem:
                              f"start schedule")
         _check_count(self.n_starts, "n_starts", 1)
         _check_count(self.seed, "seed", 0)
+        if self.init is not None:
+            cons, quant = self.init
+            if not (isinstance(cons, Constellation) and isinstance(quant, Quantizer)):
+                raise TypeError("init must be a (Constellation, Quantizer) pair")
+            if (cons.M, quant.bits) != (self.M, self.bits):
+                raise ValueError(f"init is {cons.M}-PAM at {quant.bits} bits, not "
+                                 f"{self.M}-PAM at {self.bits}")
+            if self.constellation is not None and cons != self.constellation:
+                raise ValueError("init's constellation is not the fixed constellation")
+            if self.uniform and quant != Quantizer.uniform(quant.boundary(1), self.bits):
+                raise ValueError("init's quantizer is not the uniform step of its q_1")
 
     # derived once per problem: the objective reads them on every call
 
@@ -127,12 +139,6 @@ def _sigmoid(t):
     return e / (1.0 + e)
 
 
-def _softplus_inv(d):
-    d = np.asarray(d, dtype=float)
-    # log(expm1(d)), stable for both tails
-    return np.where(d > 30.0, d, np.log(np.expm1(np.minimum(d, 30.0))))
-
-
 def _decode(p, theta):
     """Unconstrained vector -> (Quantizer, Constellation): the floats of
     Quantizer.uniform or of the running sums, and for joint designs of
@@ -155,18 +161,13 @@ def _decode(p, theta):
     return quant, _unchecked(Constellation, amplitudes=amps)
 
 
-def _encode(p, quant, cons):
-    """(Quantizer, Constellation) -> unconstrained vector."""
-    parts = []
-    if p.uniform:
-        parts.append(_softplus_inv([quant.positive_boundaries[0]]))
-    else:
-        q = np.asarray(quant.positive_boundaries)
-        parts.append(_softplus_inv(np.diff(np.concatenate([[0.0], q]))))
-    if p.n_amp_vars:
-        a = np.asarray(cons.amplitudes)
-        parts.append(_softplus_inv(np.diff(np.concatenate([[0.0], a]))))
-    return np.concatenate(parts)
+def _encode(p, bounds, amps):
+    """Positive boundaries and amplitudes -> unconstrained vector: the inverse softplus,
+    log(expm1(d)) stable for both tails, of the increments d of the variables' levels
+    (the first boundary alone for a uniform step, no amplitude for a fixed constellation)."""
+    d = np.concatenate([np.diff(bounds[: p.n_boundary_vars], prepend=0.0),
+                        np.diff(amps[: p.n_amp_vars], prepend=0.0)])
+    return np.where(d > 30.0, d, np.log(np.expm1(np.minimum(d, 30.0))))
 
 
 def _through_sums(theta, grad):
@@ -229,28 +230,22 @@ def _latin_hypercube(dim, seed):
 
 
 def _start_points(p):
-    """The first n_starts points of a deterministic start schedule: the
-    full schedule is always drawn, so its first n entries are the same
-    for any requested start count with a fixed seed."""
+    """theta of p.init, if given, then of the first n_starts points of a
+    deterministic start schedule: the full schedule is always drawn, so
+    its first n entries are the same for any requested start count with a
+    fixed seed. A row holds the boundaries, then the amplitudes of a joint design;
+    each part is scaled, sorted and made strictly increasing."""
+    starts = []
+    if p.init is not None:
+        cons, quant = p.init
+        starts.append(_encode(p, quant.positive_boundaries, cons.amplitudes))
     es = 2.0 / p.M if p.constellation is None else symbol_energy(p.constellation)
     scale = math.sqrt(p.channel.omega * es)
-    unit = _latin_hypercube(p.dim, p.seed)
-    starts = []
     nb = p.n_boundary_vars
-    for row in unit[: p.n_starts]:
-        qvals = np.sort(0.1 * scale + row[:nb] * (3.0 - 0.1) * scale)
-        if p.uniform:
-            quant = Quantizer.uniform(float(qvals[0]), p.bits)
-        else:
-            qvals = _force_increasing(qvals)
-            quant = Quantizer(tuple(qvals), p.bits)
-        if p.n_amp_vars:
-            avals = np.sort(0.1 + row[nb:] * 2.9)
-            avals = _force_increasing(avals)
-            cons = Constellation(tuple(avals)).normalized()
-        else:
-            cons = p.constellation
-        starts.append(_encode(p, quant, cons))
+    for row in _latin_hypercube(p.dim, p.seed)[: p.n_starts]:
+        bounds = _force_increasing(np.sort(0.1 * scale + row[:nb] * (3.0 - 0.1) * scale))
+        amps = _force_increasing(np.sort(0.1 + row[nb:] * 2.9))
+        starts.append(_encode(p, bounds, _unit_energy(amps)))
     return starts
 
 
@@ -262,43 +257,42 @@ def _force_increasing(v, eps=1e-6):
     return out
 
 
+def _descend(f, theta0, exact, dim):
+    """L-BFGS-B from theta0, its fun the objective's value at its x: after a line
+    search it abandons (ABNORMAL), L-BFGS-B puts x back to the last iterate but
+    keeps the last trial point's value. So fun is the first call's, at theta0,
+    until the callback sees an iterate, and then the last iterate's."""
+    values = []
+
+    def first(theta):
+        out = f(theta)
+        if not values:
+            values.append(out[0] if exact else out)
+        return out
+
+    res = sciopt.minimize(
+        first, theta0, jac=exact or None, method="L-BFGS-B",
+        callback=lambda intermediate_result: values.append(intermediate_result.fun),
+        options={"ftol": FTOL, "gtol": GTOL, "maxiter": 1000 * dim, "maxfun": 4000 * dim})
+    res.fun = values[-1]
+    return res
+
+
 def optimize(p):
     """Best-of-starts L-BFGS-B minimization of the SEP objective, with the exact
     gradient where sep_and_grad has one."""
     exact = p.snr is None or p.channel.integer_m
     f = _objective(p, grad=exact)
-    starts = []
-    if p.init_quantizer is not None:
-        cons0 = p.init_constellation or p.constellation
-        starts.append(_encode(p, p.init_quantizer, cons0))
-    starts.extend(_start_points(p))
-
-    best = None
-    any_converged = False
-    for theta0 in starts:
-        res = sciopt.minimize(
-            f,
-            theta0,
-            jac=True if exact else None,
-            method="L-BFGS-B",
-            options={
-                "ftol": FTOL,
-                "gtol": GTOL,
-                "maxiter": 1000 * p.dim,
-                "maxfun": 4000 * p.dim,
-            },
-        )
-        # a start stuck on failed candidates (1.0, zero gradient) passes the gradient test
-        any_converged = any_converged or bool(res.success and res.fun < 1.0)
-        if best is None or res.fun < best.fun:
-            best = res
+    runs = [_descend(f, theta0, exact, p.dim) for theta0 in _start_points(p)]
+    best = min(runs, key=lambda res: res.fun)  # the first of equal values
     quant, cons = _decode(p, best.x)
     return DesignResult(
         quantizer=quant,
         constellation=cons,
-        sep=sep_exact(cons, quant, p.channel, p.snr).value,
-        starts_used=len(starts),
-        converged=any_converged,
+        sep=float(best.fun),
+        starts_used=len(runs),
+        # a start stuck on failed candidates (1.0, zero gradient) passes the gradient test
+        converged=any(res.success and res.fun < 1.0 for res in runs),
         failed_evals=f.failed,
         evals=f.evals,
     )
@@ -306,11 +300,11 @@ def optimize(p):
 
 def optimize_sweep(p, snr_db_grid):
     """One DesignResult per point of an SNR grid in dB, by continuation: optimize(p) at
-    each SNR from the previous point's optimum, the first from p's own init_*."""
+    each SNR with the previous point's optimum as init, the first with p's own."""
     results = []
     for sdb in snr_db_grid:
         r = optimize(replace(p, snr=10.0 ** (sdb / 10.0)))
-        p = replace(p, init_quantizer=r.quantizer, init_constellation=r.constellation)
+        p = replace(p, init=(r.constellation, r.quantizer))
         results.append(r)
     return results
 

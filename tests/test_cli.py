@@ -287,6 +287,16 @@ class TestGridSize:
         assert err == (f"pamq: --snr-db '0:1e-9:100' asks for more than "
                        f"{cli._MAX_GRID_POINTS} points at 1e-09 dB steps\n")
 
+    @pytest.mark.parametrize("command", ["sep", "simulate", "compare-aqnm"])
+    def test_reversed_grid_rejected(self, command, capsys):
+        # stop below start: no point, where the command used to print a bare header
+        code, stdout, err = run_cli([
+            command, "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "10:1:0",
+        ], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "pamq: --snr-db '10:1:0' holds no point: its stop is below its start\n"
+
     def test_cap_is_inclusive(self):
         n = cli._MAX_GRID_POINTS
         assert len(cli._parse_grid(f"0:1:{n - 1}")) == n

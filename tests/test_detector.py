@@ -182,9 +182,20 @@ class TestQuantize:
 
 class TestSortedCount:
     """The branch-free count against np.searchsorted on both sides, at table
-    sizes up to a MAX_BITS quantizer's 2^15 - 1 boundaries."""
+    sizes up to a MAX_BITS quantizer's 2^15 - 1 boundaries. Sizes 2 and 5
+    are no 2^j - 1: those tables are rejected."""
 
     SIZES = [1, 2, 3, 5, 7, 15, 31, 127, 1023, 2 ** (MAX_BITS - 1) - 1]
+
+    @staticmethod
+    def count(table, a, strict):
+        """_sorted_count(table, a, strict), or None after checking that a table
+        of a size other than 2^j - 1 is rejected."""
+        if len(table) & (len(table) + 1):
+            with pytest.raises(ValueError, match=f"2\\^j - 1 entries, not {len(table)}"):
+                _sorted_count(table, a, strict)
+            return None
+        return _sorted_count(table, a, strict)
 
     @staticmethod
     def inputs(table, rng):
@@ -200,18 +211,25 @@ class TestSortedCount:
         for table in (np.sort(rng.normal(0.0, 2.0, k)), np.arange(1.0, k + 1), np.arange(-k, 0.0)):
             a = self.inputs(table, rng)
             want = np.searchsorted(table, a, side=side)
-            got = _sorted_count(table, a[:, None], strict)[:, 0]
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            got = self.count(table, a[:, None], strict)
+            if got is not None:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got[:, 0], want)
 
     @pytest.mark.parametrize("k", SIZES)
     def test_zero_dim(self, k):
         table = np.arange(1.0, k + 1)
         for strict, side in ((False, "right"), (True, "left")):
             for a in (np.nan, np.inf, -np.inf, 0.0, 1.0, float(k), k + 0.5):
-                got = _sorted_count(table, np.float64(a), strict)
-                assert np.shape(got) == ()
-                assert got == np.searchsorted(table, a, side=side)
+                got = self.count(table, np.float64(a), strict)
+                if got is not None:
+                    assert np.shape(got) == ()
+                    assert got == np.searchsorted(table, a, side=side)
+
+    @pytest.mark.parametrize("k", [0, 4, 6, 8])
+    def test_rejects_other_sizes(self, k):
+        with pytest.raises(ValueError, match=f"2\\^j - 1 entries, not {k}"):
+            _sorted_count(np.arange(1.0, k + 1), np.zeros(3))
 
 
 def reference_midpoint(amps, bounds, h, y):

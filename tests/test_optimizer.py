@@ -2,6 +2,7 @@
 designs, the geometric-ratio diagnostics, and the analytic schedule
 minimizer."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pamq import (
 )
 from pamq import optimizer
 from pamq.optimizer import _objective
+from pamq.sep import sep_exact
 from pamq.system import MAX_BITS
 
 C13 = Constellation((1.0, 3.0))
@@ -165,17 +167,17 @@ class TestStructure:
 
 def _continuation(p, snr_db_grid):
     """The per-SNR loop that dvo_experiment ran before optimize_sweep existed."""
-    init_c, init_q = p.init_constellation, p.init_quantizer
+    init = p.init
     designs = []
     for sdb in snr_db_grid:
         snr = 10.0 ** (sdb / 10.0)
         point = DesignProblem(
             channel=p.channel, M=p.M, bits=p.bits, snr=snr,
             constellation=p.constellation, uniform=p.uniform, n_starts=p.n_starts, seed=p.seed,
-            init_quantizer=init_q, init_constellation=init_c,
+            init=init,
         )
         r = optimize(point)
-        init_c, init_q = r.constellation, r.quantizer
+        init = r.constellation, r.quantizer
         designs.append(r)
     return designs
 
@@ -188,14 +190,99 @@ class TestSweep:
         assert optimize_sweep(p, self.GRID) == _continuation(p, self.GRID)
 
     def test_joint_matches_continuation_loop(self):
-        cons, quant = xg_design(0.3, 0.05, M=4, bits=2)
         p = DesignProblem(
             channel=RAYLEIGH, M=4, bits=2, n_starts=2,
-            seed=1, init_quantizer=quant, init_constellation=cons,
+            seed=1, init=xg_design(0.3, 0.05, M=4, bits=2),
         )
         designs = optimize_sweep(p, self.GRID)
         assert designs == _continuation(p, self.GRID)
         assert [r.starts_used for r in designs] == [3, 3, 3]
+
+
+class TestInit:
+    """init is one (Constellation, Quantizer) start, checked against the problem
+    when the problem is made."""
+
+    @pytest.mark.parametrize("kw,init", [
+        # a 3-bit start on a 2-bit problem
+        (dict(), (C13, Quantizer((0.5, 1.0, 1.5), 3))),
+        # an 8-PAM start on a joint 4-PAM problem
+        (dict(constellation=None), (Constellation((1.0, 3.0, 5.0, 7.0)), Quantizer((1.5,), 2))),
+        # another constellation than the fixed one
+        (dict(), (Constellation((1.0, 2.0)), Quantizer((1.5,), 2))),
+        # free boundaries on a uniform-step problem, which would read q_1 alone
+        (dict(bits=3, uniform=True), (C13, Quantizer((0.5, 1.2, 1.5), 3))),
+        (dict(bits=3, uniform=True, constellation=None), (C13, Quantizer((0.5, 1.0, 1.6), 3))),
+    ], ids=["bits", "joint_size", "fixed_constellation", "uniform_fixed", "uniform_joint"])
+    def test_mismatch_rejected(self, kw, init, monkeypatch):
+        monkeypatch.setattr(optimizer, "sep_and_grad", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="init"):
+            quantizer_problem(init=init, **kw)
+
+    def test_pair_in_order(self):
+        # the order xg_design returns: a swapped pair names init, not a missing attribute
+        with pytest.raises(TypeError, match="init must be a"):
+            quantizer_problem(init=(Quantizer((1.5,), 2), C13))
+
+    def test_one_start_field(self):
+        # a quantizer alone or a constellation alone is no start
+        assert [f.name for f in fields(DesignProblem) if f.name.startswith("init")] == ["init"]
+
+    @pytest.mark.parametrize("kw,init", [
+        (dict(), (C13, Quantizer((1.2,), 2))),
+        (dict(bits=3, uniform=True), (C13, Quantizer.uniform(0.7, 3))),
+        (dict(constellation=None, M=8, bits=3), xg_design(0.4, 0.1, M=8, bits=3)),
+    ])
+    def test_first_start_encodes_init(self, kw, init):
+        p = quantizer_problem(init=init, **kw)
+        starts = optimizer._start_points(p)
+        assert len(starts) == p.n_starts + 1
+        quant, cons = optimizer._decode(p, starts[0])
+        assert quant.positive_boundaries == pytest.approx(init[1].positive_boundaries, rel=1e-12)
+        assert cons.amplitudes == pytest.approx(init[0].amplitudes, rel=1e-12)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(starts[1:], optimizer._start_points(quantizer_problem(**kw))))
+
+
+class TestReportedSep:
+    """DesignResult.sep is the objective's value at the returned design, the
+    least over the starts, and optimize calls no SEP engine outside its
+    objective. In each problem L-BFGS-B abandons a line search (ABNORMAL) on
+    some start; with the exact gradient its own fun there is the last trial
+    point's, not its x's."""
+
+    @pytest.mark.parametrize("kw,stale", [
+        (dict(channel=RAYLEIGH, M=4, bits=3, constellation=C13, n_starts=6, seed=2), True),
+        (dict(channel=RAYLEIGH, M=4, bits=4, snr=1000.0, n_starts=4, seed=4), True),
+        (dict(channel=ChannelModel(1.5), M=8, bits=2, snr=1000.0,
+              constellation=Constellation.geometric(0.4, 8), n_starts=4, seed=2), False),
+    ], ids=["noiseless", "integer_m", "m1_5"])
+    def test_minimum_over_starts(self, kw, stale, monkeypatch):
+        p = DesignProblem(**kw)
+        runs, lbfgsb_funs, calls = [], [], []
+
+        def minimize(*args, _minimize=optimizer.sciopt.minimize, **kwargs):
+            runs.append(_minimize(*args, **kwargs))
+            lbfgsb_funs.append(runs[-1].fun)
+            return runs[-1]
+
+        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        for name in ("sep_exact", "sep_and_grad"):
+            engine = getattr(optimizer, name)
+            monkeypatch.setattr(optimizer, name,
+                                lambda *a, engine=engine: calls.append(1) or engine(*a))
+        r = optimize(p)
+        # one engine call per objective call, less those whose candidate fails
+        # to decode (the engines raise on none of these)
+        assert len(calls) == r.evals - r.failed_evals
+        values = [sep_exact(cons, quant, p.channel, p.snr).value
+                  for quant, cons in (optimizer._decode(p, run.x) for run in runs)]
+        assert r.sep == min(values)
+        assert r.sep == sep_exact(r.constellation, r.quantizer, p.channel, p.snr).value
+        assert [run.fun for run in runs] == values
+        abnormal = [fun != value for run, fun, value in zip(runs, lbfgsb_funs, values)
+                    if run.message.startswith("ABNORMAL")]
+        assert abnormal and any(abnormal) == stale
 
 
 class TestObjectiveBits:

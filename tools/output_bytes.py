@@ -23,8 +23,11 @@ two more multi-antenna calls: 8-PAM at 3 antennas, and 4-PAM at 2
 antennas from -5 dB, where many rows mix output signs. Four single-antenna
 `simulate` calls reach the quantizer and midpoint rule at more sizes:
 8-PAM at 4 bits (three amplitude midpoints, seven boundaries), 5 bits,
-non-integer m with omega 2, and one run on two workers. Last, a joint
+non-integer m with omega 2, and one run on two workers. Then a joint
 `dvo` at 2 antennas, whose slope comes from the multi-antenna simulation.
+Last, two fixed-constellation `optimize` calls: one at non-integer m, whose
+gradient is a finite difference of the quadrature SEP, and one on the
+geometric constellation of ratio 0.4 rather than {1, 3}.
 """
 import argparse
 import contextlib
@@ -103,6 +106,10 @@ INVOCATIONS = [
                        "--seed", "9", "--threads", "2"]),
     ("simo.dvo_r2", ["dvo", "--joint", "--m", "1", "--bits", "2", "--antennas", "2",
                      "--window", "15:35", "--trials", "400000", "--seed", "3"]),
+    ("design.optimize.m1_5", ["optimize", "--m", "1.5", "--bits", "2", "--constellation", "1,3",
+                              "--snr-db", "20", "--starts", "2", "--seed", "0"]),
+    ("design.optimize.geometric", ["optimize", "--m", "2", "--bits", "2", "--geometric", "0.4",
+                                   "--snr-db", "25", "--starts", "3", "--seed", "1"]),
 ]
 
 
