@@ -58,25 +58,20 @@ def _arange(start, stop, step, flag, text, cap):
 
 
 def _parse_grid(text):
-    """SNR grid in dB: 'start:step:stop', a comma list, or one number."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"bad grid {text!r}, want start:step:stop")
-        start, step, stop = _finite_snrs(text, parts)
-        if step <= 0:
-            raise ValidationError("grid step must be positive")
-        return _arange(start, stop, step, "--snr-db", text, _MAX_GRID_POINTS)
-    return _finite_snrs(text, text.split(","))
-
-
-def _finite_snrs(text, parts):
-    """parts of --snr-db value text as floats, each finite: the noiseless
-    limit is --noiseless, not an infinite SNR."""
-    values = [float(p) for p in parts]
+    """SNR grid in dB: 'start:step:stop', a comma list, or one number, each finite:
+    the noiseless limit is --noiseless, not an infinite SNR."""
+    grid = ":" in text
+    if grid and text.count(":") != 2:
+        raise ValidationError(f"bad grid {text!r}, want start:step:stop")
+    values = _parse_floats(text, "--snr-db", ":" if grid else ",")
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"--snr-db must be finite, not {text!r}")
-    return values
+    if not grid:
+        return values
+    start, step, stop = values
+    if step <= 0:
+        raise ValidationError("grid step must be positive")
+    return _arange(start, stop, step, "--snr-db", text, _MAX_GRID_POINTS)
 
 
 def _parse_window(text):
@@ -90,8 +85,12 @@ def _parse_window(text):
     raise ValidationError(f"bad --window {text!r}, want lo:hi in dB with lo < hi, 0 < SNR < inf")
 
 
-def _parse_floats(text):
-    return tuple(float(p) for p in str(text).split(","))
+def _parse_floats(text, flag, sep=","):
+    """flag's value text split at sep as floats, or a ValidationError naming flag and text."""
+    try:
+        return tuple(map(float, text.split(sep)))
+    except ValueError as exc:
+        raise ValidationError(f"bad {flag} {text!r}: {exc}")
 
 
 def _load_config(path, sub):
@@ -102,6 +101,8 @@ def _load_config(path, sub):
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{path}: want a JSON object of flag values at the top level")
     # accepted keys: the subcommand's flag destinations (snake_case names)
     unknown = set(cfg) - set(vars(sub.parse_args([])))
     if unknown:
@@ -110,8 +111,9 @@ def _load_config(path, sub):
     for k, v in cfg.items():
         if _FLAGS.get(k, {}).get("action") == "store_true" and not isinstance(v, bool):
             raise ValidationError(f"{path}: {k} must be true or false, not {v!r}")
-    # a typed flag's value goes through its type as on the command line
-    sub.set_defaults(**{k: v if v is None or "type" not in _FLAGS.get(k, {}) else str(v)
+    # a value other than a switch's is text, read by its flag's type or parser as on
+    # the command line: a JSON number for --snr-db is its one point
+    sub.set_defaults(**{k: v if v is None or "action" in _FLAGS.get(k, {}) else str(v)
                         for k, v in cfg.items()})
 
 
@@ -132,7 +134,7 @@ def _constellation(args):
         M = 4 if args.mod is None else args.mod
         cons = Constellation.geometric(args.geometric, M)
     elif args.constellation is not None:
-        cons = Constellation(_parse_floats(args.constellation))
+        cons = Constellation(_parse_floats(args.constellation, "--constellation"))
     else:
         raise ValidationError("give --constellation or --geometric")
     if args.mod is not None and args.mod != cons.M:
@@ -145,7 +147,7 @@ def _quantizer(args):
     if args.uniform_step is not None:
         return Quantizer.uniform(args.uniform_step, args.bits)
     if args.q is not None:
-        return Quantizer(_parse_floats(args.q), args.bits)
+        return Quantizer(_parse_floats(args.q, "--q"), args.bits)
     raise ValidationError("give --q or --uniform-step")
 
 

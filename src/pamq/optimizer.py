@@ -10,8 +10,10 @@ boundaries (and amplitudes) are running sums of softplus increments, and joint
 designs renormalize to unit energy. The gradient is exact (sep_and_grad pulled
 back through the decode) for integer m and for noiseless designs; at finite SNR
 with non-integer m it is scipy's finite difference of the quadrature SEP. Each
-start runs at most 1000*dim iterations and 4000*dim objective calls. The reported
-SEP is the objective's value at the winning start's end point, not a re-evaluation.
+start runs at most 1000*dim iterations and 4000*dim objective calls. The objective
+works out which of the two it runs from the problem, and records the SEP it returns
+at each theta; starts are compared by the value recorded at their end points, and
+the reported SEP is the winner's, not a re-evaluation.
 
 The objective is planned once per DesignProblem: the variable split and K are
 cached on the problem, its channel and SNR bound once, and sep_and_grad keeps
@@ -194,24 +196,32 @@ def _pullback(p, theta, cons, grad_q, grad_rho):
     return np.array(grad)
 
 
-def _objective(p, grad=False):
-    """SEP of the decoded candidate, or with grad the pair (SEP, theta-gradient); a
+def _objective(p):
+    """The objective of p's design: the pair (SEP, theta-gradient) of the decoded
+    candidate where sep_and_grad has the gradient (noiseless designs and integer m),
+    else its SEP alone, for scipy's finite differences (``f.exact`` says which). A
     candidate that fails scores 1.0, with a zero gradient, and is counted in
-    ``f.failed``. ``f.evals`` counts the calls."""
+    ``f.failed``. ``f.evals`` counts the calls, and ``f.values`` maps each
+    ``theta.tobytes()`` to the SEP returned there."""
     channel, snr, dim = p.channel, p.snr, p.dim
+    exact = snr is None or channel.integer_m
 
     def f(theta):
         f.evals += 1
         try:
             quant, cons = _decode(p, theta)
-            if not grad:
-                return sep_exact(cons, quant, channel, snr).value
-            value, grad_q, grad_rho = sep_and_grad(cons, quant, channel, snr)
-            return value, _pullback(p, theta, cons, grad_q, grad_rho)
+            if exact:
+                value, grad_q, grad_rho = sep_and_grad(cons, quant, channel, snr)
+                out = value, _pullback(p, theta, cons, grad_q, grad_rho)
+            else:
+                value = out = sep_exact(cons, quant, channel, snr).value
         except (ArithmeticError, ValueError):
             f.failed += 1
-            return (1.0, np.zeros(dim)) if grad else 1.0
+            value, out = 1.0, ((1.0, np.zeros(dim)) if exact else 1.0)
+        f.values[theta.tobytes()] = value
+        return out
 
+    f.exact, f.values = exact, {}
     f.failed = f.evals = 0
     return f
 
@@ -249,41 +259,27 @@ def _start_points(p):
     return starts
 
 
-def _force_increasing(v, eps=1e-6):
+def _force_increasing(v):
+    """v as floats, each entry raised, where it is not above the one before, to
+    1e-6 above it both relatively and absolutely."""
     out = np.array(v, dtype=float)
     for i in range(1, len(out)):
         if out[i] <= out[i - 1]:
-            out[i] = out[i - 1] * (1.0 + eps) + eps
+            out[i] = out[i - 1] * (1.0 + 1e-6) + 1e-6
     return out
-
-
-def _descend(f, theta0, exact, dim):
-    """L-BFGS-B from theta0, its fun the objective's value at its x: after a line
-    search it abandons (ABNORMAL), L-BFGS-B puts x back to the last iterate but
-    keeps the last trial point's value. So fun is the first call's, at theta0,
-    until the callback sees an iterate, and then the last iterate's."""
-    values = []
-
-    def first(theta):
-        out = f(theta)
-        if not values:
-            values.append(out[0] if exact else out)
-        return out
-
-    res = sciopt.minimize(
-        first, theta0, jac=exact or None, method="L-BFGS-B",
-        callback=lambda intermediate_result: values.append(intermediate_result.fun),
-        options={"ftol": FTOL, "gtol": GTOL, "maxiter": 1000 * dim, "maxfun": 4000 * dim})
-    res.fun = values[-1]
-    return res
 
 
 def optimize(p):
     """Best-of-starts L-BFGS-B minimization of the SEP objective, with the exact
-    gradient where sep_and_grad has one."""
-    exact = p.snr is None or p.channel.integer_m
-    f = _objective(p, grad=exact)
-    runs = [_descend(f, theta0, exact, p.dim) for theta0 in _start_points(p)]
+    gradient where sep_and_grad has one. Each start's fun is the objective's
+    recorded value at its x: after a line search it abandons (ABNORMAL), L-BFGS-B
+    puts x back to the last iterate but keeps the last trial point's value."""
+    f = _objective(p)
+    options = {"ftol": FTOL, "gtol": GTOL, "maxiter": 1000 * p.dim, "maxfun": 4000 * p.dim}
+    runs = [sciopt.minimize(f, theta0, jac=f.exact, method="L-BFGS-B", options=options)
+            for theta0 in _start_points(p)]
+    for res in runs:
+        res.fun = f.values[res.x.tobytes()]  # a KeyError: an x L-BFGS-B never scored
     best = min(runs, key=lambda res: res.fun)  # the first of equal values
     quant, cons = _decode(p, best.x)
     return DesignResult(

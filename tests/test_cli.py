@@ -263,6 +263,22 @@ class TestNonFiniteSnr:
         assert err == f"pamq: --snr-db must be finite, not {snr_db!r}\n"
 
 
+class TestMalformedNumbers:
+    # a list flag's part that is no number: the error names the flag and its text
+    @pytest.mark.parametrize("flag,text,part", [
+        ("--snr-db", "10,", ""), ("--snr-db", "0:x:10", "x"),
+        ("--q", "1.5,", ""), ("--constellation", "1,,3", ""),
+    ])
+    def test_flag_named(self, flag, text, part, capsys):
+        argv = dict(zip(["--constellation", "--q", "--snr-db"], ["1,3", "1.5", "10"]))
+        argv[flag] = text
+        code, stdout, err = run_cli(
+            ["sep", "--m", "1", "--bits", "2"] + [a for kv in argv.items() for a in kv], capsys)
+        assert code == 1 and stdout == ""
+        assert err == (f"pamq: bad {flag} {text!r}: could not convert string to float: "
+                       f"{part!r}\n")
+
+
 class TestNonFiniteOmega:
     @pytest.mark.parametrize("omega", ["nan", "inf"])
     def test_rejected_with_omega_named(self, omega, capsys):
@@ -392,6 +408,14 @@ class TestConfigAndErrors:
         code, _, err = run_cli(["sep", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus_field" in err
+
+    @pytest.mark.parametrize("content", ["3", "null", '"abc"', "[1, 2]"])
+    def test_config_not_an_object_rejected(self, content, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(content)
+        code, stdout, err = run_cli(["sep", "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: {cfg}: want a JSON object of flag values at the top level\n"
 
     def test_malformed_json_line_reference(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -581,6 +605,15 @@ class TestConfigAndErrors:
         code, stdout, err = run_cli(base + ["--config", str(cfg)], capsys)
         assert code == 1 and stdout == ""
         assert "--trials" in err
+
+    @pytest.mark.parametrize("value,flag_text", [(10, "10"), (12.5, "12.5")])
+    def test_config_number_for_text_flag(self, value, flag_text, tmp_path, capsys):
+        # a JSON number for --snr-db reads as the flag's text does
+        base = ["sep", "--m", "1", "--bits", "2", "--constellation", "1,3", "--q", "1.5"]
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"snr_db": value}))
+        assert run_cli(base + ["--config", str(cfg)], capsys) == run_cli(
+            base + ["--snr-db", flag_text], capsys)
 
 
 class TestOutputBytesTool:

@@ -285,14 +285,51 @@ class TestReportedSep:
         assert abnormal and any(abnormal) == stale
 
 
+class TestStopPaths:
+    """Each start's reported value is the one the objective recorded at its x, so
+    L-BFGS-B must return a point it scored. It does at every kind of stop: here
+    the iteration and call caps cut every start short, on TestReportedSep's
+    problems."""
+
+    PROBLEMS = [
+        dict(channel=RAYLEIGH, M=4, bits=3, constellation=C13, n_starts=6, seed=2),
+        dict(channel=RAYLEIGH, M=4, bits=4, snr=1000.0, n_starts=4, seed=4),
+        dict(channel=ChannelModel(1.5), M=8, bits=2, snr=1000.0,
+             constellation=Constellation.geometric(0.4, 8), n_starts=4, seed=2),
+    ]
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kw", PROBLEMS, ids=["noiseless", "integer_m", "m1_5"])
+    def test_capped_starts_report_their_value(self, kw, cap, monkeypatch):
+        p = DesignProblem(**kw)
+
+        def minimize(*args, options, _minimize=optimizer.sciopt.minimize, **kwargs):
+            return _minimize(*args, options=dict(options, maxiter=cap, maxfun=cap), **kwargs)
+
+        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        r = optimize(p)
+        assert r.sep == sep_exact(r.constellation, r.quantizer, p.channel, p.snr).value
+
+    def test_unscored_end_point_raises(self, monkeypatch):
+        def minimize(*args, _minimize=optimizer.sciopt.minimize, **kwargs):
+            res = _minimize(*args, **kwargs)
+            res.x = np.nextafter(res.x, np.inf)
+            return res
+
+        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        with pytest.raises(KeyError):
+            optimize(quantizer_problem(n_starts=1))
+
+
 class TestObjectiveBits:
     """float.hex of one objective evaluation per case, and of each entry of its
     theta-gradient, equal to a decode through np.logaddexp, np.cumsum and np.sum:
     any change to the decode, the energy sum, the SEP arithmetic or the pull-back
     shows here. Non-integer m runs the quadrature, snr None the noiseless engine;
     M = 16 has 8 amplitudes, where NumPy's sum turns pairwise, and its theta gives
-    another last bit if the squares are added in order. With grad, non-integer m
-    at finite SNR has no exact gradient and scores as a failed candidate."""
+    another last bit if the squares are added in order. Where the gradient is
+    exact the objective returns the pair (SEP, gradient); non-integer m at finite
+    SNR has none and returns the SEP alone."""
 
     CASES = [
         (dict(channel=ChannelModel(1), M=4, bits=3, snr=100.0,
@@ -320,7 +357,8 @@ class TestObjectiveBits:
         (dict(channel=RAYLEIGH, M=16, bits=3, snr=1e4),
          [0.3, -0.2, 0.1, -0.4, 2.0, 0.6, 0.7, -0.5, -1.6, 0.2, 0.1], "0x1.bc2ceca73af8fp-1"),
     ]
-    # the theta-gradient of each case; None where the candidate fails with grad
+    # the theta-gradient of each case; None where there is none (m = 1.5 at finite
+    # SNR) or the candidate fails
     GRADIENTS = [
         ["0x1.28311c1a4a1acp-5", "-0x1.6a34cf936e0b0p-10", "-0x1.4bccbef52a63ap-8"],
         ["0x1.1957c94777c4fp-2"],
@@ -341,12 +379,17 @@ class TestObjectiveBits:
 
     @pytest.mark.parametrize("kw,theta,expected", CASES)
     def test_pinned(self, kw, theta, expected):
-        assert _objective(DesignProblem(**kw))(np.array(theta)).hex() == expected
+        f = _objective(DesignProblem(**kw))
+        out = f(np.array(theta))
+        assert (out[0] if f.exact else out).hex() == expected
 
     @pytest.mark.parametrize("case,expected_grad", list(zip(CASES, GRADIENTS)))
     def test_pinned_gradient(self, case, expected_grad):
         kw, theta, expected = case
-        f = _objective(DesignProblem(**kw), grad=True)
+        f = _objective(DesignProblem(**kw))
+        if not f.exact:  # scipy's finite differences: no gradient to pin
+            assert expected_grad is None
+            return
         value, grad = f(np.array(theta))
         if expected_grad is None:  # a failed candidate: 1.0 with a zero gradient
             assert (value, f.failed) == (1.0, 1)
@@ -400,14 +443,17 @@ class TestFailedEvals:
         (dict(M=4, bits=3, uniform=True), [1e308, 0.1, 0.2]),
     ]
 
-    @pytest.mark.parametrize("grad", [False, True])
+    # an objective with the exact gradient (integer m) and one without (m = 1.5)
+    @pytest.mark.parametrize("integer_m", [False, True])
     @pytest.mark.parametrize("kw,theta", DECODE_FAILURES)
-    def test_decode_failures_score_one(self, kw, theta, grad):
-        p = DesignProblem(channel=RAYLEIGH, snr=1000.0, **kw)
+    def test_decode_failures_score_one(self, kw, theta, integer_m):
+        channel = RAYLEIGH if integer_m else ChannelModel(1.5)
+        p = DesignProblem(channel=channel, snr=1000.0, **kw)
         with pytest.raises(ValueError):
             optimizer._decode(p, np.array(theta))
-        f = _objective(p, grad=grad)
-        if grad:
+        f = _objective(p)
+        assert f.exact == integer_m
+        if integer_m:
             value, gradient = f(np.array(theta))
             assert gradient.tolist() == [0.0] * p.dim
         else:
@@ -473,14 +519,19 @@ class TestObjectiveGradient:
     @pytest.mark.parametrize("kw,theta", CASES)
     def test_matches_central_difference(self, kw, theta):
         p = DesignProblem(**kw)
-        value, grad = _objective(p, grad=True)(np.array(theta))
         f = _objective(p)
-        assert value == f(np.array(theta))
+        value, grad = f(np.array(theta))
+        try:
+            quant, cons = optimizer._decode(p, np.array(theta))
+        except ValueError:  # a failed candidate
+            assert (value, f.failed) == (1.0, 1)
+        else:
+            assert value == sep_exact(cons, quant, p.channel, p.snr).value
         for k in range(len(theta)):
             def at(d):
                 t = np.array(theta)
                 t[k] += d
-                return f(t)
+                return f(t)[0]
             h = self.H
             fd = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-10)
