@@ -13,6 +13,8 @@ Per-SNR designs come from one optimize_sweep per curve. sep_vs_snr_by_m
 writes each point's q1 (the paper's q1* panel) and simulates every fifth
 point as a Monte Carlo marker with that point's own design, seeded
 seed + marker index. simo_mc designs once for all of its antenna counts.
+floor_vs_bits and floor_vs_shape read optimal_floor_log2's closed-form 4-PAM
+floor, which holds for every fading power omega, so their recipes name none.
 
 A recipe names its quantizer structure by the strings "nonuniform" and
 "uniform" (keys quantizer_kind, quantizer_kinds and each diversity_order
@@ -133,7 +135,7 @@ def floor_vs_bits(cfg):
     for m in cfg["m_list"]:
         for kind, uniform in kinds:
             for b in range(lo, hi + 1):
-                val = optimal_floor_log2(m, b, uniform=uniform, omega=cfg["omega"])
+                val = optimal_floor_log2(m, b, uniform=uniform)
                 rows.append((m, kind, b, val))
     _write(cfg["figure"], ["m", "quantizer", "bits", "log2_floor"], rows)
 
@@ -143,7 +145,7 @@ def floor_vs_shape(cfg):
     rows = []
     for bits in cfg["bits_list"]:
         for m in _grid(cfg["m_grid"]):
-            val = optimal_floor_log2(m, bits, uniform=uniform, omega=cfg["omega"])
+            val = optimal_floor_log2(m, bits, uniform=uniform)
             rows.append((bits, m, val))
     _write(cfg["figure"], ["bits", "m", "log2_floor"], rows)
 

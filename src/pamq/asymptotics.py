@@ -1,6 +1,6 @@
 """Decay-exponent analytics: theoretical diversity orders, empirical
-log-log slope fits, bit-scaling of the noiseless error floor, and the
-vanishing-floor schedules.
+log-log slope fits, bit-scaling of the noiseless error floor (the 4-PAM
+optimum in closed form), and the vanishing-floor schedules.
 """
 import math
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy import optimize as sciopt
 
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
@@ -144,36 +143,28 @@ def dq_successive_slopes(log2_floor_fn, b_range):
     ]
 
 
-def optimal_floor_log2(m, bits, *, uniform=False, omega=1.0):
+def optimal_floor_log2(m, bits, *, uniform=False):
     """log2 of the minimum noiseless SEP of a 4-PAM receiver with
     constellation {+-1, +-3}, optimized over the single free quantizer
     parameter (q_1 with ratio-3 boundaries, or with uniform=True the step).
 
-    For M = 4 both structures make the floor exactly
-    0.5 * [P(Z < q_1^2/9) + P(Z > q_K^2)]; evaluated in high precision so
-    double-exponentially small floors stay representable. m and omega are held
-    to ChannelModel's domain.
+    For M = 4 both structures make the floor 0.5 * [P(W < x/9) + P(W > r^2 x)],
+    W = Z / omega ~ Gamma(m, 1/m), with x = q_1^2 / omega and r = q_K / q_1
+    (3^(K-1), or K for the uniform step). Its one stationary point,
+    x* = ln(9 r^2) / (r^2 - 1/9), is its minimum for every m and omega, so the
+    floor depends on m and b alone. The two tails are evaluated once at x*, in
+    high precision, so double-exponentially small floors stay representable at
+    any b. m is held to ChannelModel's domain.
     """
-    ChannelModel(m, omega)
+    _check_shape(m)
     k = _boundary_count(bits, max_bits=math.inf)
-    mp_m = mpmath.mpf(m)
-
-    def log2_floor(log_q1):
-        q1 = mpmath.e**mpmath.mpf(log_q1)
-        if uniform:
-            qk = k * q1
-        else:
-            qk = q1 * mpmath.mpf(3) ** (k - 1)
-        low = mpmath.gammainc(mp_m, 0, mp_m * q1**2 / (9 * omega), regularized=True)
-        high = mpmath.gammainc(mp_m, mp_m * qk**2 / omega, mpmath.inf, regularized=True)
-        return float(mpmath.log(mpmath.mpf("0.5") * (low + high), 2))
-
     with mpmath.workdps(60):
-        res = sciopt.minimize_scalar(
-            log2_floor, bounds=(-600.0, 5.0), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return log2_floor(res.x)
+        r2 = (mpmath.mpf(k) if uniform else mpmath.mpf(3) ** (k - 1)) ** 2
+        x = mpmath.log(9 * r2) / (r2 - mpmath.mpf(1) / 9)
+        mp_m = mpmath.mpf(m)
+        low = mpmath.gammainc(mp_m, 0, mp_m * x / 9, regularized=True)
+        high = mpmath.gammainc(mp_m, mp_m * r2 * x, mpmath.inf, regularized=True)
+        return float(mpmath.log((low + high) / 2, 2))
 
 
 def floor_schedule(rho_grid, a, b, M, ch, *, uniform=False):

@@ -131,6 +131,7 @@ def _channel(args):
 
 def _constellation(args):
     if args.geometric is not None:
+        _reject(args, ("constellation",), "--geometric")
         M = 4 if args.mod is None else args.mod
         cons = Constellation.geometric(args.geometric, M)
     elif args.constellation is not None:
@@ -145,6 +146,7 @@ def _constellation(args):
 def _quantizer(args):
     _require(args, "bits")
     if args.uniform_step is not None:
+        _reject(args, ("q",), "--uniform-step")
         return Quantizer.uniform(args.uniform_step, args.bits)
     if args.q is not None:
         return Quantizer(_parse_floats(args.q, "--q"), args.bits)

@@ -202,7 +202,7 @@ def _objective(p):
     else its SEP alone, for scipy's finite differences (``f.exact`` says which). A
     candidate that fails scores 1.0, with a zero gradient, and is counted in
     ``f.failed``. ``f.evals`` counts the calls, and ``f.values`` maps each
-    ``theta.tobytes()`` to the SEP returned there."""
+    ``theta.tobytes()`` to the SEP returned there, until its caller clears it."""
     channel, snr, dim = p.channel, p.snr, p.dim
     exact = snr is None or channel.integer_m
 
@@ -276,10 +276,12 @@ def optimize(p):
     puts x back to the last iterate but keeps the last trial point's value."""
     f = _objective(p)
     options = {"ftol": FTOL, "gtol": GTOL, "maxiter": 1000 * p.dim, "maxfun": 4000 * p.dim}
-    runs = [sciopt.minimize(f, theta0, jac=f.exact, method="L-BFGS-B", options=options)
-            for theta0 in _start_points(p)]
-    for res in runs:
+    runs = []
+    for theta0 in _start_points(p):
+        f.values.clear()  # L-BFGS-B returns a point of the current start
+        res = sciopt.minimize(f, theta0, jac=f.exact, method="L-BFGS-B", options=options)
         res.fun = f.values[res.x.tobytes()]  # a KeyError: an x L-BFGS-B never scored
+        runs.append(res)
     best = min(runs, key=lambda res: res.fun)  # the first of equal values
     quant, cons = _decode(p, best.x)
     return DesignResult(

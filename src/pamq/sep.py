@@ -408,7 +408,7 @@ def _floor_bracket(c, q1, qk, ch):
     return f_l, _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))
 
 
-def floor_geometric(rho, M, q1, ch, bits, uniform=False):
+def floor_geometric(rho, M, q1, ch, bits, *, uniform=False):
     """floor_bounds' upper bound on the noiseless SEP of Constellation.geometric(rho, M)
     with boundaries q_y = q_1 / rho^(y-1), the noiseless optimality condition, or with
     the uniform step q1. It forms only q_1 and q_K, so b is not held to MAX_BITS."""

@@ -20,6 +20,7 @@ from pamq import (
     floor_schedule,
     optimal_floor_log2,
     sep_closed_form,
+    sep_noiseless,
 )
 from pamq.asymptotics import _warm_start
 
@@ -141,12 +142,41 @@ class TestBitScaling:
         )
         assert all(a < b for a, b in zip(inc, inc[1:]))
 
-    @pytest.mark.parametrize("m,omega", [(0.25, 1.0), (-1, 1.0), (math.nan, 1.0),
-                                         (1, 0.0), (1, -1.0), (1, math.nan), (1, math.inf)])
+    @pytest.mark.parametrize("m,omega", [(0.25, 1.0), (-1, 1.0), (math.nan, 1.0)])
     def test_channel_domain(self, m, omega):
-        # ChannelModel's rule; m = -1 once gave -inf and omega = -1 a RecursionError
-        with pytest.raises(ValueError, match="Nakagami shape m|omega must be positive"):
-            optimal_floor_log2(m, 3, omega=omega)
+        # ChannelModel's rule on m; m = -1 once gave -inf
+        with pytest.raises(ValueError, match="Nakagami shape m"):
+            ChannelModel(m, omega)
+        with pytest.raises(ValueError, match="Nakagami shape m"):
+            optimal_floor_log2(m, 3)
+
+    def test_floor_past_ten_bits(self):
+        # the floor keeps falling double-exponentially where log q_1* is below -600
+        inc = dq_successive_slopes(lambda b: optimal_floor_log2(1, b), range(10, 13))
+        assert 0 < inc[0] < inc[1]
+
+    @pytest.mark.parametrize("uniform", [False, True], ids=["nonuniform", "uniform"])
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0.5, 1, 2.5])
+    def test_closed_form_minimizes_sep_noiseless(self, m, bits, uniform):
+        # q_1*^2 = ln(9 r^2) / (r^2 - 1/9), r = q_K / q_1, on the engine's own floor
+        k = 2 ** (bits - 1) - 1
+        r = k if uniform else 3.0 ** (k - 1)
+        q1 = math.sqrt(math.log(9 * r * r) / (r * r - 1 / 9))
+        if bits == 2:
+            assert q1**2 == pytest.approx(9 / 8 * math.log(9), rel=1e-15)
+        ch = ChannelModel(m, 1.0)
+
+        def sep_at(q):
+            quant = (Quantizer.uniform(q, bits) if uniform
+                     else Quantizer(tuple(q * 3.0**y for y in range(k)), bits))
+            return sep_noiseless(Constellation((1.0, 3.0)), quant, ch).value
+
+        floor = sep_at(q1)
+        assert floor == pytest.approx(2 ** optimal_floor_log2(m, bits, uniform=uniform),
+                                      rel=1e-12, abs=1e-15)
+        if floor > 1e-10:  # above sep_noiseless's cancellation limit
+            assert min(sep_at(q1 * (1 - 1e-3)), sep_at(q1 * (1 + 1e-3))) > floor
 
     def test_nonuniform_beats_uniform(self):
         for b in (3, 4, 5):
@@ -237,6 +267,8 @@ def test_family_rejections(call, message):
                  id="optimal_floor_log2-omega"),
     pytest.param(lambda: floor_schedule([0.3], 3.0, 3, 4, RAYLEIGH, "uniform"),
                  id="floor_schedule"),
+    pytest.param(lambda: floor_geometric(0.3, 4, 0.1, RAYLEIGH, 3, "nonuniform"),
+                 id="floor_geometric"),
 ])
 def test_positional_kind_string_raises(call):
     with pytest.raises(TypeError, match="positional argument"):

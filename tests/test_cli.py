@@ -597,6 +597,21 @@ class TestConfigAndErrors:
         assert code == 1 and stdout == ""
         assert flag in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sep", "--constellation", "1,3", "--geometric", "0.5", "--q", "1.5",
+          "--snr-db", "10"], "--constellation is not read with --geometric"),
+        (["optimize", "--constellation", "1,3", "--geometric", "0.5", "--noiseless"],
+         "--constellation is not read with --geometric"),
+        (["sep", "--constellation", "1,3", "--q", "1.5", "--uniform-step", "0.7",
+          "--snr-db", "10"], "--q is not read with --uniform-step"),
+    ], ids=["sep-constellation", "optimize-constellation", "sep-quantizer"])
+    def test_conflicting_flags_rejected(self, argv, message, capsys, monkeypatch):
+        # each pair once ran silently on the flag that was checked first
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: pytest.fail("ran optimize"))
+        code, stdout, err = run_cli([argv[0], "--m", "1", "--bits", "2", *argv[1:]], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: {message}\n"
+
     def test_config_value_parsed_as_flag(self, tmp_path, capsys):
         base = ["simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
                 "--q", "1.5", "--snr-db", "10"]

@@ -61,8 +61,8 @@ def test_sep_nakagami_markers_on_exact_curve(make_figures, tmp_path, monkeypatch
         assert abs(float(marker["sep"]) - p) < 3.0 * stderr, marker["snr_db"]
 
 
-# fig_error_floor_shape is left out: it takes several seconds more than these two
-@pytest.mark.parametrize("figure", ["fig_sep_vs_c", "fig_error_floor_bits"])
+@pytest.mark.parametrize("figure", ["fig_sep_vs_c", "fig_error_floor_bits",
+                                    "fig_error_floor_shape"])
 def test_committed_csv_is_current(make_figures, tmp_path, monkeypatch, figure):
     cfg = json.loads((ROOT / "figures" / f"{figure}.json").read_text())
     monkeypatch.setattr(make_figures, "OUT", tmp_path)
