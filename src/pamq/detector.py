@@ -294,19 +294,20 @@ def _log_likelihoods(symbols, edges, hy, ay, s, buf=None):
     return ll
 
 
-def _region_bounds(amps, q, y, i, reach=False):
+def _region_bounds(amps, edges, y, i, reach=False):
     """Unchecked (lower, upper) of D_(y,i), or of its intersection with A_(y,i)
-    when reach (see noiseless_region)."""
+    when reach (see noiseless_region), for the positive amplitudes amps and the
+    quantizer's edges (q_0 = 0, ..., q_(K+1) = inf)."""
     last = i == len(amps) - 1
-    if y == q.K + 1:
+    if y == len(edges) - 1:
         lower, upper = 0.0, math.inf if last else 0.0
     else:
-        qsum = q.boundary(y - 1) + q.boundary(y)
+        qsum = edges[y - 1] + edges[y]
         lower = 0.0 if last else (qsum / (amps[i] + amps[i + 1])) ** 2
         upper = math.inf if i == 0 else (qsum / (amps[i] + amps[i - 1])) ** 2
     if reach:
-        lower = max(lower, (q.boundary(y - 1) / amps[i]) ** 2)
-        upper = max(lower, min(upper, (q.boundary(y) / amps[i]) ** 2))
+        lower = max(lower, (edges[y - 1] / amps[i]) ** 2)
+        upper = max(lower, min(upper, (edges[y] / amps[i]) ** 2))
     return lower, upper
 
 
@@ -315,7 +316,7 @@ def _checked_region(c, q, y, i, reach):
         raise ValueError("y out of range")
     if not 0 <= i < c.half_size:
         raise IndexError("symbol index out of range")
-    return _region_bounds(c.amplitudes, q, y, i, reach)
+    return _region_bounds(c.amplitudes, q.edges, y, i, reach)
 
 
 def decision_region(c, q, y, i):

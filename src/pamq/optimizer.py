@@ -17,12 +17,13 @@ the reported SEP is the winner's, not a re-evaluation.
 
 The objective is planned once per DesignProblem: the variable split and K are
 cached on the problem, its channel and SNR bound once, and sep_and_grad keeps
-its constants per (m, omega). Each call decodes theta on Python floats with
+its constants per (m, omega). Each call decodes theta to float tuples with
 NumPy's rounding and runs only the checks a candidate can fail, the one rule
 of Quantizer and Constellation (positive, finite, strictly increasing); a
 softplus increment that underflows or a running sum that overflows breaks it,
 and the candidate scores 1.0 with a zero gradient and is counted as failed.
-A passing candidate is built into its Quantizer and Constellation unchecked.
+A passing candidate's tuples go to the SEP engines' tuple entries as they are:
+only the reported design is built into a Quantizer and a Constellation.
 """
 import math
 from dataclasses import KW_ONLY, dataclass, replace
@@ -33,9 +34,9 @@ from operator import mul
 import numpy as np
 from scipy import optimize as sciopt
 
-from .sep import sep_and_grad, sep_exact
+from .sep import _sep_and_grad, _sep_quadrature
 from .system import (Constellation, Quantizer, _boundary_count, _check_count, _check_levels,
-                     _check_size, _geometric_boundary, _unchecked, _unit_energy, symbol_energy)
+                     _check_size, _geometric_boundary, _unit_energy, symbol_energy)
 
 __all__ = [
     "DesignProblem",
@@ -142,25 +143,27 @@ def _sigmoid(t):
 
 
 def _decode(p, theta):
-    """Unconstrained vector -> (Quantizer, Constellation): the floats of
-    Quantizer.uniform or of the running sums, and for joint designs of
-    Constellation.normalized, held to the two types' one rule."""
+    """Unconstrained vector -> float tuples (edges, amps, sums) held to the one rule of
+    Quantizer and Constellation: edges = (0, q_1, ..., q_K, inf) with the floats of
+    Quantizer.uniform or of the running sums; for joint designs, Constellation.normalized's
+    amplitudes of the running sums, which sums holds; else the fixed ones, and sums None."""
     theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
         step = _softplus(theta[0])
-        bounds = tuple(step * y for y in range(1, p.K + 1))
+        bounds = (step * y for y in range(1, p.K + 1))
     else:
-        bounds = tuple(accumulate(map(_softplus, theta[:nb])))
-    _check_levels(bounds, "boundaries")
-    quant = _unchecked(Quantizer, positive_boundaries=bounds, bits=p.bits)
+        bounds = accumulate(map(_softplus, theta[:nb]))
+    edges = (0.0, *bounds, math.inf)
+    _check_levels(edges[1:-1], "boundaries")
     if not p.n_amp_vars:
-        return quant, p.constellation
+        return edges, p.constellation.amplitudes, None
     # checking the rescaled sums is enough: a raw sum that is zero, repeated or not
     # finite makes a rescaled one zero, repeated or NaN
-    amps = _unit_energy(tuple(accumulate(map(_softplus, theta[nb:]))))
+    sums = tuple(accumulate(map(_softplus, theta[nb:])))
+    amps = _unit_energy(sums)
     _check_levels(amps, "amplitudes")
-    return quant, _unchecked(Constellation, amplitudes=amps)
+    return edges, amps, sums
 
 
 def _encode(p, bounds, amps):
@@ -178,19 +181,20 @@ def _through_sums(theta, grad):
     return [_sigmoid(t) * g for t, g in zip(theta, tails)]
 
 
-def _pullback(p, theta, cons, grad_q, grad_rho):
+def _pullback(p, theta, rho, sums, grad_q, grad_rho):
     """The theta-gradient of the objective from dSEP/dq and dSEP/drho: through the
     running sums of softplus increments, or q_y = y * step, and for joint designs the
-    unit-energy normalization rho = a / |a|, on which sigma is constant."""
+    unit-energy normalization rho = a / |a| of the decode's sums a, on which sigma is
+    constant. |a| adds the squares in order, so from 8 amplitudes on, where
+    Constellation.normalized sums pairwise, its last bit can differ."""
     theta = theta.tolist()
     nb = p.n_boundary_vars
     if p.uniform:
         grad = [_sigmoid(theta[0]) * math.fsum(map(mul, range(1, p.K + 1), grad_q))]
     else:
         grad = _through_sums(theta[:nb], grad_q)
-    if p.n_amp_vars:
-        rho = cons.amplitudes
-        norm = math.sqrt(sum(a * a for a in accumulate(map(_softplus, theta[nb:]))))
+    if sums is not None:
+        norm = math.sqrt(sum(a * a for a in sums))
         dot = math.fsum(map(mul, rho, grad_rho))
         grad += _through_sums(theta[nb:], [(g - r * dot) / norm for r, g in zip(rho, grad_rho)])
     return np.array(grad)
@@ -209,12 +213,12 @@ def _objective(p):
     def f(theta):
         f.evals += 1
         try:
-            quant, cons = _decode(p, theta)
+            edges, amps, sums = _decode(p, theta)
             if exact:
-                value, grad_q, grad_rho = sep_and_grad(cons, quant, channel, snr)
-                out = value, _pullback(p, theta, cons, grad_q, grad_rho)
+                value, grad_q, grad_rho = _sep_and_grad(amps, edges, channel, snr)
+                out = value, _pullback(p, theta, amps, sums, grad_q, grad_rho)
             else:
-                value = out = sep_exact(cons, quant, channel, snr).value
+                value = out = _sep_quadrature(amps, edges, channel, snr)[0]
         except (ArithmeticError, ValueError):
             f.failed += 1
             value, out = 1.0, ((1.0, np.zeros(dim)) if exact else 1.0)
@@ -283,10 +287,10 @@ def optimize(p):
         res.fun = f.values[res.x.tobytes()]  # a KeyError: an x L-BFGS-B never scored
         runs.append(res)
     best = min(runs, key=lambda res: res.fun)  # the first of equal values
-    quant, cons = _decode(p, best.x)
+    edges, amps, _ = _decode(p, best.x)
     return DesignResult(
-        quantizer=quant,
-        constellation=cons,
+        quantizer=Quantizer(edges[1:-1], p.bits),
+        constellation=Constellation(amps),
         sep=float(best.fun),
         starts_used=len(runs),
         # a start stuck on failed candidates (1.0, zero gradient) passes the gradient test

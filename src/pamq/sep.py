@@ -4,11 +4,13 @@ Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
 and the closed-form noiseless limit, plus error-floor bounds and the AQNM
 linearized baseline. Every engine walks the decision regions that can be
-non-empty, planned once per (M/2, K), on Python floats. The noisy engines
-share one region walk (_series_regions), the series SEP and its gradient one
-series (_h_series), and the noiseless SEP is its gradient routine's value. The
-gradient's constants that depend on the channel alone (_grad_plan, and the
-Gamma density) are built once per (m, omega).
+non-empty, planned once per (M/2, K), on float tuples of the amplitudes and
+the quantizer's edges (0, q_1, ..., q_K, inf), which the design objective
+passes straight in. The noisy engines share one region walk (_series_regions),
+the series SEP and its gradient one series (_h_series), and the noiseless SEP
+is its gradient routine's value. The gradient's constants that depend on the
+channel alone (_grad_plan, and the Gamma density) are built once per (m, omega);
+the quadrature's integrand is one closure per call on Python-float constants.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -22,10 +24,10 @@ import numpy as np
 from scipy import integrate, special
 
 from .detector import _region_bounds
-from .specfun import (SQRT_2PI, _q_float, lower_gamma_reg, moment_primitive, q_func,
+from .specfun import (SQRT2, SQRT_2PI, _q_float, lower_gamma_reg, moment_primitive,
                       upper_gamma_reg)
 from .system import (Constellation, _boundary_count, _check_shape, _family_levels,
-                     _geometric_boundary, sigma2_from_snr, symbol_energy)
+                     _geometric_boundary, _sigma2, symbol_energy)
 
 __all__ = [
     "SepResult",
@@ -156,14 +158,13 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
 
 @functools.lru_cache(maxsize=64)
 def _log_gamma_pdf(m, omega):
-    """The Gamma(m, omega/m) density of z as a function of a float, built once per (m, omega)."""
-    lg = special.gammaln(m)
-    lead = m * math.log(m / omega)
+    """The Gamma(m, omega/m) density of a float z on Python-float constants, per (m, omega)."""
+    lg, lead, m1 = float(special.gammaln(m)), m * math.log(m / omega), m - 1.0
 
     def pdf(z):
         if z <= 0.0:
             return 0.0
-        return math.exp(lead + (m - 1.0) * math.log(z) - m * z / omega - lg)
+        return math.exp(lead + m1 * math.log(z) - m * z / omega - lg)
 
     return pdf
 
@@ -179,12 +180,17 @@ def h_function_quad(m, omega, b, c, z_lo, z_hi):
         raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
     if z_lo == z_hi:
         return 0.0, 0.0
-    pdf = _log_gamma_pdf(m, omega)
     if math.isinf(c):
         return _gamma_survival(m, omega, z_lo) - _gamma_survival(m, omega, z_hi), 0.0
+    # _log_gamma_pdf's density and the Q factor inlined: one Python call per node and
+    # no NumPy scalar in the arithmetic
+    lg, lead, m1 = float(special.gammaln(m)), m * math.log(m / omega), m - 1.0
 
     def integrand(z):
-        return float(q_func(-c + math.sqrt(b * z))) * pdf(z)
+        if z <= 0.0:
+            return 0.0
+        return (0.5 * float(special.erfc((-c + math.sqrt(b * z)) / SQRT2))
+                * math.exp(lead + m1 * math.log(z) - m * z / omega - lg))
 
     cuts = [z_lo]
     if b > 0.0:
@@ -211,55 +217,54 @@ def _region_plan(half, k):
     return tuple((y, i) for y in range(1, k + 1) for i in range(half)) + ((k + 1, half - 1),)
 
 
-def _decision_regions(c, q, reach=False):
-    """(y, i, lower, upper) of each non-empty region; intersected with A_(y,i) when reach."""
-    amps = c.amplitudes
-    for y, i in _region_plan(c.half_size, q.K):
-        lower, upper = _region_bounds(amps, q, y, i, reach)
-        if lower < upper:
-            yield y, i, lower, upper
-
-
-def _series_regions(c, q, ch, sigma2):
-    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty region at noise
-    variance sigma2: the series' b and its c at the output's two boundaries, and the Gamma
-    survivals at the region's ends. An endpoint serves both sides of its region and its
-    neighbours, so each survival is computed once."""
+def _series_regions(amps, edges, ch, sigma2):
+    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty decision region of
+    the amplitudes amps and the edges (0, q_1, ..., q_K, inf) at noise variance sigma2: the
+    series' b and its c at the output's two boundaries, and the Gamma survivals at the region's
+    ends, each computed once (an endpoint serves both sides of its region and its neighbours)."""
     sigma = math.sqrt(sigma2)
+    b = [2.0 * a ** 2 / sigma2 for a in amps]
+    cs = [math.sqrt(2.0) * e / sigma for e in edges]
     survival = {}
-    for y, i, lower, upper in _decision_regions(c, q):
+    for y, i in _region_plan(len(amps), len(edges) - 2):
+        lower, upper = _region_bounds(amps, edges, y, i)
+        if not lower < upper:
+            continue
         for z in (lower, upper):
             if z not in survival:
                 survival[z] = _gamma_survival(ch.m, ch.omega, z)
-        yield (y, i, lower, upper, 2.0 * c.amplitudes[i] ** 2 / sigma2,
-               math.sqrt(2.0) * q.boundary(y) / sigma, math.sqrt(2.0) * q.boundary(y - 1) / sigma,
-               survival[lower], survival[upper])
+        yield y, i, lower, upper, b[i], cs[y], cs[y - 1], survival[lower], survival[upper]
 
 
 def sep_closed_form(c, q, ch, snr):
     """Average SEP by the exact finite series; requires integer m."""
     if not ch.integer_m:
         raise ValueError("closed form requires integer m; use sep_quadrature")
-    m, omega = int(ch.m), ch.omega
+    m, omega, amps = int(ch.m), ch.omega, c.amplitudes
     terms = [_h_series(m, omega, b_i, c_hi, lower, upper, g_lo, g_hi)[0]
              - _h_series(m, omega, b_i, c_lo, lower, upper, g_lo, g_hi)[0]
              for _, _, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi
-             in _series_regions(c, q, ch, sigma2_from_snr(c, snr))]
+             in _series_regions(amps, q.edges, ch, _sigma2(amps, snr))]
     return SepResult(_clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), "closed_form")
 
 
 def sep_quadrature(c, q, ch, snr):
     """Average SEP by numerical integration of the defining expression;
     valid for any m >= 1/2."""
-    sigma2 = sigma2_from_snr(c, snr)
-    terms, errs = [], []
-    for _, _, lower, upper, b_i, c_hi, c_lo, _, _ in _series_regions(c, q, ch, sigma2):
+    value, err = _sep_quadrature(c.amplitudes, q.edges, ch, snr)
+    return SepResult(value, "quadrature", abs_error_est=err)
+
+
+def _sep_quadrature(amps, edges, ch, snr):
+    """sep_quadrature's (value, abs_error_est) of the float tuples amps and edges."""
+    terms, errs, sigma2 = [], [], _sigma2(amps, snr)
+    for _, _, lower, upper, b_i, c_hi, c_lo, _, _ in _series_regions(amps, edges, ch, sigma2):
         v_hi, e_hi = h_function_quad(ch.m, ch.omega, b_i, c_hi, lower, upper)
         v_lo, e_lo = h_function_quad(ch.m, ch.omega, b_i, c_lo, lower, upper)
         terms.append(v_hi - v_lo)
         errs.append(e_hi + e_lo)
-    return SepResult(_clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), "quadrature",
-                     abs_error_est=2.0 / c.M * math.fsum(errs))
+    weight = 2.0 / (2 * len(amps))  # 2 / M
+    return _clamp_probability(1.0 - weight * math.fsum(terms)), weight * math.fsum(errs)
 
 
 def sep_exact(c, q, ch, snr):
@@ -293,6 +298,7 @@ def _h_series_grad(plan, b, c, z_lo, z_hi, g_lo, g_hi):
         d_c = 0.0 if math.isinf(c) else math.exp(-0.5 * c * c) / SQRT_2PI * (g_lo - g_hi)
         return value, d_c, 0.0
     u_lo, u_hi, s, expo, f = parts
+    f = list(map(float, f))  # moment_primitive's NumPy scalars: the same floats
 
     # the two orders above the series, by parts: F_l = [-u^(l-1) e^(-u^2/2)] + (l-1) F_(l-2)
     e_lo = math.exp(-0.5 * u_lo * u_lo)
@@ -314,7 +320,7 @@ def _h_series_grad(plan, b, c, z_lo, z_hi, g_lo, g_hi):
     return value, lead * t_odd, -lead * t_even / (2.0 * root_b)
 
 
-def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper):
+def _add_endpoint_grad(grad_q, grad_rho, weight, z, amps, edges, y, i, upper):
     """Add weight * dz/d(q, rho) for the endpoint z in (0, inf) of the noiseless region
     (y, i): the square of q_y (upper) or q_(y-1) (lower) over rho_i where the reach bound
     binds, else of q_(y-1) + q_y over rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1)
@@ -322,16 +328,15 @@ def _add_endpoint_grad(grad_q, grad_rho, weight, z, c, q, y, i, upper):
     meet where the likelihoods tie."""
     if weight == 0.0:
         return
-    amps = c.amplitudes
     k = y if upper else y - 1
-    if z == (q.boundary(k) / amps[i]) ** 2:
+    if z == (edges[k] / amps[i]) ** 2:
         ks, js = (k,), (i,)
     else:
         ks, js = (y - 1, y), (i, i - 1 if upper else i + 1)
-    num = sum(q.boundary(x) for x in ks)
+    num = sum(edges[x] for x in ks)
     den = sum(amps[x] for x in js)
     for x in ks:
-        if 1 <= x <= q.K:
+        if 1 <= x < len(edges) - 1:
             grad_q[x - 1] += weight * 2.0 * z / num
     for x in js:
         grad_rho[x] -= weight * 2.0 * z / den
@@ -345,33 +350,43 @@ def sep_and_grad(c, q, ch, snr):
     sep_noiseless returns. The finite-SNR gradient has no region-endpoint terms: where
     D_(y,i) meets D_(y,i-1), rho_i sqrt(z) and rho_(i-1) sqrt(z) lie symmetrically about
     bin y's midpoint, so the ML likelihoods tie and the two regions' terms cancel."""
-    k = q.K
-    grad_q, grad_rho = [0.0] * k, [0.0] * c.half_size
-    m, omega, amps = ch.m, ch.omega, c.amplitudes
-    weight = -2.0 / c.M  # dSEP / dP(correct)
+    return _sep_and_grad(c.amplitudes, q.edges, ch, snr)
+
+
+def _sep_and_grad(amps, edges, ch, snr):
+    """sep_and_grad of the float tuples amps and edges = (0, q_1, ..., q_K, inf)."""
+    k = len(edges) - 2
+    grad_q, grad_rho = [0.0] * k, [0.0] * len(amps)
+    m, omega = ch.m, ch.omega
+    weight = -2.0 / (2 * len(amps))  # dSEP / dP(correct), -2 / M
     if snr is None:
         pdf = _log_gamma_pdf(m, omega)
         cdf = {0.0: 0.0, math.inf: 1.0}  # P(Z <= z) at each region end, computed once
         total = 0.0
-        for y, i, lower, upper in _decision_regions(c, q, reach=True):
+        for y, i in _region_plan(len(amps), k):
+            lower, upper = _region_bounds(amps, edges, y, i, reach=True)
+            if not lower < upper:
+                continue
             for z in (lower, upper):
                 if z not in cdf:
                     cdf[z] = float(special.gammainc(m, m * z / omega))
             total += cdf[upper] - cdf[lower]
             if upper < math.inf:
-                _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, c, q, y, i, True)
+                _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, amps, edges,
+                                   y, i, True)
             if lower > 0.0:
-                _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, c, q, y, i,
-                                   False)
-        return _clamp_probability(1.0 - 2.0 / c.M * total), grad_q, grad_rho
+                _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, amps, edges,
+                                   y, i, False)
+        return _clamp_probability(1.0 + weight * total), grad_q, grad_rho
 
     if not ch.integer_m:
         raise ValueError("the noisy gradient requires integer m")
     plan = _grad_plan(int(m), omega)
-    sigma2 = sigma2_from_snr(c, snr)
+    sigma2 = _sigma2(amps, snr)
     dc_dq = math.sqrt(2.0) / math.sqrt(sigma2)
     terms = []
-    for y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi in _series_regions(c, q, ch, sigma2):
+    for y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi in _series_regions(amps, edges, ch,
+                                                                            sigma2):
         h_hi, dc_hi, db_hi = _h_series_grad(plan, b_i, c_hi, lower, upper, g_lo, g_hi)
         h_lo, dc_lo, db_lo = _h_series_grad(plan, b_i, c_lo, lower, upper, g_lo, g_hi)
         terms.append(h_hi - h_lo)
@@ -380,7 +395,7 @@ def sep_and_grad(c, q, ch, snr):
         if y >= 2:
             grad_q[y - 2] -= weight * dc_lo * dc_dq
         grad_rho[i] += weight * (db_hi - db_lo) * 4.0 * amps[i] / sigma2
-    return _clamp_probability(1.0 - 2.0 / c.M * math.fsum(terms)), grad_q, grad_rho
+    return _clamp_probability(1.0 + weight * math.fsum(terms)), grad_q, grad_rho
 
 
 def sep_noiseless(c, q, ch):

@@ -101,14 +101,6 @@ def _check_levels(values, name):
             raise ValueError(f"{name} must be strictly increasing")
 
 
-def _unchecked(cls, **fields):
-    """An instance of Constellation or Quantizer holding fields as given, without
-    __post_init__: for float tuples that have passed _check_levels already."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Positive half of a symmetric M-PAM constellation {+-rho_i}.
@@ -185,13 +177,16 @@ class Quantizer:
     def K(self):
         return len(self.positive_boundaries)
 
+    @property
+    def edges(self):
+        """(q_0, q_1, ..., q_(K+1)) = (0, the positive boundaries, +inf): q_y is edges[y]."""
+        return (0.0, *self.positive_boundaries, math.inf)
+
     def boundary(self, y):
         """q_y for y in [0 .. K+1], with q_0 = 0 and q_(K+1) = +inf."""
-        if y == 0:
-            return 0.0
-        if y == self.K + 1:
-            return math.inf
-        return self.positive_boundaries[y - 1]
+        if not 0 <= y <= self.K + 1:
+            raise IndexError(f"boundary index {y} outside 0 to {self.K + 1}")
+        return self.edges[y]
 
 
 @dataclass(frozen=True)
@@ -227,8 +222,8 @@ def _unit_energy(amps):
 
 
 def symbol_energy(c):
-    """Average symbol energy E_s = (2/M) * sum(rho_i^2)."""
-    return 2.0 * _sum_squares(c.amplitudes) / c.M
+    """Average symbol energy E_s = (2/M) * sum(rho_i^2), sigma^2 at SNR 1."""
+    return _sigma2(c.amplitudes, 1.0)
 
 
 def sigma2_from_snr(c, snr_linear):
@@ -237,6 +232,11 @@ def sigma2_from_snr(c, snr_linear):
     sigma^2 is the complex-noise variance; the in-phase branch seen by the
     ADC has variance sigma^2 / 2.
     """
+    return _sigma2(c.amplitudes, snr_linear)
+
+
+def _sigma2(amps, snr_linear):
+    """sigma2_from_snr of the positive amplitudes amps."""
     if not 0 < snr_linear < math.inf:
         raise ValueError("SNR must be positive and finite")
-    return symbol_energy(c) / snr_linear
+    return 2.0 * _sum_squares(amps) / (2 * len(amps)) / snr_linear

@@ -96,10 +96,10 @@ class TestOptimizeCommand:
 
     def test_prints_failed_evals(self, capsys, monkeypatch):
         # every candidate fails: both counts show, and no start converged
-        def failing(c, q, ch, snr):
+        def failing(amps, edges, ch, snr):
             raise ArithmeticError("injected")
 
-        monkeypatch.setattr(optimizer, "sep_and_grad", failing)
+        monkeypatch.setattr(optimizer, "_sep_and_grad", failing)
         code, stdout, _ = run_cli([
             "optimize", "--noiseless", "--m", "1", "--bits", "2",
             "--constellation", "1,3", "--starts", "2",

@@ -41,6 +41,12 @@ def quantizer_problem(**kw):
     return DesignProblem(**base)
 
 
+def decoded_design(p, theta):
+    """The (Quantizer, Constellation) that the objective of p decodes theta to."""
+    edges, amps, _ = optimizer._decode(p, theta)
+    return Quantizer(edges[1:-1], p.bits), Constellation(amps)
+
+
 class TestKnownOptima:
     def test_noiseless_two_bit(self):
         r = optimize(quantizer_problem())
@@ -215,7 +221,7 @@ class TestInit:
         (dict(bits=3, uniform=True, constellation=None), (C13, Quantizer((0.5, 1.0, 1.6), 3))),
     ], ids=["bits", "joint_size", "fixed_constellation", "uniform_fixed", "uniform_joint"])
     def test_mismatch_rejected(self, kw, init, monkeypatch):
-        monkeypatch.setattr(optimizer, "sep_and_grad", lambda *a: pytest.fail("evaluated"))
+        monkeypatch.setattr(optimizer, "_sep_and_grad", lambda *a: pytest.fail("evaluated"))
         with pytest.raises(ValueError, match="init"):
             quantizer_problem(init=init, **kw)
 
@@ -237,7 +243,7 @@ class TestInit:
         p = quantizer_problem(init=init, **kw)
         starts = optimizer._start_points(p)
         assert len(starts) == p.n_starts + 1
-        quant, cons = optimizer._decode(p, starts[0])
+        quant, cons = decoded_design(p, starts[0])
         assert quant.positive_boundaries == pytest.approx(init[1].positive_boundaries, rel=1e-12)
         assert cons.amplitudes == pytest.approx(init[0].amplitudes, rel=1e-12)
         assert all(np.array_equal(a, b) for a, b in
@@ -267,7 +273,7 @@ class TestReportedSep:
             return runs[-1]
 
         monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
-        for name in ("sep_exact", "sep_and_grad"):
+        for name in ("_sep_quadrature", "_sep_and_grad"):
             engine = getattr(optimizer, name)
             monkeypatch.setattr(optimizer, name,
                                 lambda *a, engine=engine: calls.append(1) or engine(*a))
@@ -276,7 +282,7 @@ class TestReportedSep:
         # to decode (the engines raise on none of these)
         assert len(calls) == r.evals - r.failed_evals
         values = [sep_exact(cons, quant, p.channel, p.snr).value
-                  for quant, cons in (optimizer._decode(p, run.x) for run in runs)]
+                  for quant, cons in (decoded_design(p, run.x) for run in runs)]
         assert r.sep == min(values)
         assert r.sep == sep_exact(r.constellation, r.quantizer, p.channel, p.snr).value
         assert [run.fun for run in runs] == values
@@ -463,25 +469,25 @@ class TestFailedEvals:
 
     def test_reported_by_optimize(self, monkeypatch):
         # candidates with q1 > 2 fail to evaluate; the returned best one does not
-        sep_and_grad, failed = optimizer.sep_and_grad, []
+        sep_and_grad, failed = optimizer._sep_and_grad, []
 
-        def flaky(c, q, ch, snr):
-            failed.append(q.positive_boundaries[0] > 2.0)
+        def flaky(amps, edges, ch, snr):
+            failed.append(edges[1] > 2.0)
             if failed[-1]:
                 raise ArithmeticError("injected")
-            return sep_and_grad(c, q, ch, snr)
+            return sep_and_grad(amps, edges, ch, snr)
 
-        monkeypatch.setattr(optimizer, "sep_and_grad", flaky)
+        monkeypatch.setattr(optimizer, "_sep_and_grad", flaky)
         r = optimize(quantizer_problem())
         assert r.failed_evals == sum(failed) > 0
         assert r.evals == len(failed)
         assert r.converged
 
     def test_start_on_failed_candidates_is_not_converged(self, monkeypatch):
-        def failing(c, q, ch, snr):
+        def failing(amps, edges, ch, snr):
             raise ArithmeticError("injected")
 
-        monkeypatch.setattr(optimizer, "sep_and_grad", failing)
+        monkeypatch.setattr(optimizer, "_sep_and_grad", failing)
         r = optimize(quantizer_problem(n_starts=2))
         assert not r.converged
         assert r.failed_evals == r.evals > 0
@@ -522,7 +528,7 @@ class TestObjectiveGradient:
         f = _objective(p)
         value, grad = f(np.array(theta))
         try:
-            quant, cons = optimizer._decode(p, np.array(theta))
+            quant, cons = decoded_design(p, np.array(theta))
         except ValueError:  # a failed candidate
             assert (value, f.failed) == (1.0, 1)
         else:

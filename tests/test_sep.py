@@ -161,6 +161,30 @@ class TestBitIdentity:
         c, q = _odd_pam(M, bits)
         assert sep_noiseless(c, q, ChannelModel(m)).value.hex() == self.NOISELESS[M, bits, m]
 
+    # h_function_quad's (value, error estimate) at (m, omega, b, c, z_lo, z_hi): its z <= 0
+    # branch, its knee and its tail split, which the SEP pins reach only in a few regions
+    H_QUAD = {
+        # the m = 1/2 density is singular at z_lo = 0; the knee c^2/b = 0.845 is past z_hi
+        (0.5, 1.0, 2.0, 1.3, 0.0, 0.7): ("0x1.d014929ccebc2p-2", "0x1.1000000000000p-47"),
+        # singular at 0, the knee inside, then an infinite tail
+        (0.5, 1.0, 2.0, 1.3, 0.0, math.inf): ("0x1.2461608fdaffbp-1", "0x1.438e235eb2a80p-41"),
+        # b = 0: no knee
+        (0.5, 2.0, 0.0, 0.4, 0.0, 1.5): ("0x1.9bc482ceb650dp-2", "0x1.9c00000000000p-47"),
+        # c = 0: the knee is z = 0
+        (2.5, 1.0, 4.0, 0.0, 0.2, 3.0): ("0x1.59bb87b269ea3p-5", "0x1.cc4dd12d3c000p-48"),
+        (2.5, 1.0, 4.0, 0.0, 0.0, math.inf): ("0x1.a18b4a7bedacep-5", "0x1.33985f5cf2e2bp-44"),
+        # the knee 4/3 inside a finite interval
+        (2.5, 2.0, 3.0, 2.0, 0.5, 5.0): ("0x1.6632fda3ce9fdp-2", "0x1.12b3daa9df358p-46"),
+        # the knee inside, then the tail split at omega (1 + 10 / sqrt(m))
+        (2.5, 1.0, 3.0, 2.0, 0.5, math.inf): ("0x1.bddd8bd3383a2p-2", "0x1.a55fdbe06f8ecp-45"),
+        # an interval that starts past the tail split
+        (2.5, 1.0, 0.5, 3.0, 9.0, math.inf): ("0x1.8cfe1c95a763cp-27", "0x1.0bde1f2d74e1ap-48"),
+    }
+
+    @pytest.mark.parametrize("args", sorted(H_QUAD), ids=str)
+    def test_h_function_quad(self, args):
+        assert tuple(x.hex() for x in h_function_quad(*args)) == self.H_QUAD[args]
+
     @pytest.mark.parametrize("M,bits,m", sorted(QUADRATURE))
     def test_quadrature(self, M, bits, m):
         c, q = _odd_pam(M, bits)
@@ -292,7 +316,7 @@ class TestSepAndGrad:
                 sigma2 = sigma2_from_snr(c, 10.0 ** (rng.uniform(0.0, 50.0) / 10.0))
                 regions = {(y, i): (lower, upper, b_i, c_hi, c_lo) for
                            y, i, lower, upper, b_i, c_hi, c_lo, _, _
-                           in sep._series_regions(c, q, RAYLEIGH, sigma2)}
+                           in sep._series_regions(c.amplitudes, q.edges, RAYLEIGH, sigma2)}
                 for (y, i), (_, z, b_i, c_hi, c_lo) in regions.items():
                     if y > q.K or i == 0:
                         continue

@@ -103,6 +103,12 @@ class TestQuantizer:
         assert q.boundary(1) == 1.0
         assert q.boundary(2) == math.inf
 
+    @pytest.mark.parametrize("y", [-1, -2, 3])
+    def test_boundary_index_out_of_range(self, y):
+        # a negative y would otherwise index the edges from the end
+        with pytest.raises(IndexError, match="boundary index"):
+            Quantizer((1.0,), bits=2).boundary(y)
+
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             Quantizer((1.0, 0.5, 2.0), bits=3)

@@ -25,9 +25,12 @@ antennas from -5 dB, where many rows mix output signs. Four single-antenna
 8-PAM at 4 bits (three amplitude midpoints, seven boundaries), 5 bits,
 non-integer m with omega 2, and one run on two workers. Then a joint
 `dvo` at 2 antennas, whose slope comes from the multi-antenna simulation.
-Last, two fixed-constellation `optimize` calls: one at non-integer m, whose
+Then two fixed-constellation `optimize` calls: one at non-integer m, whose
 gradient is a finite difference of the quadrature SEP, and one on the
-geometric constellation of ratio 0.4 rather than {1, 3}.
+geometric constellation of ratio 0.4 rather than {1, 3}. Last, two `sep`
+curves at non-integer m over 0-30 dB, which run the quadrature engine: the
+shapes (M, b, m) = (4, 3, 1.5) and (8, 4, 2.5) of the perfbench `curve`
+workload, on odd-integer amplitudes and unit-step boundaries.
 """
 import argparse
 import contextlib
@@ -110,6 +113,11 @@ INVOCATIONS = [
                               "--snr-db", "20", "--starts", "2", "--seed", "0"]),
     ("design.optimize.geometric", ["optimize", "--m", "2", "--bits", "2", "--geometric", "0.4",
                                    "--snr-db", "25", "--starts", "3", "--seed", "1"]),
+    ("quad.sep.M4b3m1_5", ["sep", "--m", "1.5", "--bits", "3", "--constellation", "1,3",
+                           "--q", "1,2,3", "--snr-db", "0:2.5:30"]),
+    ("quad.sep.M8b4m2_5", ["sep", "--m", "2.5", "--bits", "4", "--mod", "8",
+                           "--constellation", "1,3,5,7", "--q", "1,2,3,4,5,6,7",
+                           "--snr-db", "0:2.5:30"]),
 ]
 
 
