@@ -1,29 +1,14 @@
 #!/usr/bin/env python3
-"""Reproduce the curve data behind each shipped figure recipe.
+"""Reproduce the curve data behind each headline figure.
 
 Usage:
-    python3 demos/make_figures.py figures/fig_sep_vs_c.json [more...]
+    python3 demos/make_figures.py fig_sep_vs_c [more...]
     python3 demos/make_figures.py --all
 
-Each recipe is a JSON file under figures/ with a "kind" field selecting
-one of the generators below (KINDS), and a "figure" field equal to its
-file stem. Output CSVs land in figures/out/.
-
-Per-SNR designs come from one optimize_sweep per curve. sep_vs_snr_by_m
-writes each point's q1 (the paper's q1* panel) and simulates every fifth
-point as a Monte Carlo marker with that point's own design, seeded
-seed + marker index. simo_mc designs once for all of its antenna counts.
-floor_vs_bits and floor_vs_shape read optimal_floor_log2's closed-form 4-PAM
-floor, which holds for every fading power omega, so their recipes name none.
-
-A recipe names its quantizer structure by the strings "nonuniform" and
-"uniform" (keys quantizer_kind, quantizer_kinds and each diversity_order
-case's quantizer_kind); they become the uniform= flag of the library calls
-before anything is computed, any other string is an error naming its key, and
-the string itself is written to the CSV's quantizer column.
+Each fig_* function below is one figure: it writes the CSV of its name to
+figures/out/, and its docstring says what that CSV holds.
 """
 import argparse
-import json
 import math
 import pathlib
 import sys
@@ -48,25 +33,7 @@ from pamq.table import write_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / "figures" / "out"
-
-
-def _grid(spec):
-    if isinstance(spec, str):
-        start, step, stop = (float(p) for p in spec.split(":"))
-        return list(np.arange(start, stop + 1e-9, step))
-    return list(np.linspace(spec["start"], spec["stop"], spec["points"]))
-
-
-def _cons(text):
-    return Constellation(tuple(float(p) for p in text.split(",")))
-
-
-def _uniform(key, kind):
-    """The uniform= flag of a recipe's quantizer kind string, read from key."""
-    if kind not in ("nonuniform", "uniform"):
-        raise ValueError(f"recipe key {key}: unknown quantizer kind {kind!r}, "
-                         f"want 'nonuniform' or 'uniform'")
-    return kind == "uniform"
+PAM4 = Constellation((1.0, 3.0))
 
 
 def _write(name, header, rows):
@@ -76,144 +43,127 @@ def _write(name, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def boundary_sweep(cfg):
-    cons = _cons(cfg["constellation"])
-    rows = []
-    for omega in cfg["omega_list"]:
-        ch = ChannelModel(cfg["m"], omega)
-        snr = 10.0 ** (cfg["omega_snr_db"] / 10.0) / omega
-        for q1 in _grid(cfg["q1_grid"]):
-            quant = Quantizer((q1 * math.sqrt(omega),), cfg["bits"])
-            sep = sep_closed_form(cons, quant, ch, snr).value
-            rows.append((omega, q1, sep))
-    _write(cfg["figure"], ["omega", "q1_over_sqrt_omega", "sep"], rows)
+def _kind(uniform):
+    return "uniform" if uniform else "nonuniform"
 
 
-def sep_vs_snr_by_m(cfg):
-    cons = _cons(cfg["constellation"]).normalized()
-    grid = _grid(cfg["snr_db"])
+def fig_sep_vs_c():
+    """SEP of a 2-bit 4-PAM receiver versus the quantizer boundary q_1, at fixed
+    omega*SNR = 10 dB, for three channel gains. The minima coincide: scaling omega
+    only rescales the optimal boundary by sqrt(omega)."""
     rows = []
-    for m in cfg["m_list"]:
-        ch = ChannelModel(m, cfg["omega"])
-        p = DesignProblem(
-            channel=ch, M=cons.M, bits=cfg["bits"], constellation=cons,
-            n_starts=6, seed=cfg["seed"],
-        )
+    for omega in (0.5, 1.0, 2.0):
+        ch = ChannelModel(1, omega)
+        snr = 10.0 / omega  # omega * SNR = 10 dB
+        for q1 in np.linspace(0.2, 8.0, 120):
+            quant = Quantizer((q1 * math.sqrt(omega),), 2)
+            rows.append((omega, q1, sep_closed_form(PAM4, quant, ch, snr).value))
+    _write("fig_sep_vs_c", ["omega", "q1_over_sqrt_omega", "sep"], rows)
+
+
+def fig_sep_nakagami():
+    """Exact SEP and optimal q_1 versus SNR of a 2-bit 4-PAM receiver with per-point
+    optimized boundaries, for Nakagami shape m in {1, 2, 4}. Every fifth point adds a
+    Monte Carlo marker: 200000 trials of that point's design, seeded by marker index."""
+    cons = PAM4.normalized()
+    grid = np.arange(0.0, 31.0, 2.0)
+    rows = []
+    for m in (1, 2, 4):
+        ch = ChannelModel(m, 1.0)
+        p = DesignProblem(channel=ch, M=4, bits=2, constellation=cons, n_starts=6, seed=0)
         designs = optimize_sweep(p, grid)
         for sdb, r in zip(grid, designs):
             rows.append((m, sdb, r.sep, r.quantizer.boundary(1), "closed_form"))
         for marker, (sdb, r) in enumerate(zip(grid[::5], designs[::5])):
-            spec = SimSpec(
-                constellation=cons, quantizer=r.quantizer, channel=ch, snr_db=(sdb,),
-                trials=cfg["mc_trials"], seed=cfg["seed"] + marker,
-            )
+            spec = SimSpec(constellation=cons, quantizer=r.quantizer, channel=ch,
+                           snr_db=(sdb,), trials=200000, seed=marker)
             est = simulate(spec)[0]
             rows.append((m, sdb, est.sep_hat, r.quantizer.boundary(1), "monte_carlo"))
-    _write(cfg["figure"], ["m", "snr_db", "sep", "q1", "method"], rows)
+    _write("fig_sep_nakagami", ["m", "snr_db", "sep", "q1", "method"], rows)
 
 
-def exact_vs_aqnm_by_bits(cfg):
-    cons = _cons(cfg["constellation"]).normalized()
-    ch = ChannelModel(cfg["m"], cfg["omega"])
-    grid = _grid(cfg["snr_db"])
+def fig_adc_resolution():
+    """Exact SEP versus the additive-quantization-noise-model approximation for
+    4-PAM over Rayleigh fading at resolutions b in {2, 3, 4}; the AQNM curve
+    diverges from the exact one at high SNR."""
+    cons = PAM4.normalized()
+    ch = ChannelModel(1, 1.0)
+    grid = np.arange(0.0, 41.0, 2.0)
     rows = []
-    for bits in cfg["bits_list"]:
-        p = DesignProblem(
-            channel=ch, M=cons.M, bits=bits, constellation=cons,
-            n_starts=6, seed=cfg["seed"],
-        )
+    for bits in (2, 3, 4):
+        p = DesignProblem(channel=ch, M=4, bits=bits, constellation=cons, n_starts=6, seed=0)
         for sdb, r in zip(grid, optimize_sweep(p, grid)):
             aq = sep_aqnm(cons, 10.0 ** (sdb / 10.0), default_alpha(bits)).value
             rows.append((bits, sdb, r.sep, aq))
-    _write(cfg["figure"], ["bits", "snr_db", "sep_exact", "sep_aqnm"], rows)
+    _write("fig_adc_resolution", ["bits", "snr_db", "sep_exact", "sep_aqnm"], rows)
 
 
-def floor_vs_bits(cfg):
-    lo, hi = cfg["bits_range"]
-    kinds = [(kind, _uniform("quantizer_kinds", kind)) for kind in cfg["quantizer_kinds"]]
+def fig_error_floor_bits():
+    """Optimized noiseless error floor of the 4-PAM receiver, for every fading power
+    omega, versus ADC resolution b = 2..10 at m in {1, 2}. Non-uniform floors fall
+    double-exponentially in b; uniform floors fall at a fixed exponential rate."""
+    rows = [(m, _kind(uniform), b, optimal_floor_log2(m, b, uniform=uniform))
+            for m in (1, 2) for uniform in (False, True) for b in range(2, 11)]
+    _write("fig_error_floor_bits", ["m", "quantizer", "bits", "log2_floor"], rows)
+
+
+def fig_error_floor_shape():
+    """Optimized noiseless error floor of the non-uniform 4-PAM receiver versus the
+    Nakagami shape parameter m in [0.5, 4], for several ADC resolutions. Milder
+    fading (larger m) lowers the floor."""
+    rows = [(bits, m, optimal_floor_log2(m, bits, uniform=False))
+            for bits in (2, 3, 4) for m in np.linspace(0.5, 4.0, 15)]
+    _write("fig_error_floor_shape", ["bits", "m", "log2_floor"], rows)
+
+
+def fig_div_order():
+    """One row per case (m, bits, quantizer, slope, theory, r2): the log-log slope of
+    the jointly designed 4-PAM receiver's optimum SEP fitted over 20-50 dB at m = 1,
+    with its fit's r2, against the theoretical decay exponent: b=2 non-uniform
+    (1/2), b=3 non-uniform (3/4), b=3 uniform (1/2)."""
+    grid = np.arange(20.0, 51.0, 2.5)
     rows = []
-    for m in cfg["m_list"]:
-        for kind, uniform in kinds:
-            for b in range(lo, hi + 1):
-                val = optimal_floor_log2(m, b, uniform=uniform)
-                rows.append((m, kind, b, val))
-    _write(cfg["figure"], ["m", "quantizer", "bits", "log2_floor"], rows)
+    for m, bits, uniform in ((1, 2, False), (1, 3, False), (1, 3, True)):
+        est, theory = dvo_experiment(m, bits, 4, 1, grid, uniform=uniform, seed=0)
+        rows.append((m, bits, _kind(uniform), est.slope, float(theory), est.r2))
+        print(f"  b={bits} {_kind(uniform)}: slope {est.slope:.3f} vs theory {theory}")
+    _write("fig_div_order", ["m", "bits", "quantizer", "slope", "theory", "r2"], rows)
 
 
-def floor_vs_shape(cfg):
-    uniform = _uniform("quantizer_kind", cfg["quantizer_kind"])
+def fig_simo():
+    """Simulated SEP of the optimized 2-bit 4-PAM receiver over Rayleigh fading with
+    1, 2 and 3 receive antennas, 2000000 trials a point; slope roughly multiplies
+    with the antenna count. One design per SNR serves every antenna count."""
+    ch = ChannelModel(1, 1.0)
+    grid = np.arange(15.0, 36.0, 5.0)
+    designs = optimize_sweep(DesignProblem(channel=ch, M=4, bits=2, n_starts=6, seed=3), grid)
     rows = []
-    for bits in cfg["bits_list"]:
-        for m in _grid(cfg["m_grid"]):
-            val = optimal_floor_log2(m, bits, uniform=uniform)
-            rows.append((bits, m, val))
-    _write(cfg["figure"], ["bits", "m", "log2_floor"], rows)
-
-
-def diversity_order(cfg):
-    lo, hi = (float(p) for p in cfg["window"].split(":"))
-    grid = list(np.arange(lo, hi + 1e-9, 2.5))
-    uniform = [_uniform("cases[].quantizer_kind", case["quantizer_kind"])
-               for case in cfg["cases"]]
-    rows = []
-    for case, case_uniform in zip(cfg["cases"], uniform):
-        est, theory = dvo_experiment(
-            case["m"], case["bits"], case["mod"], 1, grid, uniform=case_uniform,
-            seed=cfg["seed"],
-        )
-        rows.append((
-            case["m"], case["bits"], case["quantizer_kind"],
-            est.slope, float(theory), est.r2,
-        ))
-        print(f"  {case}: slope {est.slope:.3f} vs theory {float(theory):.3f}")
-    _write(cfg["figure"], ["m", "bits", "quantizer", "slope", "theory", "r2"], rows)
-
-
-def simo_mc(cfg):
-    ch = ChannelModel(cfg["m"], 1.0)
-    grid = _grid(cfg["snr_db"])
-    p = DesignProblem(
-        channel=ch, M=cfg["mod"], bits=cfg["bits"], n_starts=6, seed=cfg["seed"],
-    )
-    designs = optimize_sweep(p, grid)
-    rows = []
-    for n_r in cfg["antennas_list"]:
+    for n_r in (1, 2, 3):
         for sdb, r in zip(grid, designs):
-            spec = SimSpec(
-                constellation=r.constellation, quantizer=r.quantizer,
-                channel=ch, snr_db=(sdb,), trials=cfg["trials"],
-                n_r=n_r, seed=cfg["seed"],
-            )
+            spec = SimSpec(constellation=r.constellation, quantizer=r.quantizer, channel=ch,
+                           snr_db=(sdb,), trials=2000000, n_r=n_r, seed=3)
             est = simulate(spec)[0]
             rows.append((n_r, sdb, est.sep_hat, est.stderr))
-    _write(cfg["figure"], ["antennas", "snr_db", "sep_hat", "stderr"], rows)
+    _write("fig_simo", ["antennas", "snr_db", "sep_hat", "stderr"], rows)
 
 
-KINDS = {
-    "boundary_sweep": boundary_sweep,
-    "sep_vs_snr_by_m": sep_vs_snr_by_m,
-    "exact_vs_aqnm_by_bits": exact_vs_aqnm_by_bits,
-    "floor_vs_bits": floor_vs_bits,
-    "floor_vs_shape": floor_vs_shape,
-    "diversity_order": diversity_order,
-    "simo_mc": simo_mc,
-}
+FIGURES = {name: f for name, f in globals().items() if name.startswith("fig_")}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("recipes", nargs="*")
+    ap.add_argument("figures", nargs="*")
     ap.add_argument("--all", action="store_true")
     args = ap.parse_args()
-    paths = [pathlib.Path(p) for p in args.recipes]
-    if args.all:
-        paths = sorted((ROOT / "figures").glob("fig_*.json"))
-    if not paths:
-        ap.error("give recipe paths or --all")
-    for path in paths:
-        cfg = json.loads(path.read_text())
-        print(f"{cfg['figure']}: {cfg['description']}")
-        KINDS[cfg["kind"]](cfg)
+    names = list(FIGURES) if args.all else args.figures
+    if not names:
+        ap.error("give figure names or --all")
+    unknown = [n for n in names if n not in FIGURES]
+    if unknown:
+        ap.error(f"unknown figure {', '.join(unknown)}; choose from {', '.join(FIGURES)}")
+    for name in names:
+        print(f"{name}: {' '.join(FIGURES[name].__doc__.split())}")
+        FIGURES[name]()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pamq import cli, optimizer
+from pamq import Constellation, cli, optimizer
 from pamq.asymptotics import DvoEstimate
 from pamq.cli import main
 
@@ -63,6 +63,23 @@ class TestSepCommand:
         ], capsys)
         assert code == 1
         assert stderr == f"pamq: {message}\n"
+
+    def test_geometric_without_mod_is_4pam(self, capsys):
+        amplitudes = ",".join(map(repr, Constellation.geometric(0.4, 4).amplitudes))
+        outputs = [run_cli(["sep", "--m", "1", "--bits", "2", *flags, "--q", "1.5",
+                            "--snr-db", "0:10:30"], capsys)
+                   for flags in (["--geometric", "0.4"], ["--constellation", amplitudes])]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    def test_numerical_failure_exits_2(self, capsys):
+        # m = 40 at 80-90 dB overflows the closed form; the rest of the message is
+        # the overflow's errno tuple
+        code, stdout, stderr = run_cli([
+            "sep", "--m", "40", "--bits", "2", "--constellation", "1,3",
+            "--q", "1.5", "--snr-db", "80:10:90",
+        ], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("pamq: numerical failure:")
 
 
 class TestBitsMaximum:
@@ -608,6 +625,21 @@ class TestConfigAndErrors:
     def test_conflicting_flags_rejected(self, argv, message, capsys, monkeypatch):
         # each pair once ran silently on the flag that was checked first
         monkeypatch.setattr(cli, "optimize", lambda *a, **k: pytest.fail("ran optimize"))
+        code, stdout, err = run_cli([argv[0], "--m", "1", "--bits", "2", *argv[1:]], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sep", "--constellation", "1,3", "--q", "1.5", "--snr-db", "0:0:10"],
+         "grid step must be positive"),
+        (["sep", "--constellation", "1,3", "--snr-db", "10"], "give --q or --uniform-step"),
+        (["optimize", "--constellation", "1,3", "--snr-db", "10,20"],
+         "optimize wants a single --snr-db point or --noiseless"),
+        (["dvo"], "dvo requires --joint (jointly optimized designs)"),
+    ], ids=["zero-step", "no-quantizer", "optimize-grid", "dvo-not-joint"])
+    def test_missing_or_bad_input_rejected(self, argv, message, capsys, monkeypatch):
+        for name in ("optimize", "dvo_experiment"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed"))
         code, stdout, err = run_cli([argv[0], "--m", "1", "--bits", "2", *argv[1:]], capsys)
         assert code == 1 and stdout == ""
         assert err == f"pamq: {message}\n"
