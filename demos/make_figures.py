@@ -22,7 +22,6 @@ from pamq import (
     Quantizer,
     SimSpec,
     default_alpha,
-    dvo_experiment,
     optimal_floor_log2,
     optimize_sweep,
     sep_aqnm,
@@ -114,20 +113,6 @@ def fig_error_floor_shape():
     rows = [(bits, m, optimal_floor_log2(m, bits, uniform=False))
             for bits in (2, 3, 4) for m in np.linspace(0.5, 4.0, 15)]
     _write("fig_error_floor_shape", ["bits", "m", "log2_floor"], rows)
-
-
-def fig_div_order():
-    """One row per case (m, bits, quantizer, slope, theory, r2): the log-log slope of
-    the jointly designed 4-PAM receiver's optimum SEP fitted over 20-50 dB at m = 1,
-    with its fit's r2, against the theoretical decay exponent: b=2 non-uniform
-    (1/2), b=3 non-uniform (3/4), b=3 uniform (1/2)."""
-    grid = np.arange(20.0, 51.0, 2.5)
-    rows = []
-    for m, bits, uniform in ((1, 2, False), (1, 3, False), (1, 3, True)):
-        est, theory = dvo_experiment(m, bits, 4, 1, grid, uniform=uniform, seed=0)
-        rows.append((m, bits, _kind(uniform), est.slope, float(theory), est.r2))
-        print(f"  b={bits} {_kind(uniform)}: slope {est.slope:.3f} vs theory {theory}")
-    _write("fig_div_order", ["m", "bits", "quantizer", "slope", "theory", "r2"], rows)
 
 
 def fig_simo():

@@ -12,8 +12,8 @@ import numpy as np
 from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
 from .sep import floor_geometric
-from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _check_shape,
-                     _family_levels, _schedule_q1)
+from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _check_count,
+                     _check_shape, _family_levels, _schedule_q1)
 
 __all__ = [
     "DvoEstimate",
@@ -103,6 +103,8 @@ def dvo_experiment(m, b, M, n_r, snr_db_grid, *, uniform=False, budget=10**6, se
     # the fit can only drop points, so a short grid fails before any design
     if len(snr_db_grid) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} usable points in the window")
+    if n_r > 1:
+        _check_count(budget, "budget", 1)
     designs = optimize_sweep(DesignProblem(
         channel=ch, M=M, bits=b, uniform=uniform, n_starts=6, seed=seed,
         init=_warm_start(m, b, M, 10.0 ** (snr_db_grid[0] / 10.0), uniform),

@@ -3,8 +3,8 @@
 Subcommands: sep, optimize, floor, dvo, simulate, compare-aqnm. Each
 accepts only the flags it reads (see _COMMANDS), plus --config FILE
 (JSON keyed by that subcommand's long flags; explicit flags win) and
---out FILE. Numbers are always written with '.' decimals at %.12e so
-outputs are reproducible byte-for-byte.
+--out FILE. Each output's schema is set here and its bytes by pamq.table,
+so outputs are reproducible byte-for-byte.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -18,18 +18,18 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import dvo_experiment
-from .montecarlo import SimSpec, simulate, write_csv
+from .montecarlo import SimSpec, simulate
 from .optimizer import _SCHEDULE_SIZE, DesignProblem, optimize
 from .sep import default_alpha, floor_bounds, sep_aqnm, sep_exact, sep_noiseless
 from .system import ChannelModel, Constellation, Quantizer
-from .table import write_table
+from .table import write_json, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -153,15 +153,6 @@ def _quantizer(args):
     raise ValidationError("give --q or --uniform-step")
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_sep(args):
     ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
     rows = []
@@ -206,7 +197,7 @@ def _cmd_optimize(args):
         uniform=args.uniform, n_starts=args.starts, seed=args.seed,
     )
     result = optimize(problem)
-    _write_json(args.out, {
+    write_json(args.out, {
         "boundaries": list(result.quantizer.positive_boundaries),
         "bits": result.quantizer.bits,
         "amplitudes": list(result.constellation.amplitudes),
@@ -223,7 +214,7 @@ def _cmd_floor(args):
     ch, cons, quant = _channel(args), _constellation(args), _quantizer(args)
     res = sep_noiseless(cons, quant, ch)
     f_l, f_u = floor_bounds(cons, quant, ch)
-    _write_json(args.out, {
+    write_json(args.out, {
         "sep_noiseless": res.value,
         "floor_lower": f_l.value,
         "floor_upper": f_u.value,
@@ -244,7 +235,7 @@ def _cmd_dvo(args):
         args.m, args.bits, args.mod, args.antennas, grid, uniform=args.uniform,
         budget=10**6 if args.trials is None else args.trials, seed=args.seed,
     )
-    _write_json(args.out, {
+    write_json(args.out, {
         "slope": est.slope,
         "theory": float(theory),
         "r2": est.r2,
@@ -261,7 +252,9 @@ def _cmd_simulate(args):
         snr_db=tuple(_parse_grid(args.snr_db)), trials=args.trials,
         n_r=args.antennas, seed=args.seed,
     )
-    write_csv(simulate(spec, workers=args.threads), args.out)
+    write_table(args.out, ["snr_db", "trials", "errors", "sep_hat", "stderr", "method"],
+                [(e.snr_db, str(e.trials), str(e.errors), e.sep_hat, e.stderr, "monte_carlo")
+                 for e in simulate(spec, workers=args.threads)])
     return EXIT_OK
 
 
@@ -345,18 +338,15 @@ def run(argv):
     if "seed" in vars(args) and args.seed < 0:
         source = "--seed" if env_seed is None else "PAMQ_SEED"
         raise ValidationError(f"{source} must be >= 0, not {args.seed}")
-    for dest in ("antennas", "threads"):
-        if dest in vars(args) and getattr(args, dest) < 1:
-            raise ValidationError(f"--{dest} must be >= 1, not {getattr(args, dest)}")
+    for dest in ("antennas", "threads", "trials"):
+        if (value := vars(args).get(dest)) is not None and value < 1:
+            raise ValidationError(f"--{dest} must be >= 1, not {value}")
     return _COMMANDS[args.command][0](args)
 
 
 def main(argv=None):
     try:
         code = run(sys.argv[1:] if argv is None else list(argv))
-    except ValidationError as exc:
-        print(f"pamq: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
     except (ValueError, IndexError, KeyError, OSError) as exc:
         print(f"pamq: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION

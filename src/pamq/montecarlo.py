@@ -19,9 +19,8 @@ import numpy as np
 
 from .detector import midpoint_batch, quantize_batch, simo_batch
 from .system import _check_count, sigma2_from_snr
-from .table import write_table
 
-__all__ = ["SimSpec", "SimEstimate", "simulate", "simulate_noiseless", "write_csv"]
+__all__ = ["SimSpec", "SimEstimate", "simulate", "simulate_noiseless"]
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class SimEstimate:
     snr_db: float
     trials: int
     errors: int
-    method = "monte_carlo"  # a class constant, not a field
 
     @property
     def sep_hat(self):
@@ -141,13 +139,3 @@ def simulate_noiseless(spec, workers=1):
     """
     (errs,) = _count_errors(replace(spec, n_r=1), [0.0], workers)
     return SimEstimate(math.inf, spec.trials, errs)
-
-
-def write_csv(estimates, path):
-    """Write estimates as a CSV table to path, or to stdout when path is None."""
-    write_table(
-        path,
-        ["snr_db", "trials", "errors", "sep_hat", "stderr", "method"],
-        [(e.snr_db, str(e.trials), str(e.errors), e.sep_hat, e.stderr, e.method)
-         for e in estimates],
-    )

@@ -431,7 +431,10 @@ def floor_geometric(rho, M, q1, ch, bits, *, uniform=False):
         raise ValueError("q1 must be positive")
     _family_levels(M, bits, uniform)
     k = _boundary_count(bits, max_bits=math.inf)
-    qk = k * q1 if uniform else _geometric_boundary(q1, rho, k)
+    try:
+        qk = k * q1 if uniform else _geometric_boundary(q1, rho, k)
+    except OverflowError:  # k is past float64 (b > 1024), so q_K is too
+        qk = math.inf
     return _floor_bracket(Constellation.geometric(rho, M), q1, qk, ch)[1]
 
 

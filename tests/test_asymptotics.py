@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pamq import asymptotics
 from pamq import (
     ChannelModel,
     Constellation,
@@ -119,6 +120,12 @@ class TestDvoFit:
         assert est.slope == pytest.approx(1.0, abs=0.05)
 
 
+def test_dvo_experiment_checks_budget_before_designing(monkeypatch):
+    monkeypatch.setattr(asymptotics, "optimize_sweep", lambda *a, **k: pytest.fail("designed"))
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        dvo_experiment(1, 2, 4, 2, [20.0, 25.0, 30.0, 35.0], budget=0)
+
+
 class TestBitScaling:
     def test_synthetic_exponential(self):
         assert dq_metric(lambda b: -3.0 * b, range(2, 10)) == pytest.approx(3.0, abs=1e-9)
@@ -203,6 +210,12 @@ class TestFloorSchedule:
         ch = ChannelModel(1, 1.0)
         [(_, val)] = floor_schedule([0.1], a=4.0, b=10, M=4, ch=ch)
         assert val == pytest.approx(0.004975083125415971, rel=1e-13)
+
+    @pytest.mark.parametrize("uniform, a", [(False, 4.0), (True, 3.5)])
+    def test_bits_past_float_range(self, uniform, a):
+        at = [floor_schedule([0.5, 0.1], a=a, b=b, M=4, ch=RAYLEIGH, uniform=uniform)
+              for b in (60, 1025)]
+        assert at[1] == at[0]
 
     def test_uniform_variant_decreasing(self):
         ch = ChannelModel(1, 1.0)

@@ -168,14 +168,39 @@ class TestSeedRange:
 
 
 class TestCountFlags:
-    """simulate exits 1 naming the flag when an antenna or worker count is
+    """simulate exits 1 naming the flag when an antenna, worker or trial count is
     below 1 (dvo's --antennas: TestConfigAndErrors)."""
 
-    @pytest.mark.parametrize("flag", ["--antennas", "--threads"])
+    @pytest.mark.parametrize("flag", ["--antennas", "--threads", "--trials"])
     def test_flag_named(self, flag, capsys):
         code, stdout, err = run_cli(TestSeedRange.ARGVS[0] + [flag, "0"], capsys)
         assert code == 1 and stdout == ""
         assert err == f"pamq: {flag} must be >= 1, not 0\n"
+
+    def test_dvo_trials_rejected_before_designing(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "optimize", lambda *a, **k: pytest.fail("designed"))
+        code, stdout, err = run_cli(["dvo", "--joint", "--m", "1", "--bits", "3", "--antennas",
+                                     "2", "--trials", "0", "--window", "20:60"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "pamq: --trials must be >= 1, not 0\n"
+
+
+class TestOneWriter:
+    """A CSV and a JSON command write the same bytes to stdout and to --out, with
+    LF line endings."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sep", "--snr-db", "0:10:40"],
+        ["simulate", "--snr-db", "10,20", "--trials", "2000"],
+        ["floor"],
+    ], ids=["sep", "simulate", "floor"])
+    def test_stdout_is_out_file(self, argv, tmp_path, capsys):
+        argv = argv + ["--m", "1", "--bits", "2", "--constellation", "1,3", "--q", "1.5"]
+        out = tmp_path / "out"
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0 and run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == stdout.encode()
+        assert "\r" not in stdout
 
 
 class TestFloorCommand:

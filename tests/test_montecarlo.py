@@ -16,8 +16,8 @@ from pamq import (
     sep_noiseless,
     simulate,
     simulate_noiseless,
-    write_csv,
 )
+from pamq.cli import main
 from pamq.system import _schedule_q1
 
 C13 = Constellation((1.0, 3.0))
@@ -263,7 +263,11 @@ class TestCsv:
     def test_columns_and_round_trip(self, tmp_path):
         path = tmp_path / "mc.csv"
         ests = simulate(make_spec(snr_db=(5.0, 10.0), trials=20_000))
-        write_csv(ests, path)
+        assert main([
+            "simulate", "--m", "1", "--bits", "2", "--constellation", "1,3",
+            "--q", repr(Q1_STAR), "--snr-db", "5,10", "--trials", "20000", "--seed", "11",
+            "--out", str(path),
+        ]) == 0
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == [

@@ -545,6 +545,13 @@ class TestFloorGeometric:
         low = -math.expm1(-(0.01 / Constellation.geometric(0.3, 4).amplitudes[1]) ** 2)
         assert vals[0] == vals[1] == pytest.approx(0.5 * low, rel=1e-13)
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("bits", [1025, 2000])
+    def test_bits_past_float_range(self, bits, uniform):
+        # K = 2^(b-1) - 1 no longer converts to a float: q_K is +inf
+        at = [floor_geometric(0.3, 4, 0.1, RAYLEIGH, b, uniform=uniform) for b in (60, bits)]
+        assert at[1] == at[0]
+
     @pytest.mark.parametrize("rho, M, q1, m, omega, bits, uniform, value", [
         # values of the tail formula floor_geometric used before it called floor_bounds
         (0.3, 4, 0.05, 1, 1.0, 3, False, 0.013261507367351022),
