@@ -57,15 +57,25 @@ def _arange(start, stop, step, flag, text, cap):
     return grid
 
 
+def _snr_db_ok(values):
+    """Whether each dB value is a linear SNR in (0, inf): no underflow to 0, no overflow."""
+    try:
+        return all(0.0 < 10.0 ** (v / 10.0) < math.inf for v in values)
+    except OverflowError:
+        return False
+
+
 def _parse_grid(text):
-    """SNR grid in dB: 'start:step:stop', a comma list, or one number, each finite:
-    the noiseless limit is --noiseless, not an infinite SNR."""
+    """SNR grid in dB: 'start:step:stop', a comma list, or one number. Each point is
+    finite (the noiseless limit is --noiseless) and at a linear SNR in (0, inf)."""
     grid = ":" in text
     if grid and text.count(":") != 2:
         raise ValidationError(f"bad grid {text!r}, want start:step:stop")
     values = _parse_floats(text, "--snr-db", ":" if grid else ",")
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"--snr-db must be finite, not {text!r}")
+    if not _snr_db_ok(values[::2] if grid else values):
+        raise ValidationError(f"bad --snr-db {text!r}, want each point at 0 < SNR < inf")
     if not grid:
         return values
     start, step, stop = values
@@ -78,9 +88,9 @@ def _parse_window(text):
     """Fit window 'lo:hi' in dB with lo < hi, each end at a linear SNR in (0, inf)."""
     try:
         lo, hi = (float(p) for p in text.split(":"))
-        if lo < hi and 0.0 < 10.0 ** (lo / 10.0) and 10.0 ** (hi / 10.0) < math.inf:
+        if lo < hi and _snr_db_ok((lo, hi)):
             return lo, hi
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     raise ValidationError(f"bad --window {text!r}, want lo:hi in dB with lo < hi, 0 < SNR < inf")
 

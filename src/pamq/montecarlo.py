@@ -9,18 +9,19 @@ A batch of n draws, in this order: n symbol magnitudes
 ``integers(1, M/2 + 1)``; n signs ``integers(0, 2) * 2 - 1``, which are
 the values of ``choice([-1, 1])`` and leave the stream where it does; an
 (n, n_r) array of gamma fades; and, when the noise variance is positive,
-an (n, n_r) array of normals.
+an (n, n_r) array of normals. An SNR point of +inf is the noiseless
+limit: its noise variance is 0, so it draws no normals.
 """
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import midpoint_batch, quantize_batch, simo_batch
 from .system import _check_count, sigma2_from_snr
 
-__all__ = ["SimSpec", "SimEstimate", "simulate", "simulate_noiseless"]
+__all__ = ["SimSpec", "SimEstimate", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,30 @@ def _run_batch(args):
     return int(np.count_nonzero(decided != sym_id))
 
 
-def _count_errors(spec, sigma2s, workers):
-    """Error count at each noise variance in sigma2s.
+def simulate(spec, workers=1):
+    """Simulate the SEP at every SNR point of the spec, with the midpoint
+    rule for n_r = 1 and the product-likelihood rule otherwise.
+
+    An snr_db of +inf is the noiseless limit: sigma2 = 0, and the detector
+    input is |h| x exactly. It wants n_r = 1, as the product-likelihood
+    rule needs sigma2 > 0. Every other point must pass sigma2_from_snr.
 
     The batches of every point go through one process pool of at most
     one worker per batch (or plain map for one worker); counts are summed
     by point.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_count(workers, "workers", 1)
+    if math.inf in spec.snr_db and spec.n_r > 1:
+        raise ValueError(f"an snr_db of +inf wants n_r = 1, not n_r = {spec.n_r}")
     amps = np.asarray(spec.constellation.amplitudes)
     bounds = np.asarray(spec.quantizer.positive_boundaries)
     ch = spec.channel
+    sigma2s = [0.0 if s == math.inf else sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0))
+               for s in spec.snr_db]
     sizes = [min(spec.batch_size, spec.trials - done)
              for done in range(0, spec.trials, spec.batch_size)]
-    args = [
-        (amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch)
-        for point, sigma2 in enumerate(sigma2s)
-        for batch, n in enumerate(sizes)
-    ]
+    args = [(amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch)
+            for point, sigma2 in enumerate(sigma2s) for batch, n in enumerate(sizes)]
     # the pool starts all its workers at once: start none that would idle
     workers = min(workers, len(args))
     if workers > 1:
@@ -120,22 +126,5 @@ def _count_errors(spec, sigma2s, workers):
             counts = list(pool.map(_run_batch, args))
     else:
         counts = list(map(_run_batch, args))
-    return [sum(counts[i:i + len(sizes)]) for i in range(0, len(counts), len(sizes))]
-
-
-def simulate(spec, workers=1):
-    """Simulate the SEP at every SNR point of the spec, with the midpoint
-    rule for n_r = 1 and the product-likelihood rule otherwise."""
-    sigma2s = [sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0)) for s in spec.snr_db]
-    errs = _count_errors(spec, sigma2s, workers)
+    errs = [sum(counts[i:i + len(sizes)]) for i in range(0, len(counts), len(sizes))]
     return [SimEstimate(s, spec.trials, e) for s, e in zip(spec.snr_db, errs)]
-
-
-def simulate_noiseless(spec, workers=1):
-    """Noiseless (sigma2 = 0) variant: detector input is |h| x exactly.
-
-    Returns a single estimate from one antenna; the spec's snr grid and
-    n_r are ignored.
-    """
-    (errs,) = _count_errors(replace(spec, n_r=1), [0.0], workers)
-    return SimEstimate(math.inf, spec.trials, errs)

@@ -305,6 +305,28 @@ class TestNonFiniteSnr:
         assert err == f"pamq: --snr-db must be finite, not {snr_db!r}\n"
 
 
+class TestSnrRange:
+    # 4000 dB overflowed (exit 2, naming no flag), -4000 dB underflowed to a
+    # zero SNR (exit 1, naming no flag), and a 4000 dB grid warned from NumPy
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sep", "optimize", "simulate", "compare-aqnm"])
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000", "10,4000", "4000:1:4000",
+                                        "-4000:1:0", "0:1:4000"])
+    def test_rejected_with_flag_named(self, command, snr_db, capsys):
+        extra = {"optimize": [], "simulate": ["--q", "1.5", "--trials", "100"]}
+        code, stdout, err = run_cli([
+            command, "--m", "1", "--bits", "2", "--constellation", "1,3", f"--snr-db={snr_db}",
+        ] + extra.get(command, ["--q", "1.5"]), capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"pamq: bad --snr-db {snr_db!r}, want each point at 0 < SNR < inf\n"
+
+    def test_extreme_finite_snr_kept(self, capsys):
+        # 300 dB and -300 dB are linear SNRs in (0, inf): parsed, not rejected
+        code, stdout, _ = run_cli(["sep", "--m", "1", "--bits", "2", "--constellation", "1,3",
+                                   "--q", "1.5", "--snr-db=-300,300"], capsys)
+        assert code == 0 and len(stdout.splitlines()) == 3
+
+
 class TestMalformedNumbers:
     # a list flag's part that is no number: the error names the flag and its text
     @pytest.mark.parametrize("flag,text,part", [
@@ -356,10 +378,11 @@ class TestGridSize:
         assert err == "pamq: --snr-db '10:1:0' holds no point: its stop is below its start\n"
 
     def test_cap_is_inclusive(self):
+        # quarter-dB steps keep both ends at a finite linear SNR (a 9999 dB end overflows)
         n = cli._MAX_GRID_POINTS
-        assert len(cli._parse_grid(f"0:1:{n - 1}")) == n
-        with pytest.raises(cli.ValidationError, match="--snr-db"):
-            cli._parse_grid(f"0:1:{n}")
+        assert len(cli._parse_grid(f"0:0.25:{(n - 1) / 4}")) == n
+        with pytest.raises(cli.ValidationError, match="--snr-db .* asks for more than"):
+            cli._parse_grid(f"0:0.25:{n / 4}")
 
 
 class TestConfigAndErrors:

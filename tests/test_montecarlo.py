@@ -1,6 +1,8 @@
 """Link-level Monte Carlo: reproducibility, calibration against the
-analytic SEP, noiseless mode, and the multi-antenna path."""
+analytic SEP, the noiseless limit (an SNR of +inf), and the
+multi-antenna path."""
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from pamq import (
     sep_closed_form,
     sep_noiseless,
     simulate,
-    simulate_noiseless,
 )
 from pamq.cli import main
 from pamq.system import _schedule_q1
@@ -52,10 +53,17 @@ class TestDeterminism:
         assert [e.errors for e in a] == [e.errors for e in b]
 
     def test_worker_count_invariance_noiseless(self):
-        spec = make_spec(trials=300_000, batch_size=50_000)
-        a = simulate_noiseless(spec, workers=1)
-        b = simulate_noiseless(spec, workers=2)
-        assert a.errors == b.errors
+        spec = make_spec(snr_db=(math.inf,), trials=300_000, batch_size=50_000)
+        a = simulate(spec, workers=1)
+        b = simulate(spec, workers=2)
+        assert a == b
+
+    def test_mixed_finite_and_noiseless_grid(self):
+        spec = make_spec(snr_db=(10.0, math.inf), trials=60_000, batch_size=25_000)
+        a = simulate(spec, workers=1)
+        assert a == simulate(spec, workers=2)
+        assert a[0] == simulate(make_spec(snr_db=(10.0,), trials=60_000, batch_size=25_000))[0]
+        assert a[1].snr_db == math.inf
 
     def test_rerun_reproduces(self):
         spec = make_spec(trials=200_000, batch_size=30_000)
@@ -109,9 +117,9 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("name", list(NOISELESS))
     def test_noiseless(self, name):
-        spec = make_spec(snr_db=(0.0,), trials=60_000, seed=22, batch_size=25_000,
+        spec = make_spec(snr_db=(math.inf,), trials=60_000, seed=22, batch_size=25_000,
                          **self.SYSTEMS[name])
-        assert simulate_noiseless(spec).errors == self.NOISELESS[name]
+        assert [e.errors for e in simulate(spec)] == [self.NOISELESS[name]]
 
     def test_sign_draw_is_choice_stream(self):
         # the batch draws signs as integers(0, 2) * 2 - 1; this must stay
@@ -147,6 +155,24 @@ class TestSpecValidation:
         # trials=True once ran one trial and wrote True in the CSV
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             make_spec(**{field: value})
+
+    def test_noiseless_wants_one_antenna(self):
+        # the product-likelihood rule divides by the noise standard deviation
+        with pytest.raises(ValueError, match="n_r = 2"):
+            simulate(make_spec(snr_db=(10.0, math.inf), n_r=2, trials=10))
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan, -4000.0, 4000.0])
+    def test_other_snr_edges_raise(self, snr_db):
+        with pytest.raises((ValueError, OverflowError)):
+            simulate(make_spec(snr_db=(snr_db,), trials=10))
+
+    @pytest.mark.parametrize("workers,error", [
+        (2.5, TypeError), (True, TypeError), (0, ValueError),
+    ])
+    def test_rejects_bad_workers(self, workers, error):
+        # workers=2.5 once failed inside the process pool, and True ran
+        with pytest.raises(error, match="workers must be"):
+            simulate(make_spec(trials=10), workers=workers)
 
     def test_numpy_integers_accepted(self):
         spec = make_spec(trials=np.int64(1000), n_r=np.int32(2), seed=np.uint8(3))
@@ -186,7 +212,7 @@ class TestPoolSize:
     def test_one_batch_runs_in_process(self, made):
         spec = make_spec(trials=10)
         simulate(spec, workers=64)
-        simulate_noiseless(spec, workers=8)
+        simulate(make_spec(snr_db=(math.inf,), trials=10), workers=8)
         assert made == []
 
     def test_fewer_workers_than_batches_kept(self, made):
@@ -231,8 +257,8 @@ class TestSimo:
 
 class TestNoiseless:
     def test_matches_analytic_floor(self):
-        spec = make_spec(trials=10**6)
-        est = simulate_noiseless(spec)
+        spec = make_spec(snr_db=(math.inf,), trials=10**6)
+        (est,) = simulate(spec)
         exact = sep_noiseless(C13, spec.quantizer, RAYLEIGH).value
         assert abs(est.sep_hat - exact) < 3 * est.stderr
 
@@ -240,7 +266,7 @@ class TestNoiseless:
         # every observation saturates: only the top symbol of each half
         # is ever decided, so half the transmissions are lost
         q = Quantizer((1e-6,), bits=2)
-        est = simulate_noiseless(make_spec(quantizer=q, trials=400_000))
+        (est,) = simulate(make_spec(snr_db=(math.inf,), quantizer=q, trials=400_000))
         exact = sep_noiseless(C13, q, RAYLEIGH).value
         assert exact == pytest.approx(0.5, abs=1e-5)
         assert abs(est.sep_hat - exact) < 3 * est.stderr
@@ -252,9 +278,10 @@ class TestNoiseless:
         spec = make_spec(
             constellation=Constellation.geometric(rho, 4),
             quantizer=Quantizer(bounds, bits=3),
+            snr_db=(math.inf,),
             trials=400_000,
         )
-        est = simulate_noiseless(spec)
+        (est,) = simulate(spec)
         bound = floor_geometric(rho, 4, q1, RAYLEIGH, bits=3)
         assert est.sep_hat <= bound + 3 * est.stderr
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Median microseconds per call of each link of the SEP chain.
+"""Median microseconds per call of each link of the SEP and Monte Carlo chains.
 
 Usage:
     PYTHONPATH=src python3 tools/microbench.py
@@ -17,7 +17,13 @@ block's time divided by its call count, after one untimed warm-up call:
 - one evaluation of the design objective (SEP and theta-gradient) of a joint
   2-bit 4-PAM design at 30 dB, Rayleigh fading;
 - scipy's L-BFGS-B cost per objective evaluation, on a 3-variable quadratic
-  whose own time is subtracted.
+  whose own time is subtracted;
+- the links of one Monte Carlo batch of 200 000 rows (the perfbench `mc`
+  workload's batch size) at 5 and 25 dB: 4-PAM {1, 3}, a 2-bit quantizer
+  with q_1 = 1.6, Rayleigh fading. They are the draw (`_draw`) of symbols,
+  fades and noise at one antenna, `quantize_batch`, `midpoint_batch`,
+  `simo_batch` at two antennas on its own draw, and the error-count
+  reduction.
 
 The first lines give the interpreter and library versions and the machine.
 """
@@ -31,12 +37,14 @@ import numpy as np
 import scipy
 from scipy import optimize as sciopt
 
-from pamq.detector import decision_region
+from pamq.detector import decision_region, midpoint_batch, quantize_batch, simo_batch
+from pamq.montecarlo import _draw
 from pamq.optimizer import DesignProblem, _objective
 from pamq.sep import h_function_quad, sep_closed_form, sep_quadrature
 from pamq.system import ChannelModel, Constellation, Quantizer, sigma2_from_snr
 
 REPEAT = 15
+MC_BATCH = 200_000
 
 
 def median_us(fn, number):
@@ -66,6 +74,26 @@ def lbfgsb_us():
     return total - median_us(lambda: quadratic(x0), 2000)
 
 
+def mc_rows(snr_db):
+    """(name, microseconds) of each Monte Carlo link, one MC_BATCH-row batch at snr_db."""
+    c = Constellation((1.0, 3.0))
+    amps, bounds = np.asarray(c.amplitudes), np.array([1.6])
+    sigma2 = sigma2_from_snr(c, 10.0 ** (snr_db / 10.0))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0, spawn_key=(0, 0))))
+    sym_id, h, r = _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 1)
+    yq = quantize_batch(bounds, r)
+    decided = midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])
+    _, h2, r2 = _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 2)
+    yq2 = quantize_batch(bounds, r2)
+    links = (("_draw", lambda: _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 1)),
+             ("quantize_batch", lambda: quantize_batch(bounds, r)),
+             ("midpoint_batch", lambda: midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])),
+             ("simo_batch n_r=2", lambda: simo_batch(amps, bounds, h2, yq2, sigma2)),
+             ("error count", lambda: np.count_nonzero(decided != sym_id)))
+    return [(f"{name}, {MC_BATCH // 1000}k rows, {snr_db:g} dB", median_us(fn, 1))
+            for name, fn in links]
+
+
 def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {platform.machine()}, {os.cpu_count()} CPUs")
@@ -88,6 +116,8 @@ def main():
     theta = np.array([0.1, -0.3, 0.7])
     rows.append(("objective, joint 2-bit 4-PAM, 30 dB", median_us(lambda: f(theta), 500)))
     rows.append(("L-BFGS-B per evaluation", lbfgsb_us()))
+    for snr_db in (5.0, 25.0):
+        rows += mc_rows(snr_db)
     for name, us in rows:
         print(f"{name:40s} {us:10.2f} us")
 
