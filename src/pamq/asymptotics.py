@@ -93,8 +93,9 @@ def dvo_experiment(m, b, M, n_r, snr_db_grid, *, uniform=False, budget=10**6, se
     quantizer or with the uniform step (uniform=True).
 
     Per SNR point the constellation and quantizer are re-optimized with a
-    continuation warm start; the SEP is evaluated in closed form (n_r = 1)
-    or by Monte Carlo with the optimized single-antenna design (n_r > 1).
+    continuation warm start. The SEP is the design's recorded objective value
+    (n_r = 1: the closed form for integer m, quadrature otherwise), or by Monte
+    Carlo with the optimized single-antenna design (n_r > 1).
     Returns (DvoEstimate, theory_value).
     """
     theory = dvo_theory(m, b, M, uniform=uniform, n_r=n_r)

@@ -4,6 +4,8 @@ A DesignProblem designs the quantizer for the constellation it is given, or
 jointly with the amplitudes when it is given none. With uniform=True the
 quantizer is one uniform step, q_y = y * step; otherwise its boundaries are free.
 Its init, a checked (Constellation, Quantizer) pair, is one more start, run first.
+Its snr (linear; None for noiseless) is stored as a Python float, also by replace(),
+so every design runs the SEP series on Python floats, whatever grid it comes from.
 
 Multi-start L-BFGS-B over an unconstrained parameterization: ordered
 boundaries (and amplitudes) are running sums of softplus increments, and joint
@@ -74,8 +76,10 @@ class DesignProblem:
         if self.constellation is not None and self.constellation.M != self.M:
             raise ValueError(f"M {self.M} disagrees with constellation size "
                              f"{self.constellation.M}")
-        if self.snr is not None and not 0 < self.snr < math.inf:
-            raise ValueError("snr must be positive and finite (or None for noiseless)")
+        if self.snr is not None:
+            if not 0 < self.snr < math.inf:
+                raise ValueError("snr must be positive and finite (or None for noiseless)")
+            object.__setattr__(self, "snr", float(self.snr))
         _check_size(self.M)
         _boundary_count(self.bits)
         if not 1 <= self.n_starts <= _SCHEDULE_SIZE:

@@ -27,7 +27,7 @@ from .detector import _region_bounds
 from .specfun import (SQRT2, SQRT_2PI, _q_float, lower_gamma_reg, moment_primitive,
                       upper_gamma_reg)
 from .system import (Constellation, _boundary_count, _check_shape, _family_levels,
-                     _geometric_boundary, _sigma2, symbol_energy)
+                     _geometric_boundary, _sigma2, sigma2_from_snr, symbol_energy)
 
 __all__ = [
     "SepResult",
@@ -52,16 +52,10 @@ LLOYD_MAX_TOL = 1e-14  # stop once no level moves by this much
 
 @dataclass(frozen=True)
 class SepResult:
-    value: float
+    value: float  # in [0, 1]: every engine passes it through _clamp_probability
     method: str  # closed_form | quadrature | noiseless | bound_upper | bound_lower | aqnm
     abs_error_est: float = 0.0
     converged: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("SEP outside [0, 1]")
-        if self.abs_error_est < 0.0:
-            raise ValueError("negative error estimate")
 
 
 def _clamp_probability(p):
@@ -439,11 +433,12 @@ def floor_geometric(rho, M, q1, ch, bits, *, uniform=False):
 
 
 def sep_aqnm(c, snr, alpha):
-    """Linearized quantization-noise baseline SEP."""
+    """Linearized quantization-noise baseline SEP. Its noise variance is
+    sigma2_from_snr's, so snr must be positive and finite as in every noisy engine."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     es = symbol_energy(c)
-    sigma2 = es / snr
+    sigma2 = sigma2_from_snr(c, snr)
     sinr = alpha * es / (sigma2 + (1.0 - alpha) * es)
     val = (c.M - 1.0) / c.M * (1.0 - math.sqrt(sinr / (es + sinr)))
     return SepResult(_clamp_probability(val), "aqnm")

@@ -75,8 +75,7 @@ def _family_levels(M, bits, uniform):
     """Quantizer levels of the geometric design family, b >= 2: 2^b with matching-ratio
     boundaries, or 4 for the uniform step, derived for M = 4 only; more than M - 2."""
     _check_size(M)
-    if bits < 2:
-        raise ValueError("bits must be >= 2")
+    _boundary_count(bits, max_bits=math.inf)
     if uniform and M != 4:
         raise ValueError("the uniform step is derived for M = 4 only")
     levels = 4 if uniform else 2**bits
@@ -114,11 +113,7 @@ class Constellation:
     def __post_init__(self):
         amps = _as_tuple(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if len(amps) < 2:
-            raise ValueError("need at least 2 positive amplitudes (M >= 4)")
-        m = 2 * len(amps)
-        if m & (m - 1):
-            raise ValueError("M = 2 * len(amplitudes) must be a power of 2")
+        _check_size(2 * len(amps))
         _check_levels(amps, "amplitudes")
 
     @property

@@ -2,7 +2,7 @@
 designs, the geometric-ratio diagnostics, and the analytic schedule
 minimizer."""
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -120,6 +120,13 @@ class TestStructure:
         with pytest.raises(ValueError, match="snr must be positive and finite"):
             quantizer_problem(snr=snr)
 
+    def test_snr_stored_as_python_float(self):
+        # a NumPy scalar from an np.arange grid is stored as a float, also after replace
+        p = quantizer_problem(snr=np.float64(100.0))
+        assert type(p.snr) is float
+        assert type(replace(p, seed=1).snr) is float
+        assert type(replace(p, snr=np.float64(10.0)).snr) is float
+
     def test_seed_non_negative(self):
         # once accepted here, then refused by NumPy inside the design
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -203,6 +210,12 @@ class TestSweep:
         designs = optimize_sweep(p, self.GRID)
         assert designs == _continuation(p, self.GRID)
         assert [r.starts_used for r in designs] == [3, 3, 3]
+
+    def test_numpy_grid_matches_float_grid(self):
+        # the np.arange grid that the CLI and acceptance 8 pass, against its Python floats
+        p = quantizer_problem(bits=3, n_starts=2, seed=3)
+        grid = np.arange(20.0, 27.5 + 1e-9, 2.5)
+        assert optimize_sweep(p, grid) == optimize_sweep(p, grid.tolist())
 
 
 class TestInit:

@@ -585,6 +585,12 @@ class TestAqnm:
         with pytest.raises(ValueError):
             sep_aqnm(C13, 10.0, 1.2)
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, math.nan, math.inf])
+    def test_snr_positive_and_finite(self, snr):
+        # the noise variance comes from sigma2_from_snr, as in every noisy engine
+        with pytest.raises(ValueError, match="SNR must be positive and finite"):
+            sep_aqnm(C13, snr, 0.9)
+
     def test_lloyd_max_known_table(self):
         # classic minimum-distortion Gaussian quantizer gains
         for bits, alpha in ((1, 0.6366), (2, 0.8825), (3, 0.96546), (4, 0.990503)):

@@ -18,6 +18,11 @@ block's time divided by its call count, after one untimed warm-up call:
   2-bit 4-PAM design at 30 dB, Rayleigh fading;
 - scipy's L-BFGS-B cost per objective evaluation, on a 3-variable quadratic
   whose own time is subtracted;
+- one `optimize` call on the perfbench `design` workload's `omega1` problem:
+  4-PAM {1, 3}, a 2-bit quantizer, Rayleigh fading, 10 dB, 8 starts, seed 0;
+- one `dvo_experiment` of that workload's dvo op: m = 1, 2 bits, 4-PAM, one
+  antenna, seed 0, on the grid np.arange(20, 50 + 1e-9, 2.5) that `pamq dvo
+  --window 20:50` passes;
 - the links of one Monte Carlo batch of 200 000 rows (the perfbench `mc`
   workload's batch size) at 5 and 25 dB: 4-PAM {1, 3}, a 2-bit quantizer
   with q_1 = 1.6, Rayleigh fading. They are the draw (`_draw`) of symbols,
@@ -37,9 +42,10 @@ import numpy as np
 import scipy
 from scipy import optimize as sciopt
 
+from pamq.asymptotics import dvo_experiment
 from pamq.detector import decision_region, midpoint_batch, quantize_batch, simo_batch
 from pamq.montecarlo import _draw
-from pamq.optimizer import DesignProblem, _objective
+from pamq.optimizer import DesignProblem, _objective, optimize
 from pamq.sep import h_function_quad, sep_closed_form, sep_quadrature
 from pamq.system import ChannelModel, Constellation, Quantizer, sigma2_from_snr
 
@@ -116,6 +122,12 @@ def main():
     theta = np.array([0.1, -0.3, 0.7])
     rows.append(("objective, joint 2-bit 4-PAM, 30 dB", median_us(lambda: f(theta), 500)))
     rows.append(("L-BFGS-B per evaluation", lbfgsb_us()))
+    p = DesignProblem(ChannelModel(1), 4, 2, snr=10.0, constellation=Constellation((1.0, 3.0)),
+                      n_starts=8, seed=0)
+    rows.append(("optimize, omega1 design, 10 dB", median_us(lambda: optimize(p), 1)))
+    grid = np.arange(20.0, 50.0 + 1e-9, 2.5)
+    rows.append(("dvo_experiment (1,2,4), 20-50 dB",
+                 median_us(lambda: dvo_experiment(1, 2, 4, 1, grid, seed=0), 1)))
     for snr_db in (5.0, 25.0):
         rows += mc_rows(snr_db)
     for name, us in rows:

@@ -16,7 +16,9 @@ row of the same invocation in FILE, and the script exits 1 and lists the
 rows that differ. The committed table is tools/output_bytes.md.
 
 The invocations are the six README examples, acceptance criteria 9 and 10,
-the seven calls of the perfbench `design` workload, three designs with the
+the seven calls of the perfbench `design` workload, the `quantizer3` call
+again with its SNR as a one-point start:step:stop grid, whose point is a
+NumPy scalar, three designs with the
 uniform-step quantizer (fixed and joint `optimize`, joint `dvo`), the
 2-antenna 1-worker call of the `mc` workload at seed 1, copied here, and
 two more multi-antenna calls: 8-PAM at 3 antennas, and 4-PAM at 2
@@ -77,6 +79,8 @@ INVOCATIONS = [
       for omega in (0.5, 1.0, 2.0)),
     ("design.optimize.quantizer3", ["optimize", "--bits", "3", "--constellation", "1,3",
                                     "--snr-db", "30", "--starts", "4", *_DESIGN]),
+    ("design.optimize.quantizer3_grid", ["optimize", "--bits", "3", "--constellation", "1,3",
+                                         "--snr-db", "30:1:30", "--starts", "4", *_DESIGN]),
     ("design.optimize.joint3", ["optimize", "--joint", "--bits", "3", "--snr-db", "30",
                                 "--starts", "4", *_DESIGN]),
     ("design.dvo.joint2", ["dvo", "--joint", "--bits", "2", "--window", "20:50", *_DESIGN]),
