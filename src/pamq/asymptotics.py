@@ -13,7 +13,7 @@ from .montecarlo import SimSpec, simulate
 from .optimizer import DesignProblem, lemma7_rho_star, optimize_sweep, xg_design
 from .sep import floor_geometric
 from .system import (ChannelModel, Constellation, Quantizer, _boundary_count, _check_count,
-                     _check_shape, _family_levels, _schedule_q1)
+                     _family_levels, _schedule_q1)
 
 __all__ = [
     "DvoEstimate",
@@ -45,9 +45,8 @@ def dvo_theory(m, b, M, *, uniform=False, n_r=1):
     uniform step (uniform=True; M = 4, single antenna only), where it is m / 2.
     The shape m is held to ChannelModel's domain, finite m >= 1/2.
     """
-    _check_shape(m)
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    ChannelModel(m)
+    _check_count(n_r, "n_r", 1)
     if uniform and n_r != 1:
         raise ValueError("uniform decay exponent is single-antenna only")
     levels = _family_levels(M, b, uniform)
@@ -159,7 +158,7 @@ def optimal_floor_log2(m, bits, *, uniform=False):
     high precision, so double-exponentially small floors stay representable at
     any b. m is held to ChannelModel's domain.
     """
-    _check_shape(m)
+    ChannelModel(m)
     k = _boundary_count(bits, max_bits=math.inf)
     with mpmath.workdps(60):
         r2 = (mpmath.mpf(k) if uniform else mpmath.mpf(3) ** (k - 1)) ** 2

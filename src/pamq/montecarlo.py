@@ -8,9 +8,9 @@ the estimate is identical at any worker count.
 A batch of n draws, in this order: n symbol magnitudes
 ``integers(1, M/2 + 1)``; n signs ``integers(0, 2) * 2 - 1``, which are
 the values of ``choice([-1, 1])`` and leave the stream where it does; an
-(n, n_r) array of gamma fades; and, when the noise variance is positive,
-an (n, n_r) array of normals. An SNR point of +inf is the noiseless
-limit: its noise variance is 0, so it draws no normals.
+(n, n_r) array of fades Z, drawn by the channel's ``gains``; and, when the
+noise variance is positive, an (n, n_r) array of normals. An SNR point of
++inf is the noiseless limit: its noise variance is 0, so it draws no normals.
 """
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -57,7 +57,7 @@ class SimEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _draw(rng, amps, m, omega, sigma2, n, n_r):
+def _draw(rng, amps, ch, sigma2, n, n_r):
     """(signed symbol ids, gains (n, n_r), detector inputs (n, n_r)) of one
     batch, drawn in the stream order of the module docstring. Temporaries
     are released before the next draw, to keep a batch's peak memory low."""
@@ -70,8 +70,7 @@ def _draw(rng, amps, m, omega, sigma2, n, n_r):
     x *= sgn
     sym_id *= sgn
     del sgn
-    h = rng.standard_gamma(m, size=(n, n_r))
-    h *= omega / m
+    h = ch.gains(rng, (n, n_r))
     np.sqrt(h, out=h)
     if sigma2 > 0.0:
         r = rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=(n, n_r))
@@ -82,10 +81,10 @@ def _draw(rng, amps, m, omega, sigma2, n, n_r):
 
 
 def _run_batch(args):
-    amps, bounds, m, omega, sigma2, n, n_r, seed, point, batch = args
+    amps, bounds, ch, sigma2, n, n_r, seed, point, batch = args
     ss = np.random.SeedSequence(seed, spawn_key=(point, batch))
     rng = np.random.Generator(np.random.Philox(ss))
-    sym_id, h, r = _draw(rng, amps, m, omega, sigma2, n, n_r)
+    sym_id, h, r = _draw(rng, amps, ch, sigma2, n, n_r)
     yq = quantize_batch(bounds, r)
     del r  # released before the detectors run, as in _draw
     if n_r > 1:
@@ -112,12 +111,11 @@ def simulate(spec, workers=1):
         raise ValueError(f"an snr_db of +inf wants n_r = 1, not n_r = {spec.n_r}")
     amps = np.asarray(spec.constellation.amplitudes)
     bounds = np.asarray(spec.quantizer.positive_boundaries)
-    ch = spec.channel
     sigma2s = [0.0 if s == math.inf else sigma2_from_snr(spec.constellation, 10.0 ** (s / 10.0))
                for s in spec.snr_db]
     sizes = [min(spec.batch_size, spec.trials - done)
              for done in range(0, spec.trials, spec.batch_size)]
-    args = [(amps, bounds, ch.m, ch.omega, sigma2, n, spec.n_r, spec.seed, point, batch)
+    args = [(amps, bounds, spec.channel, sigma2, n, spec.n_r, spec.seed, point, batch)
             for point, sigma2 in enumerate(sigma2s) for batch, n in enumerate(sizes)]
     # the pool starts all its workers at once: start none that would idle
     workers = min(workers, len(args))

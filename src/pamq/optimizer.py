@@ -82,10 +82,7 @@ class DesignProblem:
             object.__setattr__(self, "snr", float(self.snr))
         _check_size(self.M)
         _boundary_count(self.bits)
-        if not 1 <= self.n_starts <= _SCHEDULE_SIZE:
-            raise ValueError(f"n_starts must be 1 to {_SCHEDULE_SIZE}, the size of the "
-                             f"start schedule")
-        _check_count(self.n_starts, "n_starts", 1)
+        _check_count(self.n_starts, "n_starts", 1, _SCHEDULE_SIZE)
         _check_count(self.seed, "seed", 0)
         if self.init is not None:
             cons, quant = self.init
@@ -331,8 +328,8 @@ def check_prop2(result, rho):
 
 def lemma7_rho_star(A, B, C, sigma):
     """Minimizer of (sigma^2 / rho^B)^C + rho^A over rho > 0."""
-    if min(A, B, C, sigma) <= 0:
-        raise ValueError("A, B, C, sigma must be positive")
+    if not all(0 < v < math.inf for v in (A, B, C, sigma)):
+        raise ValueError("A, B, C, sigma must be positive and finite")
     if C >= A + B * C:
         raise ValueError("requires C < A + B*C")
     return (B * C / A) ** (1.0 / (A + B * C)) * (sigma**2) ** (C / (A + B * C))

@@ -3,14 +3,14 @@
 Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
 and the closed-form noiseless limit, plus error-floor bounds and the AQNM
-linearized baseline. Every engine walks the decision regions that can be
-non-empty, planned once per (M/2, K), on float tuples of the amplitudes and
-the quantizer's edges (0, q_1, ..., q_K, inf), which the design objective
-passes straight in. The noisy engines share one region walk (_series_regions),
-the series SEP and its gradient one series (_h_series), and the noiseless SEP
-is its gradient routine's value. The gradient's constants that depend on the
-channel alone (_grad_plan, and the Gamma density) are built once per (m, omega);
-the quadrature's integrand is one closure per call on Python-float constants.
+linearized baseline. Every engine runs one walk (_regions) of the decision
+regions that can be non-empty, planned once per (M/2, K), on float tuples of
+the amplitudes and the quantizer's edges (0, q_1, ..., q_K, inf), which the
+design objective passes straight in; it takes the law of Z at each region end
+once from the channel, which owns that law. The series SEP and its gradient
+share one series (_h_series), and the noiseless SEP is its gradient routine's
+value. The gradient's integer-m constants are built once per (m, omega); the
+quadrature's integrand is one closure per call on the channel's constants.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -24,9 +24,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .detector import _region_bounds
-from .specfun import (SQRT2, SQRT_2PI, _q_float, lower_gamma_reg, moment_primitive,
-                      upper_gamma_reg)
-from .system import (Constellation, _boundary_count, _check_shape, _family_levels,
+from .specfun import SQRT2, SQRT_2PI, _q_float, moment_primitive
+from .system import (ChannelModel, Constellation, _boundary_count, _family_levels,
                      _geometric_boundary, _sigma2, sigma2_from_snr, symbol_energy)
 
 __all__ = [
@@ -55,7 +54,6 @@ class SepResult:
     value: float  # in [0, 1]: every engine passes it through _clamp_probability
     method: str  # closed_form | quadrature | noiseless | bound_upper | bound_lower | aqnm
     abs_error_est: float = 0.0
-    converged: bool = True
 
 
 def _clamp_probability(p):
@@ -72,31 +70,26 @@ def _square(x):
         return math.inf
 
 
-def _gamma_survival(m, omega, z):
-    """P(Z > z) for Z ~ Gamma(m, omega/m); z >= 0 may be +inf. Unchecked."""
-    if math.isinf(z):
-        return 0.0
-    return float(special.gammaincc(m, m * z / omega))
-
-
 def h_function(m, omega, b, c, z_lo, z_hi):
-    """Exact finite-series value of the integral of Q(-c + sqrt(b z)) f_Z(z)
-    over (z_lo, z_hi), for integer m >= 1, omega > 0 and 0 <= z_lo <= z_hi.
+    """Exact finite-series value of the integral of Q(-c + sqrt(b z)) f_Z(z) over
+    (z_lo, z_hi), for integer m >= 1, b, c >= 0, 0 <= z_lo <= z_hi and ChannelModel(m, omega).
 
     c = +inf reduces to the plain Gamma measure of the interval; b = 0
     reduces to Q(-c) times that measure.
     """
     if m < 1 or not float(m).is_integer():
         raise ValueError("closed form requires integer m >= 1")
-    m = int(m)
-    if b < 0 or c < 0:
+    g_lo, g_hi = _end_survivals(ChannelModel(m, omega), b, c, z_lo, z_hi)
+    return 0.0 if z_lo == z_hi else _h_series(int(m), omega, b, c, z_lo, z_hi, g_lo, g_hi)[0]
+
+
+def _end_survivals(ch, b, c, z_lo, z_hi):
+    """(P(Z > z_lo), P(Z > z_hi)) of ch, once b, c >= 0 and 0 <= z_lo <= z_hi are checked."""
+    if not (b >= 0 and c >= 0):  # NaN fails too
         raise ValueError("b and c must be nonnegative")
-    if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
-        raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
-    if z_lo == z_hi:
-        return 0.0
-    return _h_series(m, omega, b, c, z_lo, z_hi,
-                     _gamma_survival(m, omega, z_lo), _gamma_survival(m, omega, z_hi))[0]
+    if not 0.0 <= z_lo <= z_hi:
+        raise ValueError("need 0 <= z_lo <= z_hi")
+    return ch.survival(z_lo), ch.survival(z_hi)
 
 
 def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
@@ -150,35 +143,25 @@ def _h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi):
     return boundary - math.fsum(terms), (u_lo, u_hi, s, expo, f)
 
 
-@functools.lru_cache(maxsize=64)
-def _log_gamma_pdf(m, omega):
-    """The Gamma(m, omega/m) density of a float z on Python-float constants, per (m, omega)."""
-    lg, lead, m1 = float(special.gammaln(m)), m * math.log(m / omega), m - 1.0
-
-    def pdf(z):
-        if z <= 0.0:
-            return 0.0
-        return math.exp(lead + m1 * math.log(z) - m * z / omega - lg)
-
-    return pdf
-
-
 def h_function_quad(m, omega, b, c, z_lo, z_hi):
-    """Adaptive-quadrature value of the same integral, any m >= 1/2.
+    """Adaptive-quadrature value of the same integral, for any ChannelModel(m, omega).
 
     Returns (value, abs_error_estimate). The integration interval is split
     at the transition point z = c^2 / b of the Q factor.
     """
-    _check_shape(m)
-    if not (omega > 0.0 and 0.0 <= z_lo <= z_hi):
-        raise ValueError("need omega > 0 and 0 <= z_lo <= z_hi")
-    if z_lo == z_hi:
-        return 0.0, 0.0
+    ch = ChannelModel(m, omega)
+    g_lo, g_hi = _end_survivals(ch, b, c, z_lo, z_hi)
+    return (0.0, 0.0) if z_lo == z_hi else _h_quad(ch, b, c, z_lo, z_hi, g_lo, g_hi)
+
+
+def _h_quad(ch, b, c, z_lo, z_hi, g_lo, g_hi):
+    """h_function_quad for checked z_lo < z_hi, given the survivals g_lo, g_hi."""
     if math.isinf(c):
-        return _gamma_survival(m, omega, z_lo) - _gamma_survival(m, omega, z_hi), 0.0
-    # _log_gamma_pdf's density and the Q factor inlined: one Python call per node and
+        return g_lo - g_hi, 0.0
+    # ChannelModel.density and the Q factor inlined: one Python call per node and
     # no NumPy scalar in the arithmetic
-    lg, lead, m1 = float(special.gammaln(m)), m * math.log(m / omega), m - 1.0
+    m, omega = ch.m, ch.omega
+    lead, m1, lg = ch._density_terms
 
     def integrand(z):
         if z <= 0.0:
@@ -211,23 +194,30 @@ def _region_plan(half, k):
     return tuple((y, i) for y in range(1, k + 1) for i in range(half)) + ((k + 1, half - 1),)
 
 
-def _series_regions(amps, edges, ch, sigma2):
-    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty decision region of
-    the amplitudes amps and the edges (0, q_1, ..., q_K, inf) at noise variance sigma2: the
-    series' b and its c at the output's two boundaries, and the Gamma survivals at the region's
-    ends, each computed once (an endpoint serves both sides of its region and its neighbours)."""
-    sigma = math.sqrt(sigma2)
-    b = [2.0 * a ** 2 / sigma2 for a in amps]
-    cs = [math.sqrt(2.0) * e / sigma for e in edges]
-    survival = {}
+def _regions(amps, edges, reach, measure):
+    """(y, i, lower, upper, measure(lower), measure(upper)) of each non-empty decision region
+    (noiseless one, for reach) of the amplitudes amps and the edges (0, q_1, ..., q_K, inf),
+    with measure evaluated once per endpoint, which neighbouring regions share."""
+    memo = {}
     for y, i in _region_plan(len(amps), len(edges) - 2):
-        lower, upper = _region_bounds(amps, edges, y, i)
+        lower, upper = _region_bounds(amps, edges, y, i, reach)
         if not lower < upper:
             continue
         for z in (lower, upper):
-            if z not in survival:
-                survival[z] = _gamma_survival(ch.m, ch.omega, z)
-        yield y, i, lower, upper, b[i], cs[y], cs[y - 1], survival[lower], survival[upper]
+            if z not in memo:
+                memo[z] = measure(z)
+        yield y, i, lower, upper, memo[lower], memo[upper]
+
+
+def _series_regions(amps, edges, ch, sigma2):
+    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty decision region at
+    noise variance sigma2: the series' b and its c at the output's two boundaries, and the
+    survivals of Z at the region's ends."""
+    sigma = math.sqrt(sigma2)
+    b = [2.0 * a ** 2 / sigma2 for a in amps]
+    cs = [math.sqrt(2.0) * e / sigma for e in edges]
+    for y, i, lower, upper, g_lo, g_hi in _regions(amps, edges, False, ch.survival):
+        yield y, i, lower, upper, b[i], cs[y], cs[y - 1], g_lo, g_hi
 
 
 def sep_closed_form(c, q, ch, snr):
@@ -252,9 +242,9 @@ def sep_quadrature(c, q, ch, snr):
 def _sep_quadrature(amps, edges, ch, snr):
     """sep_quadrature's (value, abs_error_est) of the float tuples amps and edges."""
     terms, errs, sigma2 = [], [], _sigma2(amps, snr)
-    for _, _, lower, upper, b_i, c_hi, c_lo, _, _ in _series_regions(amps, edges, ch, sigma2):
-        v_hi, e_hi = h_function_quad(ch.m, ch.omega, b_i, c_hi, lower, upper)
-        v_lo, e_lo = h_function_quad(ch.m, ch.omega, b_i, c_lo, lower, upper)
+    for _, _, lower, upper, b_i, c_hi, c_lo, *g in _series_regions(amps, edges, ch, sigma2):
+        v_hi, e_hi = _h_quad(ch, b_i, c_hi, lower, upper, *g)
+        v_lo, e_lo = _h_quad(ch, b_i, c_lo, lower, upper, *g)
         terms.append(v_hi - v_lo)
         errs.append(e_hi + e_lo)
     weight = 2.0 / (2 * len(amps))  # 2 / M
@@ -351,31 +341,22 @@ def _sep_and_grad(amps, edges, ch, snr):
     """sep_and_grad of the float tuples amps and edges = (0, q_1, ..., q_K, inf)."""
     k = len(edges) - 2
     grad_q, grad_rho = [0.0] * k, [0.0] * len(amps)
-    m, omega = ch.m, ch.omega
     weight = -2.0 / (2 * len(amps))  # dSEP / dP(correct), -2 / M
     if snr is None:
-        pdf = _log_gamma_pdf(m, omega)
-        cdf = {0.0: 0.0, math.inf: 1.0}  # P(Z <= z) at each region end, computed once
         total = 0.0
-        for y, i in _region_plan(len(amps), k):
-            lower, upper = _region_bounds(amps, edges, y, i, reach=True)
-            if not lower < upper:
-                continue
-            for z in (lower, upper):
-                if z not in cdf:
-                    cdf[z] = float(special.gammainc(m, m * z / omega))
-            total += cdf[upper] - cdf[lower]
+        for y, i, lower, upper, cdf_lo, cdf_hi in _regions(amps, edges, True, ch.cdf):
+            total += cdf_hi - cdf_lo
             if upper < math.inf:
-                _add_endpoint_grad(grad_q, grad_rho, weight * pdf(upper), upper, amps, edges,
-                                   y, i, True)
+                _add_endpoint_grad(grad_q, grad_rho, weight * ch.density(upper), upper, amps,
+                                   edges, y, i, True)
             if lower > 0.0:
-                _add_endpoint_grad(grad_q, grad_rho, -weight * pdf(lower), lower, amps, edges,
-                                   y, i, False)
+                _add_endpoint_grad(grad_q, grad_rho, -weight * ch.density(lower), lower, amps,
+                                   edges, y, i, False)
         return _clamp_probability(1.0 + weight * total), grad_q, grad_rho
 
     if not ch.integer_m:
         raise ValueError("the noisy gradient requires integer m")
-    plan = _grad_plan(int(m), omega)
+    plan = _grad_plan(int(ch.m), ch.omega)
     sigma2 = _sigma2(amps, snr)
     dc_dq = math.sqrt(2.0) / math.sqrt(sigma2)
     terms = []
@@ -409,9 +390,8 @@ def floor_bounds(c, q, ch):
 
 def _floor_bracket(c, q1, qk, ch):
     """floor_bounds' (f_L, f_U) from q_1 and q_K alone; qk may be +inf."""
-    amps, m, omega = c.amplitudes, ch.m, ch.omega
-    bracket = (float(lower_gamma_reg(m, m * _square(q1 / amps[1]) / omega))
-               + float(upper_gamma_reg(m, m * _square(qk / amps[-2]) / omega)))
+    amps = c.amplitudes
+    bracket = ch.cdf(_square(q1 / amps[1])) + ch.survival(_square(qk / amps[-2]))
     f_l = _clamp_probability(2.0 / c.M * bracket)
     # the raw upper bound can exceed 1 (vacuous); 1 is still a valid bound
     return f_l, _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))
@@ -421,8 +401,8 @@ def floor_geometric(rho, M, q1, ch, bits, *, uniform=False):
     """floor_bounds' upper bound on the noiseless SEP of Constellation.geometric(rho, M)
     with boundaries q_y = q_1 / rho^(y-1), the noiseless optimality condition, or with
     the uniform step q1. It forms only q_1 and q_K, so b is not held to MAX_BITS."""
-    if q1 <= 0:
-        raise ValueError("q1 must be positive")
+    if not 0 < q1 < math.inf:
+        raise ValueError("q1 must be positive and finite")
     _family_levels(M, bits, uniform)
     k = _boundary_count(bits, max_bits=math.inf)
     try:

@@ -1,8 +1,8 @@
 """Scalar special functions used by the error-probability engines.
 
 Pure functions of real scalars (q_func and the incomplete gamma pair also
-broadcast over ndarrays); the SEP engines' inner loops skip their checks and
-call scipy.special and moment_primitive directly. Incomplete gamma functions
+broadcast over ndarrays); the SEP engines call _q_float and moment_primitive
+unchecked, and take the fade's law from ChannelModel. Incomplete gamma functions
 follow the integrand t^(m-1) e^(-t); the regularized pair sums to 1.
 """
 import math

@@ -1,5 +1,6 @@
 """Data model: PAM constellations (equidistant, geometric or given), symmetric
-quantizers, fading channel, and the geometric design family's one rule.
+quantizers, the fading channel, which owns the law of the fade Z, and the
+geometric design family's one rule.
 
 All amplitudes and boundaries are dimensionless and stored raw; unit-energy
 normalization is always an explicit step, never implicit. Types are frozen
@@ -11,6 +12,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "Constellation",
@@ -43,19 +45,13 @@ def _check_size(M):
         raise ValueError("M must be a power of 2, M >= 4")
 
 
-def _check_count(value, name, low):
-    """Reject a count or seed that is not an integer >= low; a bool is not
-    a count."""
+def _check_count(value, name, low, high=math.inf):
+    """Reject a count or seed that is not an integer (a bool is not one) from low to high."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, not {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-
-
-def _check_shape(m):
-    """Reject a Nakagami shape m that is not finite and >= 1/2."""
-    if not 0.5 <= m < math.inf:
-        raise ValueError("Nakagami shape m must be finite and >= 1/2")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be >= {low}" if high == math.inf
+                         else f"{name} must be {low} to {high}")
 
 
 def _geometric_scale(rho, M):
@@ -186,21 +182,51 @@ class Quantizer:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Nakagami-m amplitude fading: |h| ~ Nakagami(m, omega), so
-    Z = |h|^2 ~ Gamma(m, omega/m).
-    """
+    """Nakagami-m fading, |h| ~ Nakagami(m, omega), so Z = |h|^2 ~ Gamma(m, omega/m): every
+    engine evaluates and draws Z's law here, on an unchecked float z >= 0 (+inf included)."""
 
     m: float
     omega: float = 1.0
 
     def __post_init__(self):
-        _check_shape(self.m)
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError("Nakagami shape m must be finite and >= 1/2")
         if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
 
     @property
     def integer_m(self):
         return float(self.m).is_integer()
+
+    def survival(self, z):
+        """P(Z > z), 0 at +inf without a scipy call."""
+        return float(special.gammaincc(self.m, self.m * z / self.omega)) if z < math.inf else 0.0
+
+    def cdf(self, z):
+        """P(Z <= z), 0 at z = 0 and 1 at +inf without a scipy call."""
+        if 0.0 < z < math.inf:
+            return float(special.gammainc(self.m, self.m * z / self.omega))
+        return 0.0 if z == 0.0 else 1.0
+
+    @functools.cached_property
+    def _density_terms(self):
+        """(m ln(m/omega), m - 1, ln Gamma(m)) of ln f_Z, computed once per channel."""
+        return self.m * math.log(self.m / self.omega), self.m - 1.0, float(special.gammaln(self.m))
+
+    def density(self, z):
+        """f_Z(z); at z = 0 its limit, m/omega for m = 1 and +inf for m < 1."""
+        lead, m1, lg = self._density_terms
+        if 0.0 < z < math.inf:
+            return math.exp(lead + m1 * math.log(z) - self.m * z / self.omega - lg)
+        if z == 0.0 and m1 <= 0.0:
+            return math.exp(lead - lg) if m1 == 0.0 else math.inf
+        return 0.0
+
+    def gains(self, rng, shape):
+        """An array of draws of Z of the given shape from the NumPy Generator rng."""
+        z = rng.standard_gamma(self.m, size=shape)
+        z *= self.omega / self.m
+        return z
 
 
 def _sum_squares(values):

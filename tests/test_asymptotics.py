@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pamq import asymptotics
+from pamq import asymptotics, optimizer
 from pamq import (
     ChannelModel,
     Constellation,
@@ -47,6 +47,15 @@ class TestDvoTheory:
         for n_r in (0, -1):
             with pytest.raises(ValueError):
                 dvo_theory(1, 2, 4, n_r=n_r)
+
+    @pytest.mark.parametrize("n_r", [2.5, True])
+    def test_antenna_count_is_an_integer(self, n_r, monkeypatch):
+        # once 1.25 and 1/2; dvo_experiment ran its whole sweep before SimSpec refused it
+        with pytest.raises(TypeError, match="n_r must be an integer"):
+            dvo_theory(1, 2, 4, n_r=n_r)
+        monkeypatch.setattr(optimizer, "optimize", lambda *a, **k: pytest.fail("designed"))
+        with pytest.raises(TypeError, match="n_r must be an integer"):
+            dvo_experiment(1, 2, 4, n_r, [20.0, 25.0, 30.0, 35.0], budget=1000)
 
     @pytest.mark.parametrize("m", [-1, 0, 0.25, 0.4999, math.inf, math.nan])
     def test_shape_domain(self, m):

@@ -1,8 +1,9 @@
-"""Tooling: no module in src/, tests/ or demos/ imports a name at module
-level that it never reads. Package ``__init__.py`` files and names listed
-in a module's ``__all__`` are re-exports and are exempt. And no private
+"""Tooling: no module in src/, tests/, demos/ or tools/ imports a name at
+module level that it never reads. Package ``__init__.py`` files and names
+listed in a module's ``__all__`` are re-exports and are exempt. No private
 module-level function or class of the package goes unread in src/: tests
-alone do not keep one alive."""
+alone do not keep one alive. And only system.py (ChannelModel) and specfun.py
+evaluate or draw the Gamma law in float64."""
 import ast
 import os
 import pathlib
@@ -11,7 +12,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(
-    path for top in ("src", "tests", "demos") for path in (ROOT / top).rglob("*.py")
+    path for top in ("src", "tests", "demos", "tools") for path in (ROOT / top).rglob("*.py")
     if path.name != "__init__.py"
 )
 
@@ -90,3 +91,39 @@ def test_cold_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+GAMMA_LAW = {"gammainc", "gammaincc", "gammaln", "standard_gamma"}
+
+
+def gamma_law_calls(source):
+    """Calls in source of a Gamma-law routine by name, plain or as an attribute; an
+    mpmath call, a high-precision reference, is not one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute):
+            if isinstance(fn.value, ast.Name) and fn.value.id == "mpmath":
+                continue
+            name = fn.attr
+        else:
+            name = getattr(fn, "id", None)
+        if name in GAMMA_LAW:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_scanner_finds_gamma_law_calls():
+    source = ("special.gammaincc(1, 2)\nmpmath.gammainc(1, 0, 2)\nrng.standard_gamma(2)\n"
+              "gammaln(3)\nspecial.erfc(1)\n")
+    assert gamma_law_calls(source) == ["gammaincc (line 1)", "standard_gamma (line 3)",
+                                       "gammaln (line 4)"]
+
+
+def test_gamma_law_has_one_owner():
+    owners = {"system.py", "specfun.py"}
+    found = {p.name: gamma_law_calls(p.read_text())
+             for p in (ROOT / "src" / "pamq").glob("*.py") if p.name not in owners}
+    assert {name: calls for name, calls in found.items() if calls} == {}

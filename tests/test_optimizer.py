@@ -133,7 +133,7 @@ class TestStructure:
             quantizer_problem(seed=-1)
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", 1.5), ("seed", True), ("n_starts", 2.5), ("n_starts", True),
+        ("seed", 1.5), ("seed", True), ("n_starts", 2.5), ("n_starts", True), ("n_starts", "4"),
     ])
     def test_counts_are_integers(self, field, value):
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
@@ -634,6 +634,15 @@ class TestScheduleMinimizer:
     def test_regime_error(self):
         with pytest.raises(ValueError):
             lemma7_rho_star(0.5, 0.1, 1.0, 1.0)  # C >= A + B*C
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", range(4), ids=["A", "B", "C", "sigma"])
+    def test_inputs_positive_and_finite(self, at, bad):
+        # a NaN input once returned NaN
+        args = [2.0, 2.0, 1.0, 0.1]
+        args[at] = bad
+        with pytest.raises(ValueError, match="A, B, C, sigma must be positive and finite"):
+            lemma7_rho_star(*args)
 
     def test_xg_design_ratio_chain(self):
         cons, quant = xg_design(0.3, 0.05, M=4, bits=3)

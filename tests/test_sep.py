@@ -109,6 +109,23 @@ class TestHFunction:
             with pytest.raises(ValueError):
                 h_function(1, omega, 1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_channel_domain(self, omega):
+        # ChannelModel's rule: h_function once returned -5.55e-17 at omega = +inf, and
+        # h_function_quad raised a bare "math domain error"
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            h_function(1, omega, 1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            h_function_quad(1.5, omega, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("b, c", [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_b_and_c_nonnegative(self, b, c):
+        # one rule for both kernels: h_function_quad once raised a bare "math domain
+        # error" for b < 0 and integrated c < 0, and both returned NaN for a NaN b or c
+        for kernel, m in ((h_function, 1), (h_function_quad, 1.5)):
+            with pytest.raises(ValueError, match="b and c must be nonnegative"):
+                kernel(m, 1.0, b, c, 0.0, 1.0)
+
 
 def _odd_pam(M, bits):
     """Amplitudes 1, 3, ..., M-1 and boundaries y * M / 2^(bits-1)."""
@@ -284,7 +301,7 @@ class TestSepAndGrad:
                   (3, 1.5, 4.0, math.inf, 0.1, math.inf),
                   (1, 1.0, 2.0, 0.7, 0.3, math.inf)]
         for m, omega, b, c, z_lo, z_hi in cases:
-            g_lo, g_hi = (sep._gamma_survival(m, omega, z) for z in (z_lo, z_hi))
+            g_lo, g_hi = (ChannelModel(m, omega).survival(z) for z in (z_lo, z_hi))
             value, parts = sep._h_series(m, omega, b, c, z_lo, z_hi, g_lo, g_hi)
             assert value == h_function(m, omega, b, c, z_lo, z_hi)
             assert (parts is None) == (math.isinf(c) or b == 0.0)
@@ -532,6 +549,12 @@ class TestFloorGeometric:
     def test_regime_error(self):
         with pytest.raises(ValueError):
             floor_geometric(0.3, 8, 0.1, RAYLEIGH, bits=2)  # 2^b <= M - 2
+
+    @pytest.mark.parametrize("q1", [math.nan, math.inf, 0.0])
+    def test_q1_positive_and_finite(self, q1):
+        # a NaN q1 once raised ArithmeticError, and +inf returned 0.5
+        with pytest.raises(ValueError, match="q1 must be positive and finite"):
+            floor_geometric(0.3, 4, q1, RAYLEIGH, 2)
 
     def test_vacuous_bound_is_one(self):
         # the raw bound here is 1.48: vacuous, and 1 is still a valid bound

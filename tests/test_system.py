@@ -1,6 +1,8 @@
 """Data model: constellations, quantizers, channel, energy/SNR bookkeeping."""
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from pamq import (
@@ -159,3 +161,48 @@ class TestChannelAndSnr:
         # NaN and +inf once passed the check omega <= 0 and failed in the SEP engines
         with pytest.raises(ValueError, match="omega must be positive and finite"):
             ChannelModel(1, omega)
+
+
+def _law_reference(m, omega, z):
+    """(P(Z > z), P(Z <= z), f_Z(z)) of Z ~ Gamma(m, omega/m) at 30 digits, each tail
+    taken on its own side."""
+    with mpmath.workdps(30):
+        m, omega, z = mpmath.mpf(m), mpmath.mpf(omega), mpmath.mpf(z)
+        x = m * z / omega
+        upper = mpmath.gammainc(m, x, mpmath.inf, regularized=True)
+        lower = mpmath.gammainc(m, 0, x, regularized=True)
+        if mpmath.isinf(z):
+            pdf = 0
+        elif z == 0 and m < 1:
+            pdf = mpmath.inf  # z^(m-1) at 0, which mpmath does not raise to a negative power
+        else:
+            pdf = (m / omega) ** m * z ** (m - 1) * mpmath.exp(-x) / mpmath.gamma(m)
+        return float(upper), float(lower), float(pdf)
+
+
+class TestChannelLaw:
+    """ChannelModel owns Z's law: survival, cdf and density against mpmath, and
+    gains against the draw Monte Carlo made before it moved there."""
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 1.0, 30.0, math.inf])
+    @pytest.mark.parametrize("omega", [0.5, 2.0])
+    @pytest.mark.parametrize("m", [0.5, 1, 2.5, 40])
+    def test_against_mpmath(self, m, omega, z):
+        # the tolerance tests/test_specfun.py allows scipy's incomplete gamma pair
+        ch = ChannelModel(m, omega)
+        upper, lower, pdf = _law_reference(m, omega, z)
+        assert ch.survival(z) == pytest.approx(upper, rel=1e-13)
+        assert ch.cdf(z) == pytest.approx(lower, rel=1e-13)
+        assert ch.density(z) == pytest.approx(pdf, rel=1e-13)
+
+    @pytest.mark.parametrize("m, omega", [(0.5, 2.0), (1, 1.0), (2.5, 0.5)])
+    def test_gains_are_the_gamma_draw(self, m, omega):
+        # the draw montecarlo made itself before: standard_gamma(m) scaled by omega / m
+        ss = np.random.SeedSequence(7, spawn_key=(1, 2))
+        a, b = (np.random.Generator(np.random.Philox(ss)) for _ in range(2))
+        want = a.standard_gamma(m, size=(1000, 2))
+        want *= omega / m
+        got = ChannelModel(m, omega).gains(b, (1000, 2))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)

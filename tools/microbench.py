@@ -82,16 +82,16 @@ def lbfgsb_us():
 
 def mc_rows(snr_db):
     """(name, microseconds) of each Monte Carlo link, one MC_BATCH-row batch at snr_db."""
-    c = Constellation((1.0, 3.0))
+    c, ch = Constellation((1.0, 3.0)), ChannelModel(1.0)
     amps, bounds = np.asarray(c.amplitudes), np.array([1.6])
     sigma2 = sigma2_from_snr(c, 10.0 ** (snr_db / 10.0))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0, spawn_key=(0, 0))))
-    sym_id, h, r = _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 1)
+    sym_id, h, r = _draw(rng, amps, ch, sigma2, MC_BATCH, 1)
     yq = quantize_batch(bounds, r)
     decided = midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])
-    _, h2, r2 = _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 2)
+    _, h2, r2 = _draw(rng, amps, ch, sigma2, MC_BATCH, 2)
     yq2 = quantize_batch(bounds, r2)
-    links = (("_draw", lambda: _draw(rng, amps, 1.0, 1.0, sigma2, MC_BATCH, 1)),
+    links = (("_draw", lambda: _draw(rng, amps, ch, sigma2, MC_BATCH, 1)),
              ("quantize_batch", lambda: quantize_batch(bounds, r)),
              ("midpoint_batch", lambda: midpoint_batch(amps, bounds, h[:, 0], yq[:, 0])),
              ("simo_batch n_r=2", lambda: simo_batch(amps, bounds, h2, yq2, sigma2)),
