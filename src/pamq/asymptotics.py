@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .montecarlo import SimSpec, simulate
@@ -158,6 +157,8 @@ def optimal_floor_log2(m, bits, *, uniform=False):
     high precision, so double-exponentially small floors stay representable at
     any b. m is held to ChannelModel's domain.
     """
+    import mpmath  # loaded by the first call, not by import pamq
+
     ChannelModel(m)
     k = _boundary_count(bits, max_bits=math.inf)
     with mpmath.workdps(60):

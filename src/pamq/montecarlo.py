@@ -13,7 +13,6 @@ noise variance is positive, an (n, n_r) array of normals. An SNR point of
 +inf is the noiseless limit: its noise variance is 0, so it draws no normals.
 """
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +119,9 @@ def simulate(spec, workers=1):
     # the pool starts all its workers at once: start none that would idle
     workers = min(workers, len(args))
     if workers > 1:
+        # loaded, with multiprocessing, by the first pool, not by import pamq
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_run_batch, args))
     else:

@@ -34,7 +34,6 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .sep import _sep_and_grad, _sep_quadrature
 from .system import (Constellation, Quantizer, _boundary_count, _check_count, _check_levels,
@@ -279,12 +278,14 @@ def optimize(p):
     gradient where sep_and_grad has one. Each start's fun is the objective's
     recorded value at its x: after a line search it abandons (ABNORMAL), L-BFGS-B
     puts x back to the last iterate but keeps the last trial point's value."""
+    from scipy.optimize import minimize  # loaded by the first design, not by import pamq
+
     f = _objective(p)
     options = {"ftol": FTOL, "gtol": GTOL, "maxiter": 1000 * p.dim, "maxfun": 4000 * p.dim}
     runs = []
     for theta0 in _start_points(p):
         f.values.clear()  # L-BFGS-B returns a point of the current start
-        res = sciopt.minimize(f, theta0, jac=f.exact, method="L-BFGS-B", options=options)
+        res = minimize(f, theta0, jac=f.exact, method="L-BFGS-B", options=options)
         res.fun = f.values[res.x.tobytes()]  # a KeyError: an x L-BFGS-B never scored
         runs.append(res)
     best = min(runs, key=lambda res: res.fun)  # the first of equal values

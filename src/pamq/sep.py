@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .detector import _region_bounds
 from .specfun import SQRT2, SQRT_2PI, _q_float, moment_primitive
@@ -158,6 +158,8 @@ def _h_quad(ch, b, c, z_lo, z_hi, g_lo, g_hi):
     """h_function_quad for checked z_lo < z_hi, given the survivals g_lo, g_hi."""
     if math.isinf(c):
         return g_lo - g_hi, 0.0
+    from scipy.integrate import quad  # loaded by the first quadrature, not by import pamq
+
     # ChannelModel.density and the Q factor inlined: one Python call per node and
     # no NumPy scalar in the arithmetic
     m, omega = ch.m, ch.omega
@@ -182,7 +184,7 @@ def _h_quad(ch, b, c, z_lo, z_hi, g_lo, g_hi):
 
     total, err = 0.0, 0.0
     for a, bnd in zip(cuts, cuts[1:]):
-        v, e = integrate.quad(integrand, a, bnd, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+        v, e = quad(integrand, a, bnd, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         total += v
         err += e
     return total, err
@@ -343,14 +345,14 @@ def _sep_and_grad(amps, edges, ch, snr):
     grad_q, grad_rho = [0.0] * k, [0.0] * len(amps)
     weight = -2.0 / (2 * len(amps))  # dSEP / dP(correct), -2 / M
     if snr is None:
-        total = 0.0
+        total, density = 0.0, ch.density
         for y, i, lower, upper, cdf_lo, cdf_hi in _regions(amps, edges, True, ch.cdf):
             total += cdf_hi - cdf_lo
             if upper < math.inf:
-                _add_endpoint_grad(grad_q, grad_rho, weight * ch.density(upper), upper, amps,
+                _add_endpoint_grad(grad_q, grad_rho, weight * density(upper), upper, amps,
                                    edges, y, i, True)
             if lower > 0.0:
-                _add_endpoint_grad(grad_q, grad_rho, -weight * ch.density(lower), lower, amps,
+                _add_endpoint_grad(grad_q, grad_rho, -weight * density(lower), lower, amps,
                                    edges, y, i, False)
         return _clamp_probability(1.0 + weight * total), grad_q, grad_rho
 

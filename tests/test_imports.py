@@ -2,8 +2,10 @@
 module level that it never reads. Package ``__init__.py`` files and names
 listed in a module's ``__all__`` are re-exports and are exempt. No private
 module-level function or class of the package goes unread in src/: tests
-alone do not keep one alive. And only system.py (ChannelModel) and specfun.py
-evaluate or draw the Gamma law in float64."""
+alone do not keep one alive. Only system.py (ChannelModel) and specfun.py
+evaluate or draw the Gamma law in float64. And neither a fresh `import pamq.cli`
+nor an integer-m `sep` and a one-worker `simulate` load the modules that only
+designs, the quadrature, the mpmath floor or a process pool use."""
 import ast
 import os
 import pathlib
@@ -81,16 +83,37 @@ def test_no_unread_private_code():
     assert unread_privates({str(p.relative_to(ROOT)): p.read_text() for p in package}) == []
 
 
-def test_cold_import_leaves_out_scipy_stats():
-    # scipy.stats took 0.46-0.61 s of a cold `import pamq.cli` on a 2-CPU
-    # x86-64 host; pamq draws its start schedule in NumPy instead
-    code = ("import sys, pamq, pamq.cli\n"
-            "print([m for m in sys.modules if m == 'scipy.stats' "
-            "or m.startswith('scipy.stats.')])")
+# modules only some runs use, each loaded on first use: scipy.stats by none (pamq
+# draws its start schedule in NumPy), scipy.optimize by a design, scipy.integrate
+# by the quadrature, mpmath by optimal_floor_log2, multiprocessing by a pool
+LAZY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "mpmath", "multiprocessing")
+
+
+def lazy_modules_loaded(code):
+    """The LAZY modules (or their submodules) loaded after a fresh interpreter runs code."""
+    code += ("\nimport sys\n"
+             f"print(sorted(m for m in {LAZY!r} if any(n == m or n.startswith(m + '.') "
+             "for n in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()[-1]
+
+
+def test_cold_import_leaves_out_scipy_stats():
+    # scipy.stats took 0.46-0.61 s of a cold `import pamq.cli`, and the other LAZY
+    # modules about 0.4 s more, on a 2-CPU x86-64 host
+    assert lazy_modules_loaded("import pamq, pamq.cli") == "[]"
+
+
+def test_sep_and_one_worker_simulate_leave_out_lazy_modules():
+    code = ("import contextlib, io, pamq.cli\n"
+            "system = ['--m', '2', '--bits', '3', '--mod', '4', '--constellation', '1,3',\n"
+            "          '--q', '0.8,1.6,2.4', '--snr-db', '0:10:30']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert pamq.cli.main(['sep'] + system) == 0\n"
+            "    assert pamq.cli.main(['simulate'] + system + ['--trials', '1000',\n"
+            "                                                  '--threads', '1']) == 0")
+    assert lazy_modules_loaded(code) == "[]"
 
 
 GAMMA_LAW = {"gammainc", "gammaincc", "gammaln", "standard_gamma"}

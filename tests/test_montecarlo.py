@@ -1,13 +1,13 @@
 """Link-level Monte Carlo: reproducibility, calibration against the
 analytic SEP, the noiseless limit (an SNR of +inf), and the
 multi-antenna path."""
+import concurrent.futures
 import csv
 import math
 
 import numpy as np
 import pytest
 
-from pamq import montecarlo
 from pamq import (
     ChannelModel,
     Constellation,
@@ -199,7 +199,7 @@ class TestPoolSize:
             def map(self, fn, args):
                 return map(fn, args)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return made
 
     def test_capped_at_batch_count(self, made):

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.stats import qmc
 
 from pamq import (
@@ -280,12 +281,12 @@ class TestReportedSep:
         p = DesignProblem(**kw)
         runs, lbfgsb_funs, calls = [], [], []
 
-        def minimize(*args, _minimize=optimizer.sciopt.minimize, **kwargs):
+        def minimize(*args, _minimize=scipy.optimize.minimize, **kwargs):
             runs.append(_minimize(*args, **kwargs))
             lbfgsb_funs.append(runs[-1].fun)
             return runs[-1]
 
-        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         for name in ("_sep_quadrature", "_sep_and_grad"):
             engine = getattr(optimizer, name)
             monkeypatch.setattr(optimizer, name,
@@ -322,20 +323,20 @@ class TestStopPaths:
     def test_capped_starts_report_their_value(self, kw, cap, monkeypatch):
         p = DesignProblem(**kw)
 
-        def minimize(*args, options, _minimize=optimizer.sciopt.minimize, **kwargs):
+        def minimize(*args, options, _minimize=scipy.optimize.minimize, **kwargs):
             return _minimize(*args, options=dict(options, maxiter=cap, maxfun=cap), **kwargs)
 
-        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         r = optimize(p)
         assert r.sep == sep_exact(r.constellation, r.quantizer, p.channel, p.snr).value
 
     def test_unscored_end_point_raises(self, monkeypatch):
-        def minimize(*args, _minimize=optimizer.sciopt.minimize, **kwargs):
+        def minimize(*args, _minimize=scipy.optimize.minimize, **kwargs):
             res = _minimize(*args, **kwargs)
             res.x = np.nextafter(res.x, np.inf)
             return res
 
-        monkeypatch.setattr(optimizer.sciopt, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         with pytest.raises(KeyError):
             optimize(quantizer_problem(n_starts=1))
 

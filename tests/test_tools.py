@@ -16,5 +16,5 @@ def test_microbench_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("python ")
     rows = [line for line in lines[1:] if line.endswith(" us")]
-    assert len(rows) == len(lines) - 1 == 18
+    assert len(rows) == len(lines) - 1 == 19
     assert any(row.startswith("_draw, 2k rows, 5 dB") for row in rows)

@@ -4,8 +4,11 @@
 Usage:
     PYTHONPATH=src python3 tools/microbench.py
 
-Takes no flags. Each line is the median, over REPEAT timed blocks, of one
-block's time divided by its call count, after one untimed warm-up call:
+Takes no flags. The first row is the median, over REPEAT fresh interpreters,
+of the time `import pamq.cli` takes in each; it includes compiling pamq's
+sources where no bytecode is cached (PYTHONDONTWRITEBYTECODE=1). Each other
+row is the median, over REPEAT timed blocks, of one block's time divided by its
+call count, after one untimed warm-up call:
 
 - one h_function_quad call: the (8, 4, 2.5) design of the perfbench `curve`
   workload's shape, on odd-integer amplitudes and unit-step boundaries, at
@@ -36,12 +39,15 @@ import math
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import timeit
 
 import numpy as np
 import scipy
 from scipy import optimize as sciopt
 
+import pamq
 from pamq.asymptotics import dvo_experiment
 from pamq.detector import decision_region, midpoint_batch, quantize_batch, simo_batch
 from pamq.montecarlo import _draw
@@ -57,6 +63,16 @@ def median_us(fn, number):
     """Median over REPEAT blocks of number calls of fn, in microseconds per call."""
     fn()
     return statistics.median(timeit.repeat(fn, number=number, repeat=REPEAT)) / number * 1e6
+
+
+def cold_import_us():
+    """Median over REPEAT fresh interpreters of `import pamq.cli`, in microseconds."""
+    code = "import time; t = time.perf_counter(); import pamq.cli; print(time.perf_counter() - t)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pamq.__file__)))
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout)
+        for _ in range(REPEAT)) * 1e6
 
 
 def odd_pam(M, bits):
@@ -110,7 +126,8 @@ def main():
     lower, upper = decision_region(c, q, 2, 3)
     args = (ch.m, ch.omega, 2.0 * c.amplitudes[3] ** 2 / sigma2,
             math.sqrt(2.0) * q.boundary(1) / math.sqrt(sigma2), lower, upper)
-    rows = [("h_function_quad (8,4,2.5), 15 dB", median_us(lambda: h_function_quad(*args), 20)),
+    rows = [("import pamq.cli, fresh interpreter", cold_import_us()),
+            ("h_function_quad (8,4,2.5), 15 dB", median_us(lambda: h_function_quad(*args), 20)),
             ("sep_quadrature (8,4,2.5), 15 dB",
              median_us(lambda: sep_quadrature(c, q, ch, snr15), 2))]
     for M, bits, m in ((4, 2, 1), (8, 4, 4)):
