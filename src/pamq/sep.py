@@ -3,14 +3,14 @@
 Three routes to the same quantity: an exact finite series (integer m), an
 adaptive-quadrature evaluation of the defining integral (any m >= 1/2),
 and the closed-form noiseless limit, plus error-floor bounds and the AQNM
-linearized baseline. Every engine runs one walk (_regions) of the decision
-regions that can be non-empty, planned once per (M/2, K), on float tuples of
-the amplitudes and the quantizer's edges (0, q_1, ..., q_K, inf), which the
-design objective passes straight in; it takes the law of Z at each region end
-once from the channel, which owns that law. The series SEP and its gradient
-share one series (_h_series), and the noiseless SEP is its gradient routine's
-value. The gradient's integer-m constants are built once per (m, omega); the
-quadrature's integrand is one closure per call on the channel's constants.
+linearized baseline. Every engine works on float tuples of the amplitudes and
+the quantizer's edges (0, q_1, ..., q_K, inf), which the design objective passes
+straight in, and takes the law of Z from the channel, which owns it. The noisy
+engines run one walk (_series_regions) of the decision regions that can be
+non-empty, planned once per (M/2, K); the noiseless SEP, its gradient routine's
+value, sums adjacent-pair collision masses (sep_noiseless). The series SEP and
+its gradient share one series (_h_series), whose integer-m constants are built
+once per (m, omega); the quadrature's integrand is one closure per call.
 
 Throughout, the quantized observation of symbol rho_i over fading gain z
 is governed by the integrand Q(-c + sqrt(b*z)) with c = sqrt(2) q_y / sigma
@@ -196,30 +196,23 @@ def _region_plan(half, k):
     return tuple((y, i) for y in range(1, k + 1) for i in range(half)) + ((k + 1, half - 1),)
 
 
-def _regions(amps, edges, reach, measure):
-    """(y, i, lower, upper, measure(lower), measure(upper)) of each non-empty decision region
-    (noiseless one, for reach) of the amplitudes amps and the edges (0, q_1, ..., q_K, inf),
-    with measure evaluated once per endpoint, which neighbouring regions share."""
+def _series_regions(amps, edges, ch, sigma2):
+    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty decision region of
+    the amplitudes amps and the edges (0, q_1, ..., q_K, inf) at noise variance sigma2: the
+    series' b and its c at the output's two boundaries, and the survivals of Z at the
+    region's ends, evaluated once per end, which neighbouring regions share."""
+    sigma = math.sqrt(sigma2)
+    b = [2.0 * a ** 2 / sigma2 for a in amps]
+    cs = [math.sqrt(2.0) * e / sigma for e in edges]
     memo = {}
     for y, i in _region_plan(len(amps), len(edges) - 2):
-        lower, upper = _region_bounds(amps, edges, y, i, reach)
+        lower, upper = _region_bounds(amps, edges, y, i)
         if not lower < upper:
             continue
         for z in (lower, upper):
             if z not in memo:
-                memo[z] = measure(z)
-        yield y, i, lower, upper, memo[lower], memo[upper]
-
-
-def _series_regions(amps, edges, ch, sigma2):
-    """(y, i, lower, upper, b_i, c_hi, c_lo, g_lo, g_hi) of each non-empty decision region at
-    noise variance sigma2: the series' b and its c at the output's two boundaries, and the
-    survivals of Z at the region's ends."""
-    sigma = math.sqrt(sigma2)
-    b = [2.0 * a ** 2 / sigma2 for a in amps]
-    cs = [math.sqrt(2.0) * e / sigma for e in edges]
-    for y, i, lower, upper, g_lo, g_hi in _regions(amps, edges, False, ch.survival):
-        yield y, i, lower, upper, b[i], cs[y], cs[y - 1], g_lo, g_hi
+                memo[z] = ch.survival(z)
+        yield y, i, lower, upper, b[i], cs[y], cs[y - 1], memo[lower], memo[upper]
 
 
 def sep_closed_form(c, q, ch, snr):
@@ -306,34 +299,13 @@ def _h_series_grad(plan, b, c, z_lo, z_hi, g_lo, g_hi):
     return value, lead * t_odd, -lead * t_even / (2.0 * root_b)
 
 
-def _add_endpoint_grad(grad_q, grad_rho, weight, z, amps, edges, y, i, upper):
-    """Add weight * dz/d(q, rho) for the endpoint z in (0, inf) of the noiseless region
-    (y, i): the square of q_y (upper) or q_(y-1) (lower) over rho_i where the reach bound
-    binds, else of q_(y-1) + q_y over rho_i + rho_(i-1) (upper) or rho_i + rho_(i+1)
-    (lower). The ends 0 and inf move with nothing. The noisy SEP has none: ML regions
-    meet where the likelihoods tie."""
-    if weight == 0.0:
-        return
-    k = y if upper else y - 1
-    if z == (edges[k] / amps[i]) ** 2:
-        ks, js = (k,), (i,)
-    else:
-        ks, js = (y - 1, y), (i, i - 1 if upper else i + 1)
-    num = sum(edges[x] for x in ks)
-    den = sum(amps[x] for x in js)
-    for x in ks:
-        if 1 <= x < len(edges) - 1:
-            grad_q[x - 1] += weight * 2.0 * z / num
-    for x in js:
-        grad_rho[x] -= weight * 2.0 * z / den
-
-
 def sep_and_grad(c, q, ch, snr):
     """SEP and its gradient: (value, dSEP/dq_y for y = 1..K, dSEP/drho_i for
     i = 0..M/2-1), the amplitude derivatives at fixed sigma. At finite SNR (integer m
     only) it walks sep_closed_form's regions and series, so the value is bit for bit
     sep_closed_form's; with snr None it is the noiseless SEP (any m), which
-    sep_noiseless returns. The finite-SNR gradient has no region-endpoint terms: where
+    sep_noiseless returns, with the gradient of its collision masses' interval ends.
+    The finite-SNR gradient has no region-endpoint terms: where
     D_(y,i) meets D_(y,i-1), rho_i sqrt(z) and rho_(i-1) sqrt(z) lie symmetrically about
     bin y's midpoint, so the ML likelihoods tie and the two regions' terms cancel."""
     return _sep_and_grad(c.amplitudes, q.edges, ch, snr)
@@ -343,19 +315,26 @@ def _sep_and_grad(amps, edges, ch, snr):
     """sep_and_grad of the float tuples amps and edges = (0, q_1, ..., q_K, inf)."""
     k = len(edges) - 2
     grad_q, grad_rho = [0.0] * k, [0.0] * len(amps)
-    weight = -2.0 / (2 * len(amps))  # dSEP / dP(correct), -2 / M
-    if snr is None:
-        total, density = 0.0, ch.density
-        for y, i, lower, upper, cdf_lo, cdf_hi in _regions(amps, edges, True, ch.cdf):
-            total += cdf_hi - cdf_lo
-            if upper < math.inf:
-                _add_endpoint_grad(grad_q, grad_rho, weight * density(upper), upper, amps,
-                                   edges, y, i, True)
-            if lower > 0.0:
-                _add_endpoint_grad(grad_q, grad_rho, -weight * density(lower), lower, amps,
-                                   edges, y, i, False)
-        return _clamp_probability(1.0 + weight * total), grad_q, grad_rho
+    share = 2.0 / (2 * len(amps))  # 2 / M
+    if snr is None:  # sep_noiseless' collision masses
+        masses = []
+        for i in range(len(amps) - 1):
+            for y in range(1, k + 2):
+                lo, hi = _square(edges[y - 1] / amps[i]), _square(edges[y] / amps[i + 1])
+                if not lo < hi:
+                    continue
+                masses.append(ch.mass(lo, hi))
+                if lo > 0.0:  # lo = (q_(y-1) / rho_i)^2; the mass falls as lo rises
+                    d = share * ch.density(lo) * 2.0 * lo
+                    grad_q[y - 2] -= d / edges[y - 1]
+                    grad_rho[i] += d / amps[i]
+                if hi < math.inf:  # hi = (q_y / rho_(i+1))^2
+                    d = share * ch.density(hi) * 2.0 * hi
+                    grad_q[y - 1] += d / edges[y]
+                    grad_rho[i + 1] -= d / amps[i + 1]
+        return _clamp_probability(share * math.fsum(masses)), grad_q, grad_rho
 
+    weight = -share  # dSEP / dP(correct)
     if not ch.integer_m:
         raise ValueError("the noisy gradient requires integer m")
     plan = _grad_plan(int(ch.m), ch.omega)
@@ -376,7 +355,10 @@ def _sep_and_grad(amps, edges, ch, snr):
 
 
 def sep_noiseless(c, q, ch):
-    """Infinite-SNR SEP: Gamma measure of the noiseless decision regions."""
+    """Infinite-SNR SEP: the output is the bin of rho_i sqrt(z), monotone in rho_i, and
+    the detector is right on one symbol per distinct output, so the SEP is (2/M) times
+    the sum over adjacent pairs of P(rho_i and rho_(i+1) share a bin), each the sum over
+    y of the Gamma mass of [(q_(y-1) / rho_i)^2, (q_y / rho_(i+1))^2): error side only."""
     return SepResult(sep_and_grad(c, q, ch, None)[0], "noiseless")
 
 
@@ -393,7 +375,8 @@ def floor_bounds(c, q, ch):
 def _floor_bracket(c, q1, qk, ch):
     """floor_bounds' (f_L, f_U) from q_1 and q_K alone; qk may be +inf."""
     amps = c.amplitudes
-    bracket = ch.cdf(_square(q1 / amps[1])) + ch.survival(_square(qk / amps[-2]))
+    # sep_noiseless' first and last collision intervals
+    bracket = ch.mass(0.0, _square(q1 / amps[1])) + ch.mass(_square(qk / amps[-2]), math.inf)
     f_l = _clamp_probability(2.0 / c.M * bracket)
     # the raw upper bound can exceed 1 (vacuous); 1 is still a valid bound
     return f_l, _clamp_probability(min(1.0, (c.M / 4.0 - 0.5) * bracket))

@@ -209,6 +209,17 @@ class ChannelModel:
         return 0.0 if z == 0.0 else 1.0
 
     @functools.cached_property
+    def _median(self):
+        return float(special.gammaincinv(self.m, 0.5)) * self.omega / self.m
+
+    def mass(self, lo, hi):
+        """P(lo <= Z < hi), 0 <= lo <= hi, on its small side: a cdf difference below the
+        median, else a survival difference, so a tail mass keeps its relative precision."""
+        if hi <= self._median:
+            return self.cdf(hi) - self.cdf(lo)
+        return self.survival(lo) - self.survival(hi)
+
+    @functools.cached_property
     def _density_terms(self):
         """(m ln(m/omega), m - 1, ln Gamma(m)) of ln f_Z, computed once per channel."""
         return self.m * math.log(self.m / self.omega), self.m - 1.0, float(special.gammaln(self.m))

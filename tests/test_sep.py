@@ -16,6 +16,7 @@ from pamq import (
     h_function,
     h_function_quad,
     lloyd_max_gaussian,
+    optimal_floor_log2,
     q_func,
     sep_and_grad,
     sep_aqnm,
@@ -168,9 +169,9 @@ class TestBitIdentity:
         assert got == self.CLOSED_FORM[M, bits, m]
 
     NOISELESS = {
-        (4, 2, 1): "0x1.822fbe3b8e91cp-3", (4, 2, 1.5): "0x1.2504731068220p-3",
-        (4, 3, 1): "0x1.af3e5f82e0b10p-5", (4, 3, 1.5): "0x1.7bcfc18ee07c0p-6",
-        (8, 4, 1): "0x1.a57084df72ac8p-4", (8, 4, 1.5): "0x1.f5a2617fec080p-5",
+        (4, 2, 1): "0x1.822fbe3b8e91bp-3", (4, 2, 1.5): "0x1.250473106821ep-3",
+        (4, 3, 1): "0x1.af3e5f82e0b17p-5", (4, 3, 1.5): "0x1.7bcfc18ee07e1p-6",
+        (8, 4, 1): "0x1.a57084df72ab3p-4", (8, 4, 1.5): "0x1.f5a2617fec09fp-5",
     }
 
     @pytest.mark.parametrize("M,bits,m", sorted(NOISELESS))
@@ -382,27 +383,27 @@ class TestSepAndGrad:
             "0x1.0000000000000p-57 -0x1.22457a1468d34p-6 0x1.8ff9d409af8a7p-50 "
             "0x1.105dce460c1c0p-18 0x1.974a9c2f24ebep-6 -0x1.db231e33f5b60p-10"),
         (4, 2, 1, None): (
-            "0x1.822fbe3b8e91cp-3 0x1.b1932e3bea3eep-4 0x1.2c155b8213cf4p-4 "
+            "0x1.822fbe3b8e91bp-3 0x1.b1932e3bea3eep-4 0x1.2c155b8213cf4p-4 "
             "-0x1.8513e7fdf819bp-4"),
         (4, 2, 1.5, None): (
-            "0x1.2504731068220p-3 0x1.18d25a6afa660p-3 0x1.50bf7affd41fap-5 "
+            "0x1.250473106821ep-3 0x1.18d25a6afa660p-3 0x1.50bf7affd41fap-5 "
             "-0x1.ae8db7b9468d4p-4"),
         (4, 3, 1, None): (
-            "0x1.af3e5f82e0b10p-5 0x1.9740563a79d57p-4 0x0.0p+0 "
-            "-0x1.8436b37b97f00p-12 0x1.2329069cb1f00p-10 -0x1.0f80397c51390p-5"),
+            "0x1.af3e5f82e0b17p-5 0x1.9740563a79d57p-4 0x0.0p+0 "
+            "-0x1.8436b37b97e87p-12 0x1.2329069cb1ee5p-10 -0x1.0f80397c5138fp-5"),
         (4, 3, 1.5, None): (
-            "0x1.7bcfc18ee07c0p-6 0x1.0a32d57ae3664p-4 0x0.0p+0 "
-            "-0x1.ad1ebe3d40000p-16 0x1.41d70eadf0000p-14 -0x1.62ee71f92f330p-6"),
+            "0x1.7bcfc18ee07e1p-6 0x1.0a32d57ae3664p-4 0x0.0p+0 "
+            "-0x1.ad1ebe3d4060cp-16 0x1.41d70eadf0489p-14 -0x1.62ee71f92f330p-6"),
         (8, 4, 1, None): (
-            "0x1.a57084df72ac8p-4 0x1.479cd8cce2cfcp-7 0x1.34280c76971a9p-6 "
-            "0x1.a164ff56c2b90p-6 -0x1.0000000000000p-57 0x1.8000000000000p-57 "
-            "0x1.0000000000000p-57 -0x1.5e9f3f2744f8ap-6 0x1.aab926d664800p-59 "
-            "0x1.00ea551961c32p-8 0x1.c455653ff84bcp-6 -0x1.22543755b365dp-6"),
+            "0x1.a57084df72ab3p-4 0x1.479cd8cce2cfap-7 0x1.34280c76971a8p-6 "
+            "0x1.a164ff56c2b90p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.5e9f3f2744f8ap-6 0x1.e545e49ca93c4p-67 "
+            "0x1.00ea551961c2bp-8 0x1.c455653ff84bap-6 -0x1.22543755b365cp-6"),
         (8, 4, 1.5, None): (
-            "0x1.f5a2617fec080p-5 0x1.80225e1a5e2abp-9 0x1.5e6d93a56571fp-7 "
-            "0x1.5247f56d5cd17p-6 0x1.0000000000000p-58 0x1.0000000000000p-56 "
-            "0x0.0p+0 -0x1.68ab80ea0645ep-6 -0x1.2230554cd757bp-57 "
-            "0x1.46b7bd534a824p-10 0x1.ecaf9d614f96cp-6 -0x1.93cbeda0390c2p-7"),
+            "0x1.f5a2617fec09fp-5 0x1.80225e1a5e2a4p-9 0x1.5e6d93a565720p-7 "
+            "0x1.5247f56d5cd17p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.68ab80ea0645ep-6 0x1.5a4049b582e09p-98 "
+            "0x1.46b7bd534a7c1p-10 0x1.ecaf9d614f96dp-6 -0x1.93cbeda0390c7p-7"),
     }
 
     @pytest.mark.parametrize("M,bits,m,db", sorted(GRADIENT_BITS, key=str))
@@ -474,6 +475,18 @@ class TestNoiseless:
                 want, abs=1e-13
             )
 
+    @pytest.mark.parametrize("m,bits", [(1, 4), (1, 5), (1, 6), (2, 5), (4, 4)])
+    def test_matches_mpmath_floor(self, m, bits):
+        # optimal_floor_log2's design: ratio-3 boundaries from its closed-form q_1*, with
+        # floors down to 1e-28. At m = 1 the float boundaries leave middle collision
+        # intervals open by an ulp, which mpmath takes as closed: 2.6e-5 relative at 5 bits
+        k = 2 ** (bits - 1) - 1
+        r2 = 9.0 ** (k - 1)
+        q1 = math.sqrt(math.log(9.0 * r2) / (r2 - 1.0 / 9.0))
+        q = Quantizer(tuple(q1 * 3.0 ** j for j in range(k)), bits)
+        assert sep_noiseless(C13, q, ChannelModel(m)).value == pytest.approx(
+            2.0 ** optimal_floor_log2(m, bits), rel=1e-4, abs=0.0)
+
     def test_resolution_improves_floor(self):
         # optimized ratio-1/3 boundary chains: higher b strictly better
         prev = 1.0
@@ -487,6 +500,14 @@ class TestNoiseless:
 
 
 class TestFloorBounds:
+    @pytest.mark.parametrize("m", [0.5, 1, 2.5])
+    def test_lower_bound_is_the_floor_at_four_pam(self, m):
+        # at M = 4 and 2 bits f_L sums sep_noiseless' two collision masses, bit for bit
+        ch = ChannelModel(m)
+        for q1 in np.linspace(0.2, 4.0, 20):
+            q = Quantizer((float(q1),), 2)
+            assert sep_noiseless(C13, q, ch).value == floor_bounds(C13, q, ch)[0].value
+
     def test_equality_at_four_pam(self):
         q = Quantizer((Q1_STAR,), bits=2)
         f_lo, f_hi = floor_bounds(C13, q, RAYLEIGH)

@@ -195,6 +195,16 @@ class TestChannelLaw:
         assert ch.cdf(z) == pytest.approx(lower, rel=1e-13)
         assert ch.density(z) == pytest.approx(pdf, rel=1e-13)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-12), (1e-6, 2e-6), (0.3, 3.0), (0.5, math.inf),
+                                        (30.0, 31.0), (40.0, math.inf), (2.0, 2.0)])
+    @pytest.mark.parametrize("m", [0.5, 1, 2.5])
+    def test_mass_on_its_small_side(self, m, lo, hi):
+        # tail masses keep their relative precision: 1 - survival or 1 - cdf would not
+        with mpmath.workdps(30):
+            x = [m * mpmath.mpf(z) for z in (lo, hi)]
+            want = mpmath.gammainc(m, x[0], x[1], regularized=True)
+        assert ChannelModel(m).mass(lo, hi) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("m, omega", [(0.5, 2.0), (1, 1.0), (2.5, 0.5)])
     def test_gains_are_the_gamma_draw(self, m, omega):
         # the draw montecarlo made itself before: standard_gamma(m) scaled by omega / m

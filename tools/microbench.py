@@ -17,6 +17,7 @@ call count, after one untimed warm-up call:
 - one sep_quadrature point of that design at 15 dB;
 - one sep_closed_form point of the same kind of design at (M, b, m) =
   (4, 2, 1) and (8, 4, 4), at 30 dB;
+- one sep_noiseless call of that kind of design at (M, b, m) = (8, 4, 2);
 - one evaluation of the design objective (SEP and theta-gradient) of a joint
   2-bit 4-PAM design at 30 dB, Rayleigh fading;
 - scipy's L-BFGS-B cost per objective evaluation, on a 3-variable quadratic
@@ -52,7 +53,7 @@ from pamq.asymptotics import dvo_experiment
 from pamq.detector import decision_region, midpoint_batch, quantize_batch, simo_batch
 from pamq.montecarlo import _draw
 from pamq.optimizer import DesignProblem, _objective, optimize
-from pamq.sep import h_function_quad, sep_closed_form, sep_quadrature
+from pamq.sep import h_function_quad, sep_closed_form, sep_noiseless, sep_quadrature
 from pamq.system import ChannelModel, Constellation, Quantizer, sigma2_from_snr
 
 REPEAT = 15
@@ -135,6 +136,9 @@ def main():
         ch = ChannelModel(m)
         rows.append((f"sep_closed_form ({M},{bits},{m}), 30 dB",
                      median_us(lambda: sep_closed_form(c, q, ch, snr30), 20)))
+    c, q = odd_pam(8, 4)
+    ch = ChannelModel(2)
+    rows.append(("sep_noiseless (8,4,2)", median_us(lambda: sep_noiseless(c, q, ch), 20)))
     f = _objective(DesignProblem(ChannelModel(1), 4, 2, snr=snr30))
     theta = np.array([0.1, -0.3, 0.7])
     rows.append(("objective, joint 2-bit 4-PAM, 30 dB", median_us(lambda: f(theta), 500)))

@@ -5,6 +5,7 @@ Usage:
     PYTHONPATH=src python3 tools/output_bytes.py
     PYTHONPATH=src python3 tools/output_bytes.py --write tools/output_bytes.md
     PYTHONPATH=src python3 tools/output_bytes.py --check tools/output_bytes.md
+    PYTHONPATH=src python3 tools/output_bytes.py --diff tools/output_bytes.md
 
 Each invocation runs in-process through pamq.cli.main twice: once to
 stdout, and once with --out to a temporary file. The script prints a
@@ -13,7 +14,14 @@ stdout and the MD5 of the file the second run wrote. The exit column
 reads "a/b" when the two runs exit differently. With --write FILE the
 table also goes to FILE; with --check FILE each row is compared with the
 row of the same invocation in FILE, and the script exits 1 and lists the
-rows that differ. The committed table is tools/output_bytes.md.
+rows that differ. --write also stores each row's stdout as NAME.txt in the
+directory beside FILE named after it with the suffix .stdout
+(tools/output_bytes.stdout/ for the committed table,
+tools/output_bytes.md). --diff FILE reruns the invocations and, for each
+row that differs from FILE, compares the fresh stdout with the stored one:
+it prints the largest relative change of each numeric field (a JSON key or
+a CSV column) and every non-numeric difference, and exits 1 as --check
+does. --check stays the exact MD5 gate; --diff says how far a row moved.
 
 The invocations are the six README examples, acceptance criteria 9 and 10,
 the seven calls of the perfbench `design` workload, the `quantizer3` call
@@ -36,8 +44,10 @@ workload, on odd-integer amplitudes and unit-step boundaries.
 """
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
 import math
 import pathlib
 import sys
@@ -130,13 +140,13 @@ def _md5(data):
 
 
 def output_bytes(argv, out_path):
-    """(exit code to stdout, exit code with --out, stdout MD5, --out file MD5) of argv."""
+    """(exit code to stdout, exit code with --out, stdout, --out file MD5) of argv."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     out_code = main(argv + ["--out", str(out_path)])
     out_md5 = _md5(out_path.read_bytes()) if out_path.exists() else "(none)"
-    return code, out_code, _md5(buf.getvalue().encode()), out_md5
+    return code, out_code, buf.getvalue(), out_md5
 
 
 HEADER = ["| Invocation | Exit | stdout MD5 | `--out` MD5 |", "|---|---|---|---|"]
@@ -147,41 +157,119 @@ def _by_name(rows):
     return {row.split("|")[1].strip(" `"): row for row in rows}
 
 
-def table_rows():
-    """One Markdown row per invocation, printed as it is made."""
+def _stdout_dir(table):
+    """The directory of stored stdouts beside the table file."""
+    table = pathlib.Path(table)
+    return table.with_name(table.stem + ".stdout")
+
+
+def table_rows(stdouts):
+    """One Markdown row per invocation, printed as it is made; each stdout goes
+    into the dict stdouts under its invocation's name."""
     with tempfile.TemporaryDirectory() as tmp:
         for k, (name, argv) in enumerate(INVOCATIONS):
-            code, out_code, std_md5, out_md5 = output_bytes(argv, pathlib.Path(tmp) / f"{k}.out")
+            code, out_code, stdout, out_md5 = output_bytes(argv, pathlib.Path(tmp) / f"{k}.out")
+            stdouts[name] = stdout
             exit_text = str(code) if code == out_code else f"{code}/{out_code}"
-            row = f"| `{name}` | {exit_text} | `{std_md5}` | `{out_md5}` |"
+            row = f"| `{name}` | {exit_text} | `{_md5(stdout.encode())}` | `{out_md5}` |"
             print(row, flush=True)
             yield row
 
 
+def _fields(text):
+    """{(field, index): text} of an output: each leaf of a JSON document under its
+    dotted key (a list's elements by index), else each cell of a CSV table under its
+    column (the rows by index)."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        header, *body = list(csv.reader(io.StringIO(text))) or [[]]
+        return {(column, k): cell for k, row in enumerate(body)
+                for column, cell in zip(header, row)}
+    cells = {}
+
+    def walk(node, key, index):
+        if isinstance(node, dict):
+            for name, child in node.items():
+                walk(child, f"{key}.{name}" if key else name, 0)
+        elif isinstance(node, list):
+            for j, child in enumerate(node):
+                walk(child, key, j)
+        else:
+            cells[key, index] = json.dumps(node)
+    walk(doc, "", 0)
+    return cells
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def diff_report(old, new):
+    """Lines saying how the output new differs from old: the largest relative change
+    |new - old| / |old| of each numeric field, then each non-numeric difference."""
+    old_cells, new_cells = _fields(old), _fields(new)
+    largest, other = {}, []
+    for key in sorted(old_cells.keys() | new_cells.keys()):
+        a, b = old_cells.get(key), new_cells.get(key)
+        if a == b:
+            continue
+        x, y = _number(a or ""), _number(b or "")
+        if x is None or y is None:
+            other.append(f"  {key[0]}[{key[1]}]: {a if a is not None else '(none)'}"
+                         f" -> {b if b is not None else '(none)'}")
+            continue
+        rel = abs(y - x) / abs(x) if x else math.inf
+        if key[0] not in largest or rel > largest[key[0]][0]:
+            largest[key[0]] = (rel, key[1], a, b)
+    lines = [f"  {field}: largest relative change {rel:.3g} (index {k}: {a} -> {b})"
+             for field, (rel, k, a, b) in sorted(largest.items())]
+    return lines + other
+
+
 def run(argv=None):
-    """Print the table; write it to --write FILE, or compare it with --check FILE.
-    Returns the exit code: 1 when a row differs from the checked table."""
+    """Print the table; write it to --write FILE, or compare it with --check FILE or
+    --diff FILE. Returns the exit code: 1 when a row differs from the table in FILE."""
     parser = argparse.ArgumentParser(description="MD5s of the pamq CLI's output bytes")
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--write", metavar="FILE", help="also save the table to FILE")
+    mode.add_argument("--write", metavar="FILE",
+                      help="also save the table to FILE and each stdout beside it")
     mode.add_argument("--check", metavar="FILE", help="compare the table with FILE")
+    mode.add_argument("--diff", metavar="FILE",
+                      help="compare with FILE and report how far each changed row moved")
     args = parser.parse_args(argv)
-    if args.check:
-        expected = _by_name(pathlib.Path(args.check).read_text().splitlines()[2:])
+    against = args.check or args.diff
+    if against:
+        expected = _by_name(pathlib.Path(against).read_text().splitlines()[2:])
     print("\n".join(HEADER))
-    rows = list(table_rows())
+    stdouts = {}
+    rows = list(table_rows(stdouts))
     if args.write:
         pathlib.Path(args.write).write_text("\n".join(HEADER + rows) + "\n")
+        stored = _stdout_dir(args.write)
+        stored.mkdir(exist_ok=True)
+        for name, stdout in stdouts.items():
+            (stored / f"{name}.txt").write_text(stdout)
         return 0
-    if args.check:
-        actual = _by_name(rows)
-        differ = [name for name in actual.keys() | expected.keys()
-                  if actual.get(name) != expected.get(name)]
-        for name in sorted(differ):
+    if not against:
+        return 0
+    actual = _by_name(rows)
+    differ = sorted(name for name in actual.keys() | expected.keys()
+                    if actual.get(name) != expected.get(name))
+    for name in differ:
+        if args.check:
             print(f"differs: {name}\n  expected {expected.get(name, '(no row)')}\n"
                   f"  actual   {actual.get(name, '(no row)')}", file=sys.stderr)
-        return 1 if differ else 0
-    return 0
+            continue
+        stored = _stdout_dir(args.diff) / f"{name}.txt"
+        report = (diff_report(stored.read_text(), stdouts[name])
+                  if name in stdouts and stored.exists() else ["  (no stdout to compare)"])
+        print(f"\n{name}:\n" + "\n".join(
+            report or ["  stdout unchanged; only the --out file or exit code moved"]))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
