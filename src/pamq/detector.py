@@ -26,7 +26,8 @@ evaluation of every bin followed by a row sum and an argmax. The first
 maximum, the bound and the sign fold use arithmetic, not masked copies
 or selects.
 The region geometry of Theorem 1 lives once in ``_region_bounds``;
-``decision_region`` and ``noiseless_region`` are its checked forms.
+``decision_region`` is its checked form, and ``noiseless_region`` clamps
+that to the noiseless reachability region.
 """
 import math
 
@@ -294,39 +295,37 @@ def _log_likelihoods(symbols, edges, hy, ay, s, buf=None):
     return ll
 
 
-def _region_bounds(amps, edges, y, i, reach=False):
-    """Unchecked (lower, upper) of D_(y,i), or of its intersection with A_(y,i)
-    when reach (see noiseless_region), for the positive amplitudes amps and the
+def _region_bounds(amps, edges, y, i):
+    """Unchecked (lower, upper) of D_(y,i) for the positive amplitudes amps and the
     quantizer's edges (q_0 = 0, ..., q_(K+1) = inf)."""
     last = i == len(amps) - 1
     if y == len(edges) - 1:
-        lower, upper = 0.0, math.inf if last else 0.0
-    else:
-        qsum = edges[y - 1] + edges[y]
-        lower = 0.0 if last else (qsum / (amps[i] + amps[i + 1])) ** 2
-        upper = math.inf if i == 0 else (qsum / (amps[i] + amps[i - 1])) ** 2
-    if reach:
-        lower = max(lower, (edges[y - 1] / amps[i]) ** 2)
-        upper = max(lower, min(upper, (edges[y] / amps[i]) ** 2))
+        return 0.0, math.inf if last else 0.0
+    qsum = edges[y - 1] + edges[y]
+    lower = 0.0 if last else (qsum / (amps[i] + amps[i + 1])) ** 2
+    upper = math.inf if i == 0 else (qsum / (amps[i] + amps[i - 1])) ** 2
     return lower, upper
 
 
-def _checked_region(c, q, y, i, reach):
+def _checked_region(c, q, y, i):
     if not 1 <= y <= q.K + 1:
         raise ValueError("y out of range")
     if not 0 <= i < c.half_size:
         raise IndexError("symbol index out of range")
-    return _region_bounds(c.amplitudes, q.edges, y, i, reach)
+    return _region_bounds(c.amplitudes, q.edges, y, i)
 
 
 def decision_region(c, q, y, i):
     """(lower, upper) of the region D_(y,i) on the z = |h|^2 axis where
     positive output y in [1 .. K+1] decodes to symbol i; empty when
     lower >= upper."""
-    return _checked_region(c, q, y, i, reach=False)
+    return _checked_region(c, q, y, i)
 
 
 def noiseless_region(c, q, y, i):
     """Intersection D_(y,i) with the noiseless reachability region A_(y,i)
     = (q_(y-1)^2 / rho_i^2, q_y^2 / rho_i^2); may be empty."""
-    return _checked_region(c, q, y, i, reach=True)
+    lower, upper = _checked_region(c, q, y, i)
+    rho, edges = c.amplitudes[i], q.edges
+    lower = max(lower, (edges[y - 1] / rho) ** 2)
+    return lower, max(lower, min(upper, (edges[y] / rho) ** 2))

@@ -1,4 +1,4 @@
-"""Demos: each listed demo runs to its end as a script and exits 0."""
+"""Demos: every demos/0*.py runs to its end as a script and exits 0."""
 import os
 import pathlib
 import subprocess
@@ -9,9 +9,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["03_noiseless_floor.py"])
-def test_demo_runs(name):
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("0*.py")), ids=lambda p: p.name)
+def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+    run = subprocess.run([sys.executable, str(path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -1,6 +1,7 @@
 """Figures: every CSV committed under figures/out/ is what its figure function
-in demos/make_figures.py writes today, and the Monte Carlo markers of the
-SEP-versus-SNR figure agree with its exact curve."""
+in demos/make_figures.py writes today, the Monte Carlo markers of the
+SEP-versus-SNR figure agree with its exact curve, and the SEP-versus-q_1
+figure's three omega curves coincide."""
 import csv
 import functools
 import importlib.util
@@ -49,3 +50,21 @@ def test_sep_nakagami_markers_on_exact_curve(render):
         p = float(curve["sep"])
         stderr = math.sqrt(p * (1.0 - p) / n)
         assert abs(float(marker["sep"]) - p) < 3.0 * stderr, (marker["m"], marker["snr_db"])
+
+
+def test_sep_vs_c_minimum_is_omega_invariant(render):
+    # at fixed omega * SNR, scaling omega only rescales the boundary by sqrt(omega):
+    # every row of q1 / sqrt(omega) has one SEP for all three omegas, and so does the minimum
+    rows = list(csv.DictReader(io.StringIO(render("fig_sep_vs_c").decode())))
+    curves = {}
+    for r in rows:
+        curves.setdefault(float(r["omega"]), []).append((float(r["q1_over_sqrt_omega"]),
+                                                         float(r["sep"])))
+    assert sorted(curves) == [0.5, 1.0, 2.0]
+    first, *others = curves.values()
+    assert len(first) == 120
+    for curve in others:
+        assert [q for q, _ in curve] == [q for q, _ in first]
+        assert [sep for _, sep in curve] == pytest.approx([sep for _, sep in first],
+                                                          rel=1e-12, abs=0)
+        assert min(curve, key=lambda p: p[1])[0] == min(first, key=lambda p: p[1])[0]
