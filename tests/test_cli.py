@@ -1,8 +1,6 @@
 """Command-line front end: flag parsing, config files, output schemas,
 exit codes, and byte-level determinism."""
-import importlib.util
 import json
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -710,47 +708,3 @@ class TestConfigAndErrors:
         assert run_cli(base + ["--config", str(cfg)], capsys) == run_cli(
             base + ["--snr-db", flag_text], capsys)
 
-
-class TestOutputBytesTool:
-    """tools/output_bytes.py --write saves the MD5 table, --check compares a fresh
-    run with a saved one and exits 1 listing the rows that differ."""
-
-    TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_bytes.py"
-    FAST = ("readme.sep", "readme.floor", "readme.compare", "acc9")
-
-    def _tool(self, monkeypatch=None, names=None):
-        """The tool as a module, its invocations cut to names when given."""
-        spec = importlib.util.spec_from_file_location("output_bytes", self.TOOL)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        if names is not None:
-            monkeypatch.setattr(tool, "INVOCATIONS",
-                                [(n, argv) for n, argv in tool.INVOCATIONS if n in names])
-        return tool
-
-    def test_committed_table_lists_every_invocation(self):
-        tool = self._tool()
-        rows = self.TOOL.with_suffix(".md").read_text().splitlines()
-        assert rows[:2] == tool.HEADER
-        assert list(tool._by_name(rows[2:])) == [n for n, _ in tool.INVOCATIONS]
-
-    def test_fast_rows_match_committed_table(self, monkeypatch, tmp_path):
-        tool = self._tool(monkeypatch, self.FAST)
-        fresh = tmp_path / "table.md"
-        assert tool.run(["--write", str(fresh)]) == 0
-        committed = tool._by_name(self.TOOL.with_suffix(".md").read_text().splitlines()[2:])
-        rows = tool._by_name(fresh.read_text().splitlines()[2:])
-        assert list(rows) == list(self.FAST)
-        assert all(rows[n] == committed[n] for n in self.FAST)
-
-    def test_write_then_check(self, monkeypatch, capsys, tmp_path):
-        tool = self._tool(monkeypatch, ("readme.floor",))
-        table = tmp_path / "table.md"
-        assert tool.run(["--write", str(table)]) == 0
-        assert tool.run(["--check", str(table)]) == 0
-        row = table.read_text().splitlines()[2]
-        md5 = row.split("`")[3]
-        table.write_text(table.read_text().replace(md5, "0" * 32))
-        capsys.readouterr()
-        assert tool.run(["--check", str(table)]) == 1
-        assert "differs: readme.floor\n" in capsys.readouterr().err

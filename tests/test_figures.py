@@ -1,7 +1,7 @@
 """Figures: every CSV committed under figures/out/ is what its figure function
 in demos/make_figures.py writes today, the Monte Carlo markers of the
-SEP-versus-SNR figure agree with its exact curve, and the SEP-versus-q_1
-figure's three omega curves coincide."""
+SEP-versus-SNR figure agree with its exact curve, the SEP-versus-q_1 figure's
+three omega curves coincide, and the error floor falls as m grows."""
 import csv
 import functools
 import importlib.util
@@ -68,3 +68,14 @@ def test_sep_vs_c_minimum_is_omega_invariant(render):
         assert [sep for _, sep in curve] == pytest.approx([sep for _, sep in first],
                                                           rel=1e-12, abs=0)
         assert min(curve, key=lambda p: p[1])[0] == min(first, key=lambda p: p[1])[0]
+
+
+def test_error_floor_falls_with_m(render):
+    # milder fading lowers the optimized noiseless floor: at each resolution,
+    # log2_floor strictly decreases over the figure's 15 values of m
+    rows = list(csv.DictReader(io.StringIO(render("fig_error_floor_shape").decode())))
+    for bits in (2, 3, 4):
+        curve = [(float(r["m"]), float(r["log2_floor"])) for r in rows if float(r["bits"]) == bits]
+        assert len(curve) == 15 and curve == sorted(curve)
+        floors = [floor for _, floor in curve]
+        assert all(a > b for a, b in zip(floors, floors[1:])), bits

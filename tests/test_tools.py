@@ -42,24 +42,37 @@ def test_diff_report_fields():
     assert report(old, old) == []
 
 
-def test_output_bytes_diff(monkeypatch, capsys, tmp_path):
-    # --write stores each stdout beside the table; --diff reports only the rows whose
-    # bytes moved, against what was stored
+def test_output_bytes_match_store():
+    # every invocation's stdout equals its stored bytes, and the store holds no other file
+    tool = _load("output_bytes")
+    store = ROOT / "tools" / "output_bytes.stdout"
+    assert sorted(p.stem for p in store.glob("*.txt")) == sorted(n for n, _ in tool.INVOCATIONS)
+    moved = [line for name, argv in tool.INVOCATIONS
+             for line in tool.report(name, (store / f"{name}.txt").read_bytes(),
+                                     [("stdout", *tool.output(argv))])]
+    assert not moved, "\n".join(moved)
+
+
+def test_output_bytes_write_then_check(monkeypatch, capsys, tmp_path):
+    # --write stores one row, --check passes on it, then fails with the moved
+    # field's relative change once a stored number is edited, and on a stray file
     tool = _load("output_bytes")
     monkeypatch.setattr(tool, "INVOCATIONS",
                         [(n, argv) for n, argv in tool.INVOCATIONS if n == "readme.floor"])
-    table = tmp_path / "table.md"
-    assert tool.run(["--write", str(table)]) == 0
-    stored = tmp_path / "table.stdout" / "readme.floor.txt"
-    doc = json.loads(stored.read_text())
+    assert tool.run(["--write", str(tmp_path)]) == 0
+    assert tool.run(["--check", str(tmp_path)]) == 0
+    stored = tmp_path / "readme.floor.txt"
+    doc = json.loads(stored.read_bytes())
+    stored.write_bytes(json.dumps(dict(doc, floor_upper=doc["floor_upper"] * 2.0)).encode())
     capsys.readouterr()
-    assert tool.run(["--diff", str(table)]) == 0
-    assert "readme.floor:" not in capsys.readouterr().out
+    assert tool.run(["--check", str(tmp_path)]) == 1
+    change = (f"  floor_upper: largest relative change 0.5 (index 0: "
+              f"{doc['floor_upper'] * 2.0!r} -> {doc['floor_upper']!r})")
+    assert capsys.readouterr().out.splitlines() == [
+        "readme.floor (stdout):", change, "readme.floor (--out):", change]
 
-    md5 = table.read_text().splitlines()[2].split("`")[3]
-    table.write_text(table.read_text().replace(md5, "0" * 32))
-    stored.write_text(json.dumps(dict(doc, floor_upper=doc["floor_upper"] * 2.0)))
-    assert tool.run(["--diff", str(table)]) == 1
-    report = capsys.readouterr().out.split("\nreadme.floor:\n")[1]
-    assert report == (f"  floor_upper: largest relative change 0.5 (index 0: "
-                      f"{doc['floor_upper'] * 2.0!r} -> {doc['floor_upper']!r})\n")
+    assert tool.run(["--write", str(tmp_path)]) == 0
+    (tmp_path / "gone.txt").write_bytes(b"")
+    capsys.readouterr()
+    assert tool.run(["--check", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "gone.txt: stored file with no invocation\n"

@@ -1,27 +1,19 @@
 #!/usr/bin/env python3
-"""MD5s of the CLI's output bytes on a fixed list of invocations.
+"""The CLI's output bytes on a fixed list of invocations, against one stored copy.
 
 Usage:
-    PYTHONPATH=src python3 tools/output_bytes.py
-    PYTHONPATH=src python3 tools/output_bytes.py --write tools/output_bytes.md
-    PYTHONPATH=src python3 tools/output_bytes.py --check tools/output_bytes.md
-    PYTHONPATH=src python3 tools/output_bytes.py --diff tools/output_bytes.md
+    PYTHONPATH=src python3 tools/output_bytes.py --check tools/output_bytes.stdout
+    PYTHONPATH=src python3 tools/output_bytes.py --write tools/output_bytes.stdout
 
-Each invocation runs in-process through pamq.cli.main twice: once to
-stdout, and once with --out to a temporary file. The script prints a
-Markdown table of the exit code, the MD5 of what the first run wrote to
-stdout and the MD5 of the file the second run wrote. The exit column
-reads "a/b" when the two runs exit differently. With --write FILE the
-table also goes to FILE; with --check FILE each row is compared with the
-row of the same invocation in FILE, and the script exits 1 and lists the
-rows that differ. --write also stores each row's stdout as NAME.txt in the
-directory beside FILE named after it with the suffix .stdout
-(tools/output_bytes.stdout/ for the committed table,
-tools/output_bytes.md). --diff FILE reruns the invocations and, for each
-row that differs from FILE, compares the fresh stdout with the stored one:
-it prints the largest relative change of each numeric field (a JSON key or
-a CSV column) and every non-numeric difference, and exits 1 as --check
-does. --check stays the exact MD5 gate; --diff says how far a row moved.
+The store holds each invocation's stdout as NAME.txt, the only golden copy of
+its bytes. --check reruns each invocation in-process through pamq.cli.main
+twice, once to stdout and once with --out to a temporary file, and requires
+exit 0 and both byte strings equal to NAME.txt. For each run that moved it
+prints the largest relative change of each numeric field (a JSON key or a CSV
+column) and every non-numeric difference, and exits 1; so does a stored file
+that no invocation names. --write rewrites NAME.txt for every invocation: a
+deliberate re-capture. Bytes are read and written as bytes (UTF-8), so no
+platform's newline translation enters the store.
 
 The invocations are the six README examples, acceptance criteria 9 and 10,
 the seven calls of the perfbench `design` workload, the `quantizer3` call
@@ -45,7 +37,6 @@ workload, on odd-integer amplitudes and unit-step boundaries.
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -135,45 +126,15 @@ INVOCATIONS = [
 ]
 
 
-def _md5(data):
-    return hashlib.md5(data).hexdigest()
-
-
-def output_bytes(argv, out_path):
-    """(exit code to stdout, exit code with --out, stdout, --out file MD5) of argv."""
+def output(argv, out=None):
+    """(exit code, bytes) of argv run in-process: its stdout, or with a path out the
+    file that --out out writes (empty if none is written)."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    out_code = main(argv + ["--out", str(out_path)])
-    out_md5 = _md5(out_path.read_bytes()) if out_path.exists() else "(none)"
-    return code, out_code, buf.getvalue(), out_md5
-
-
-HEADER = ["| Invocation | Exit | stdout MD5 | `--out` MD5 |", "|---|---|---|---|"]
-
-
-def _by_name(rows):
-    """Table rows keyed by invocation name."""
-    return {row.split("|")[1].strip(" `"): row for row in rows}
-
-
-def _stdout_dir(table):
-    """The directory of stored stdouts beside the table file."""
-    table = pathlib.Path(table)
-    return table.with_name(table.stem + ".stdout")
-
-
-def table_rows(stdouts):
-    """One Markdown row per invocation, printed as it is made; each stdout goes
-    into the dict stdouts under its invocation's name."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for k, (name, argv) in enumerate(INVOCATIONS):
-            code, out_code, stdout, out_md5 = output_bytes(argv, pathlib.Path(tmp) / f"{k}.out")
-            stdouts[name] = stdout
-            exit_text = str(code) if code == out_code else f"{code}/{out_code}"
-            row = f"| `{name}` | {exit_text} | `{_md5(stdout.encode())}` | `{out_md5}` |"
-            print(row, flush=True)
-            yield row
+        code = main(argv + ["--out", str(out)] if out else argv)
+    if out is None:
+        return code, buf.getvalue().encode()
+    return code, out.read_bytes() if out.exists() else b""
 
 
 def _fields(text):
@@ -230,46 +191,57 @@ def diff_report(old, new):
     return lines + other
 
 
+def report(name, stored, runs):
+    """Lines saying how the runs of invocation name, (label, exit code, bytes) each,
+    differ from its stored bytes (None when none are stored); empty when every run
+    exits 0 with exactly those bytes."""
+    if stored is None:
+        return [f"{name}: no stored file"]
+    lines = []
+    for label, code, data in runs:
+        if code:
+            lines.append(f"{name} ({label}): exit {code}")
+        elif data != stored:
+            lines.append(f"{name} ({label}):")
+            lines += diff_report(stored.decode(), data.decode()) or ["  same fields, other bytes"]
+    return lines
+
+
+def check(store):
+    """Print how each invocation moved against the store; 1 if any did, else 0."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (name, argv) in enumerate(INVOCATIONS):
+            path = store / f"{name}.txt"
+            runs = [("stdout", *output(argv)),
+                    ("--out", *output(argv, pathlib.Path(tmp) / f"{k}.out"))]
+            lines += report(name, path.read_bytes() if path.exists() else None, runs)
+    names = {name for name, _ in INVOCATIONS}
+    lines += [f"{path.name}: stored file with no invocation"
+              for path in sorted(store.glob("*.txt")) if path.stem not in names]
+    print("\n".join(lines) if lines else f"{len(INVOCATIONS)} invocations match {store}")
+    return 1 if lines else 0
+
+
+def write(store):
+    """Rewrite the store: each invocation's stdout as NAME.txt."""
+    store.mkdir(parents=True, exist_ok=True)
+    for name, argv in INVOCATIONS:
+        (store / f"{name}.txt").write_bytes(output(argv)[1])
+    return 0
+
+
 def run(argv=None):
-    """Print the table; write it to --write FILE, or compare it with --check FILE or
-    --diff FILE. Returns the exit code: 1 when a row differs from the table in FILE."""
-    parser = argparse.ArgumentParser(description="MD5s of the pamq CLI's output bytes")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--write", metavar="FILE",
-                      help="also save the table to FILE and each stdout beside it")
-    mode.add_argument("--check", metavar="FILE", help="compare the table with FILE")
-    mode.add_argument("--diff", metavar="FILE",
-                      help="compare with FILE and report how far each changed row moved")
+    """Check the invocations against the store --check DIR, or rewrite it with
+    --write DIR. Returns the exit code."""
+    parser = argparse.ArgumentParser(description="The pamq CLI's output bytes against a store")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", metavar="DIR", type=pathlib.Path,
+                      help="compare every invocation's bytes with DIR/NAME.txt")
+    mode.add_argument("--write", metavar="DIR", type=pathlib.Path,
+                      help="store every invocation's stdout as DIR/NAME.txt")
     args = parser.parse_args(argv)
-    against = args.check or args.diff
-    if against:
-        expected = _by_name(pathlib.Path(against).read_text().splitlines()[2:])
-    print("\n".join(HEADER))
-    stdouts = {}
-    rows = list(table_rows(stdouts))
-    if args.write:
-        pathlib.Path(args.write).write_text("\n".join(HEADER + rows) + "\n")
-        stored = _stdout_dir(args.write)
-        stored.mkdir(exist_ok=True)
-        for name, stdout in stdouts.items():
-            (stored / f"{name}.txt").write_text(stdout)
-        return 0
-    if not against:
-        return 0
-    actual = _by_name(rows)
-    differ = sorted(name for name in actual.keys() | expected.keys()
-                    if actual.get(name) != expected.get(name))
-    for name in differ:
-        if args.check:
-            print(f"differs: {name}\n  expected {expected.get(name, '(no row)')}\n"
-                  f"  actual   {actual.get(name, '(no row)')}", file=sys.stderr)
-            continue
-        stored = _stdout_dir(args.diff) / f"{name}.txt"
-        report = (diff_report(stored.read_text(), stdouts[name])
-                  if name in stdouts and stored.exists() else ["  (no stdout to compare)"])
-        print(f"\n{name}:\n" + "\n".join(
-            report or ["  stdout unchanged; only the --out file or exit code moved"]))
-    return 1 if differ else 0
+    return check(args.check) if args.check else write(args.write)
 
 
 if __name__ == "__main__":
