@@ -1,6 +1,9 @@
 """Command-line front end: flag parsing, config files, output schemas,
 exit codes, and byte-level determinism."""
+import importlib.util
 import json
+import pathlib
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -708,3 +711,57 @@ class TestConfigAndErrors:
         assert run_cli(base + ["--config", str(cfg)], capsys) == run_cli(
             base + ["--snr-db", flag_text], capsys)
 
+
+class TestOutputBytesTool:
+    """tools/output_bytes.py --write stores each invocation's stdout, --check
+    compares fresh runs with a store and exits 1 on a moved run or a stray file."""
+
+    TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_bytes.py"
+    STORE = TOOL.with_suffix(".stdout")
+    FAST = ("readme.sep", "readme.floor", "readme.compare", "acc9")
+
+    def _tool(self, monkeypatch=None, names=None):
+        """The tool as a module, its invocations cut to names when given."""
+        spec = importlib.util.spec_from_file_location("output_bytes", self.TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        if names is not None:
+            monkeypatch.setattr(tool, "INVOCATIONS",
+                                [(n, argv) for n, argv in tool.INVOCATIONS if n in names])
+        return tool
+
+    def test_committed_table_lists_every_invocation(self):
+        # the committed store holds one NAME.txt per invocation and no other file
+        tool = self._tool()
+        assert (sorted(p.name for p in self.STORE.iterdir())
+                == sorted(f"{n}.txt" for n, _ in tool.INVOCATIONS))
+
+    def test_fast_rows_match_committed_table(self, monkeypatch, capsys, tmp_path):
+        # --check, with its stdout and --out runs, passes on the committed bytes of
+        # the fast rows
+        tool = self._tool(monkeypatch, self.FAST)
+        for name in self.FAST:
+            shutil.copyfile(self.STORE / f"{name}.txt", tmp_path / f"{name}.txt")
+        capsys.readouterr()
+        assert tool.run(["--check", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"4 invocations match {tmp_path}\n"
+
+    def test_write_then_check(self, monkeypatch, capsys, tmp_path):
+        # --check passes on what --write stored, and fails once a stored file is
+        # edited or a stray one is added
+        tool = self._tool(monkeypatch, ("readme.floor",))
+        assert tool.run(["--write", str(tmp_path)]) == 0
+        assert tool.run(["--check", str(tmp_path)]) == 0
+        stored = tmp_path / "readme.floor.txt"
+        stored.write_bytes(stored.read_bytes() + b" ")
+        capsys.readouterr()
+        assert tool.run(["--check", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "readme.floor (stdout):", "  same fields, other bytes",
+            "readme.floor (--out):", "  same fields, other bytes"]
+
+        assert tool.run(["--write", str(tmp_path)]) == 0
+        (tmp_path / "gone.txt").write_bytes(b"")
+        capsys.readouterr()
+        assert tool.run(["--check", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == "gone.txt: stored file with no invocation\n"
